@@ -36,7 +36,7 @@ from .resample import (
     dump_draws,
     multinomial_weights,
 )
-from .rng import categorical, standard_normal, substream, unit_exponential, uniform
+from .rng import substream
 from .simlab import (
     LogisticDgm,
     SweepConfig,
@@ -85,7 +85,6 @@ __all__ = [
     "bootstrap_nb_draws_grid",
     "bvn_cdf",
     "c_statistic",
-    "categorical",
     "decision_curve",
     "default_grid",
     "dirichlet_weights",
@@ -109,14 +108,11 @@ __all__ = [
     "relative_evpi",
     "score",
     "scored_sample",
-    "standard_normal",
     "std_normal_cdf",
     "std_normal_pdf",
     "subsample_sweep",
     "substream",
     "synthetic_sweep",
     "true_nb_of_dgm",
-    "uniform",
-    "unit_exponential",
     "weighted_nb",
 ]

@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evpi", help="expected value of perfect information per threshold")
     _add_data_args(p)
     _add_analysis_args(p, ["bayes", "ordinary", "asymptotic", "all"], "all")
-    p.add_argument("--ci-level", type=float, default=0.95, help=argparse.SUPPRESS)
     p.add_argument("--population", type=float,
                    help="decisions per period; adds population-scaled TP/FP equivalents")
     p.add_argument("--dump-draws", metavar="PREFIX",

@@ -114,11 +114,14 @@ def _parse_outcome(value: str, row: int) -> int:
 
 def _parse_float(value: str, column: str, row: int) -> float:
     try:
-        return float(value)
+        v = float(value)
     except ValueError:
         raise InputError(
             f"non-numeric value {value!r} in column {column!r}", row=row
         ) from None
+    if not math.isfinite(v):
+        raise InputError(f"non-finite value {value!r} in column {column!r}", row=row)
+    return v
 
 
 def load_dataset(
@@ -133,12 +136,12 @@ def load_dataset(
     Exactly one of ``risk_col`` (pre-computed predicted risks) or
     ``feature_cols`` (raw features to be scored with a ModelSpec) must be
     given.  Row numbers in error messages are 1-based file line numbers
-    (the header is line 1).
+    (the header is line 1).  A leading UTF-8 byte-order mark is skipped.
     """
     if (risk_col is None) == (feature_cols is None):
         raise InputError("provide exactly one of risk_col or feature_cols")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             first = fh.readline()
             if not first.strip():
                 raise InputError(f"file {path} is empty")

@@ -123,32 +123,58 @@ class ValidationSample:
         return f"ValidationSample(n={self.n}, events={self.n_events})"
 
 
-def outcome_terms(outcomes: np.ndarray, t: Threshold) -> np.ndarray:
-    """Per-row payoff ``Y - (1-Y) * z/(1-z)``: 1.0 for events, -z/(1-z) else."""
-    return np.where(outcomes == 1, 1.0, -t.harm_weight)
+def _cell_table(outcomes: np.ndarray, risks: np.ndarray, thresholds):
+    """Per-threshold flagged sums of a sample over a threshold grid (any
+    order, duplicates allowed).
+
+    Each row's cell is its outcome times (T + 1) plus the number of grid
+    thresholds at or below its risk; a row is flagged (``risk >= z``) at the
+    j-th smallest threshold exactly when that number exceeds j.  Returns
+    ``sums(weights=None) -> (tp, fp, events, non_events)``: the flagged-event
+    and flagged-non-event weight at each threshold of the grid, and the total
+    event and non-event weight.  Unit weights give integer counts.
+    """
+    zs = np.array([t.z for t in thresholds])
+    order = np.argsort(zs, kind="stable")
+    width = zs.size + 1
+    labels = outcomes * width + np.searchsorted(zs[order], risks, side="right")
+
+    def sums(weights=None):
+        cells = np.bincount(labels, weights=weights, minlength=2 * width).reshape(2, width)
+        tail = cells[:, ::-1].cumsum(axis=1)[:, ::-1]  # tail[:, k]: cells k..T
+        flagged = np.empty((2, width - 1), dtype=tail.dtype)
+        flagged[:, order] = tail[:, 1:]
+        return flagged[1], flagged[0], tail[1, 0], tail[0, 0]
+
+    return sums
+
+
+def _net_benefit(tp, fp, harm_weight, total):
+    """``(tp - c * fp) / total``, the NB formula of point estimates and draws."""
+    return (tp - harm_weight * fp) / total
 
 
 def nb_model(sample: ValidationSample, t: Threshold) -> float:
     """Net benefit of treating those with ``risk >= z``."""
-    a = outcome_terms(sample.outcomes, t)
-    b = np.where(sample.risks >= t.z, a, 0.0)
-    return float(np.sum(b) / sample.n)
+    tp, fp, _, _ = _cell_table(sample.outcomes, sample.risks, (t,))()
+    return float(_net_benefit(tp[0], fp[0], t.harm_weight, sample.n))
 
 
 def nb_all(sample: ValidationSample, t: Threshold) -> float:
     """Net benefit of treating everyone: prevalence - (1-prevalence)*z/(1-z)."""
-    a = outcome_terms(sample.outcomes, t)
-    return float(np.sum(a) / sample.n)
+    events = sample.n_events
+    return float(_net_benefit(events, sample.n - events, t.harm_weight, sample.n))
 
 
 def weighted_nb(sample: ValidationSample, weights, t: Threshold) -> tuple[float, float]:
-    """Observation-reweighted ``(nb_model, nb_all)``.
+    """Observation-reweighted ``(nb_model, nb_all)``, row by row: the
+    reference the threshold-table code is checked against.
 
     ``weights`` is a :class:`~nbvoi.resample.WeightVector` or a bare array of
     non-negative weights of length n summing to 1.  A multinomial weight
-    vector (one carrying integer resample counts) is evaluated by summing
-    over the materialized resample, so its result is bit-identical to
-    computing ``nb_model``/``nb_all`` on the resampled dataset.
+    vector (one carrying integer resample counts) is evaluated from its
+    counts, so its result is bit-identical to computing
+    ``nb_model``/``nb_all`` on the materialized resample.
     """
     counts = getattr(weights, "counts", None)
     w = np.asarray(getattr(weights, "weights", weights), dtype=float)
@@ -162,14 +188,16 @@ def weighted_nb(sample: ValidationSample, weights, t: Threshold) -> tuple[float,
     if abs(total - 1.0) > 1e-8:
         raise InputError(f"weights must sum to 1, got {total!r}")
 
-    a = outcome_terms(sample.outcomes, t)
-    b = np.where(sample.risks >= t.z, a, 0.0)
+    events = sample.outcomes == 1
+    flagged = sample.risks >= t.z
+    c = t.harm_weight
     if counts is not None:
-        counts = np.asarray(counts)
-        rep = np.repeat(np.arange(sample.n), counts)
-        m = int(counts.sum())
-        return float(np.sum(b[rep]) / m), float(np.sum(a[rep]) / m)
-    return float(np.dot(w, b)), float(np.dot(w, a))
+        k = np.asarray(counts)
+        m, n_ev = int(k.sum()), int(k[events].sum())
+        tp, fp = int(k[flagged & events].sum()), int(k[flagged & ~events].sum())
+        return float(_net_benefit(tp, fp, c, m)), float(_net_benefit(n_ev, m - n_ev, c, m))
+    a = np.where(events, 1.0, -c)
+    return float(np.dot(w, np.where(flagged, a, 0.0))), float(np.dot(w, a))
 
 
 @dataclass(frozen=True)
@@ -278,8 +306,10 @@ def decision_curve(
     if n_boot < 0:
         raise InputError("n_boot must be >= 0")
 
-    point_model = np.array([nb_model(sample, t) for t in ts])
-    point_all = np.array([nb_all(sample, t) for t in ts])
+    tp, fp, events, non_events = _cell_table(sample.outcomes, sample.risks, ts)()
+    c = np.array([t.harm_weight for t in ts])
+    point_model = _net_benefit(tp, fp, c, sample.n)
+    point_all = _net_benefit(events, non_events, c, sample.n)
 
     if n_boot == 0:
         return DecisionCurve(
@@ -295,7 +325,7 @@ def decision_curve(
     qs = np.quantile(draws.draws, [lo_q, hi_q], axis=0)
     model_ci = qs[:, :, 0].T.copy()
     all_ci = qs[:, :, 1].T.copy()
-    degenerate = np.array([int(np.sum(sample.risks >= t.z)) == 0 for t in ts])
+    degenerate = tp + fp == 0
     return DecisionCurve(
         thresholds=ts, nb_model=point_model, nb_all=point_all,
         ci_level=ci_level, n_boot=n_boot, method=method, seed=seed,

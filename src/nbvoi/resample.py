@@ -11,9 +11,14 @@ Two resampling schemes weight the n observations of a validation sample:
 
 Replicate ``l`` of a run keyed by ``seed`` always consumes the dedicated
 random substream ``(seed, method_id, l)``, so results are independent of
-chunking, worker count, and evaluation order.  Weight vectors are drawn
-once per replicate and reused across every threshold of a grid, keeping the
+worker count and evaluation order.  Weight vectors are drawn once per
+replicate and reused across every threshold of a grid, keeping the
 replicate curves internally coherent.
+
+Replicates are evaluated one at a time, with no blocks or chunks: each
+replicate's row weights are summed into the sample's per-threshold cells
+(``netbenefit._cell_table``), so no result depends on the BLAS thread count
+and ordinary-bootstrap cell sums are exact integers.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .netbenefit import Threshold, ValidationSample, outcome_terms
+from .netbenefit import Threshold, ValidationSample, _cell_table, _net_benefit
 from .rng import substream
 
 METHOD_IDS = {"bayesian": 0, "ordinary": 1}
@@ -31,8 +36,6 @@ DATA_STREAM_ID = 2  # reserved for non-bootstrap consumers (data generation)
 
 DEFAULT_N_REPS = 10_000       # single-dataset analyses
 SWEEP_N_REPS = 1_000          # default inside simulation sweeps
-
-_BLOCK = 512  # replicates per weight block; has no effect on results
 
 
 @dataclass(frozen=True)
@@ -72,19 +75,29 @@ class WeightVector:
         return self.weights.shape[0]
 
 
+def _replicate_mass(n: int, method: str, rng: np.random.Generator):
+    """One replicate's row weights and their total: flat-Dirichlet weights
+    (n unit exponentials, normalized; total 1) for ``bayesian``, integer
+    resample counts over n rows (total n) for ``ordinary``."""
+    if method == "bayesian":
+        e = rng.standard_exponential(n)
+        return e / e.sum(), 1.0
+    return np.bincount(rng.integers(0, n, size=n), minlength=n), n
+
+
 def dirichlet_weights(n: int, rng: np.random.Generator) -> WeightVector:
     """Draw flat-Dirichlet weights (n unit exponentials, normalized)."""
     if n < 1:
         raise InputError("dirichlet_weights requires n >= 1")
-    e = rng.standard_exponential(n)
-    return WeightVector(weights=e / e.sum(), kind="dirichlet")
+    w, _ = _replicate_mass(n, "bayesian", rng)
+    return WeightVector(weights=w, kind="dirichlet")
 
 
 def multinomial_weights(n: int, rng: np.random.Generator) -> WeightVector:
     """Draw ordinary-bootstrap weights: resample counts over n cells, / n."""
     if n < 1:
         raise InputError("multinomial_weights requires n >= 1")
-    counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    counts, _ = _replicate_mass(n, "ordinary", rng)
     return WeightVector(weights=counts / n, kind="multinomial", counts=counts)
 
 
@@ -146,43 +159,6 @@ class GridDraws:
         )
 
 
-def _weight_block(n: int, method: str, seed, rep_indices) -> np.ndarray:
-    """Stack weight vectors for the given replicate indices, (len, n)."""
-    mid = METHOD_IDS[method]
-    out = np.empty((len(rep_indices), n))
-    if method == "bayesian":
-        for i, l in enumerate(rep_indices):
-            e = substream(seed, mid, l).standard_exponential(n)
-            out[i] = e / e.sum()
-    else:
-        for i, l in enumerate(rep_indices):
-            k = np.bincount(substream(seed, mid, l).integers(0, n, size=n), minlength=n)
-            out[i] = k / n
-    return out
-
-
-def _strategy_term_matrix(sample: ValidationSample, thresholds, extra_risks) -> np.ndarray:
-    """Per-row NB contributions, shape (n, T, S): model columns then treat-all."""
-    risk_cols = [sample.risks]
-    if extra_risks is not None:
-        extra = np.atleast_2d(np.asarray(extra_risks, dtype=float))
-        if extra.shape[0] == sample.n and extra.shape[1] != sample.n:
-            extra = extra.T
-        if extra.shape[1] != sample.n:
-            raise InputError("extra model risks must have one value per observation")
-        if not np.isfinite(extra).all() or extra.min() < 0.0 or extra.max() > 1.0:
-            raise InputError("extra model risks must lie in [0, 1]")
-        risk_cols.extend(extra)
-    n, T, S = sample.n, len(thresholds), len(risk_cols) + 1
-    terms = np.empty((n, T, S))
-    for j, t in enumerate(thresholds):
-        a = outcome_terms(sample.outcomes, t)
-        for s, risks in enumerate(risk_cols):
-            terms[:, j, s] = np.where(risks >= t.z, a, 0.0)
-        terms[:, j, S - 1] = a
-    return terms
-
-
 def bootstrap_nb_draws_grid(
     sample: ValidationSample,
     thresholds,
@@ -204,14 +180,26 @@ def bootstrap_nb_draws_grid(
     if method not in METHOD_IDS:
         raise InputError(f"unknown bootstrap method {method!r}; expected 'bayesian' or 'ordinary'")
 
-    terms = _strategy_term_matrix(sample, thresholds, extra_risks)
-    n, T, S = terms.shape
-    flat = terms.reshape(n, T * S)
-    draws = np.empty((n_reps, T, S))
-    for start in range(0, n_reps, _BLOCK):
-        idx = range(start, min(start + _BLOCK, n_reps))
-        w = _weight_block(n, method, seed, idx)
-        draws[start:start + len(w)] = (w @ flat).reshape(len(w), T, S)
+    risk_cols = [sample.risks]
+    if extra_risks is not None:
+        extra = np.atleast_2d(np.asarray(extra_risks, dtype=float))
+        if extra.shape[0] == sample.n and extra.shape[1] != sample.n:
+            extra = extra.T
+        if extra.shape[1] != sample.n:
+            raise InputError("extra model risks must have one value per observation")
+        if not np.isfinite(extra).all() or extra.min() < 0.0 or extra.max() > 1.0:
+            raise InputError("extra model risks must lie in [0, 1]")
+        risk_cols.extend(extra)
+    tables = [_cell_table(sample.outcomes, r, thresholds) for r in risk_cols]
+    c = np.array([t.harm_weight for t in thresholds])
+    mid = METHOD_IDS[method]
+    draws = np.empty((n_reps, len(thresholds), len(tables) + 1))
+    for l in range(n_reps):
+        mass, total = _replicate_mass(sample.n, method, substream(seed, mid, l))
+        for s, sums in enumerate(tables):
+            tp, fp, events, non_events = sums(mass)
+            draws[l, :, s] = _net_benefit(tp, fp, c, total)
+        draws[l, :, -1] = _net_benefit(events, non_events, c, total)
     return GridDraws(draws=draws, thresholds=thresholds, method=method, seed=seed)
 
 
@@ -236,7 +224,9 @@ def bootstrap_nb_draws(
     mat = grid.at(0)
     if not keep_weights:
         return mat
-    w = _weight_block(sample.n, method, seed, range(n_reps))
+    draw = dirichlet_weights if method == "bayesian" else multinomial_weights
+    w = np.stack([draw(sample.n, substream(seed, METHOD_IDS[method], l)).weights
+                  for l in range(n_reps)])
     return NbDrawMatrix(draws=mat.draws, method=method, seed=seed, threshold=t, weights=w)
 
 

@@ -1,4 +1,4 @@
-"""Seeded, splittable random-number streams and basic distribution draws.
+"""Seeded, splittable random-number streams.
 
 Every stochastic routine in the package derives its generators through
 :func:`substream`, keyed by an integer seed plus a tuple of non-negative
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
-
 
 def substream(seed: int | tuple, *key: int) -> np.random.Generator:
     """Return an independent generator for ``(seed, key)``.
@@ -27,24 +25,3 @@ def substream(seed: int | tuple, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(ss))
 
-
-def unit_exponential(rng: np.random.Generator, size=None):
-    """Draw from Exponential(rate=1)."""
-    return rng.standard_exponential(size)
-
-
-def uniform(rng: np.random.Generator, size=None):
-    """Draw from Uniform[0, 1)."""
-    return rng.random(size)
-
-
-def standard_normal(rng: np.random.Generator, size=None):
-    """Draw from Normal(0, 1)."""
-    return rng.standard_normal(size)
-
-
-def categorical(n: int, rng: np.random.Generator, size=None):
-    """Draw uniformly distributed indices from ``{0, ..., n-1}``."""
-    if n < 1:
-        raise InputError("categorical requires n >= 1")
-    return rng.integers(0, n, size=size)

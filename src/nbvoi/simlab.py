@@ -19,13 +19,12 @@ from functools import partial
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from .errors import InputError, SmallEffectiveSampleWarning
 from .netbenefit import Threshold, ValidationSample
 from .resample import DATA_STREAM_ID, SWEEP_N_REPS
 from .rng import substream
-from .voi import ALL_METHODS, evpi_threshold_sweep
+from .voi import ALL_METHODS, MIN_SIDE_ROWS, _thin_thresholds, evpi_threshold_sweep
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,13 @@ def c_statistic(sample: ValidationSample) -> float:
     n0 = sample.n - n1
     if n1 == 0 or n0 == 0:
         raise InputError("c-statistic requires at least one event and one non-event")
-    ranks = rankdata(sample.risks)
-    return float((ranks[sample.outcomes == 1].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+    # Mann-Whitney U by counting: each event beats the non-events below its
+    # risk and ties the ones equal to it.  2U is an integer, so this is exact.
+    events = sample.risks[sample.outcomes == 1]
+    non_events = np.sort(sample.risks[sample.outcomes == 0])
+    twice_u = int(np.searchsorted(non_events, events, side="left").sum()
+                  + np.searchsorted(non_events, events, side="right").sum())
+    return twice_u / (2 * n1 * n0)
 
 
 def true_nb_of_dgm(
@@ -192,10 +196,7 @@ def _sweep_cell(cell, dgm, dataset, cfg: SweepConfig):
         seed=(cfg.seed, si, sim), warn=False,
     )
     evpis = {(t.z, res.method): res.evpi for t, res in rows}
-    thin = tuple(
-        t.z for t in cfg.thresholds
-        if min(int(np.sum(sample.risks >= t.z)), sample.n - int(np.sum(sample.risks >= t.z))) < 20
-    )
+    thin = tuple(t.z for t in _thin_thresholds(sample, cfg.thresholds))
     return evpis, thin
 
 
@@ -229,7 +230,7 @@ def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
                 ))
     for size, z in sorted(thin_cells):
         warnings.warn(
-            f"size {size}, threshold {z:g}: fewer than 20 observations on one "
+            f"size {size}, threshold {z:g}: fewer than {MIN_SIDE_ROWS} observations on one "
             "side of the threshold in at least one simulation",
             SmallEffectiveSampleWarning,
             stacklevel=3,

@@ -30,10 +30,9 @@ import numpy as np
 
 from .bvn import BvnParams, e_max_zero_bvn, p_first_positive_max
 from .errors import InputError, NumericError, SmallEffectiveSampleWarning
-from .netbenefit import Threshold, ValidationSample, nb_all, nb_model
+from .netbenefit import Threshold, ValidationSample, _cell_table, _net_benefit
 from .resample import NbDrawMatrix, bootstrap_nb_draws_grid
 
-BOOTSTRAP_METHODS = ("bayesian", "ordinary")
 ALL_METHODS = ("bayesian", "ordinary", "asymptotic")
 
 _METHOD_LABELS = {
@@ -43,6 +42,7 @@ _METHOD_LABELS = {
 }
 
 _PSD_TOL = 1e-10
+MIN_SIDE_ROWS = 20  # fewer rows than this on one side of a threshold is "thin"
 
 
 @dataclass(frozen=True)
@@ -84,23 +84,30 @@ def moments(sample: ValidationSample, t: Threshold) -> MomentSet:
         var_all   = (1/n) (1/(1-z))^2 P0(1-P0)
         cov       = (1/(n(1-z))) [(1-P0) P_TP + c P0 P_FP]
     """
+    return _moment_grid(sample, (t,))[0]
+
+
+def _moment_grid(sample: ValidationSample, thresholds) -> list[MomentSet]:
+    """:func:`moments` at every threshold, from one table of counts."""
     if sample.n < 2:
         raise InputError("moment estimation requires n >= 2")
-    n = sample.n
-    c = t.harm_weight
-    flagged = sample.risks >= t.z
-    events = sample.outcomes == 1
-    p_tp = float(np.sum(flagged & events)) / n
-    p_fp = float(np.sum(flagged & ~events)) / n
-    p0 = float(np.sum(events)) / n
-    var_model = (p_tp * (1 - p_tp) + c * c * p_fp * (1 - p_fp) + 2 * c * p_tp * p_fp) / n
-    var_all = p0 * (1 - p0) / (n * (1 - t.z) ** 2)
-    cov = ((1 - p0) * p_tp + c * p0 * p_fp) / (n * (1 - t.z))
-    return MomentSet(
-        mean_model=nb_model(sample, t), mean_all=nb_all(sample, t),
-        var_model=var_model, var_all=var_all, cov=cov,
-        n=n, p0=p0, p_tp=p_tp, p_fp=p_fp, threshold=t,
-    )
+    n, events = sample.n, sample.n_events
+    p0 = events / n
+    tp_all, fp_all, _, _ = _cell_table(sample.outcomes, sample.risks, thresholds)()
+    out = []
+    for t, tp, fp in zip(thresholds, tp_all, fp_all):
+        c = t.harm_weight
+        p_tp, p_fp = float(tp) / n, float(fp) / n
+        var_model = (p_tp * (1 - p_tp) + c * c * p_fp * (1 - p_fp) + 2 * c * p_tp * p_fp) / n
+        var_all = p0 * (1 - p0) / (n * (1 - t.z) ** 2)
+        cov = ((1 - p0) * p_tp + c * p0 * p_fp) / (n * (1 - t.z))
+        out.append(MomentSet(
+            mean_model=float(_net_benefit(tp, fp, c, n)),
+            mean_all=float(_net_benefit(events, n - events, c, n)),
+            var_model=var_model, var_all=var_all, cov=cov,
+            n=n, p0=p0, p_tp=p_tp, p_fp=p_fp, threshold=t,
+        ))
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,25 +158,14 @@ def relative_evpi(enb_perfect: float, mean_model: float, mean_all: float) -> flo
     return (enb_perfect - base) / denom
 
 
-def _strategy_partition(draws: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """Row winners with ties resolved against the model: none, then all,
-    then the model columns in order.  Returns (winners, p_none, p_all,
-    p_model) where p_model sums all model columns."""
-    n_rows = draws.shape[0]
-    stacked = np.column_stack([np.zeros(n_rows), draws[:, -1], draws[:, :-1]])
-    winners = np.argmax(stacked, axis=1)
-    p_none = float(np.mean(winners == 0))
-    p_all = float(np.mean(winners == 1))
-    p_model = float(np.mean(winners >= 2))
-    return winners, p_none, p_all, p_model
-
-
 def p_useful(draws: NbDrawMatrix) -> float:
     """Fraction of draws in which a model strategy has the strictly highest
     NB among {treat-none, treat-all, models}.  For the single-model case this
-    is P(nb_model > max(0, nb_all))."""
-    _, _, _, p_model = _strategy_partition(draws.draws)
-    return p_model
+    is P(nb_model > max(0, nb_all)).  Ties resolve against the model:
+    treat-none, then treat-all, then the model columns in order."""
+    d = draws.draws
+    stacked = np.column_stack([np.zeros(d.shape[0]), d[:, -1], d[:, :-1]])
+    return float(np.mean(np.argmax(stacked, axis=1) >= 2))
 
 
 def _best_by_means(mean_models: np.ndarray, mean_all: float) -> tuple[str, float]:
@@ -197,12 +193,11 @@ def evpi_bootstrap(draws: NbDrawMatrix) -> VoiResult:
     mean_models, mean_all = col_means[:-1], float(col_means[-1])
     best, enb_current = _best_by_means(mean_models, mean_all)
     evpi = max(0.0, enb_perfect - enb_current)
-    _, _, _, p_model = _strategy_partition(d)
     r = relative_evpi(enb_perfect, float(mean_models.max()), mean_all) if best == "model" else None
     mc_se = float(row_max.std(ddof=1) / math.sqrt(d.shape[0]))
     return VoiResult(
         evpi=evpi, enb_current=enb_current, enb_perfect=enb_perfect,
-        p_useful=p_model, best_strategy=best, method=_METHOD_LABELS[draws.method],
+        p_useful=p_useful(draws), best_strategy=best, method=_METHOD_LABELS[draws.method],
         r_evpi=r, mc_se=mc_se, seed=draws.seed, n_reps=d.shape[0],
     )
 
@@ -248,16 +243,10 @@ def evpi_asymptotic(m: MomentSet) -> VoiResult:
     )
 
 
-def _warn_small_effective_size(sample: ValidationSample, thresholds) -> None:
-    for t in thresholds:
-        above = int(np.sum(sample.risks >= t.z))
-        if min(above, sample.n - above) < 20:
-            warnings.warn(
-                f"fewer than 20 observations on one side of threshold {t.z:g}; "
-                "estimates there are driven by a handful of rows",
-                SmallEffectiveSampleWarning,
-                stacklevel=3,
-            )
+def _thin_thresholds(sample: ValidationSample, thresholds) -> list[Threshold]:
+    """Thresholds with fewer than ``MIN_SIDE_ROWS`` rows on one side."""
+    tp, fp, _, _ = _cell_table(sample.outcomes, sample.risks, thresholds)()
+    return [t for t, a in zip(thresholds, tp + fp) if min(a, sample.n - a) < MIN_SIDE_ROWS]
 
 
 def evpi_threshold_sweep(
@@ -273,7 +262,8 @@ def evpi_threshold_sweep(
 
     Bootstrap methods reuse one weight stream across the whole grid; the
     asymptotic route is evaluated independently at each threshold.  Rows
-    come back sorted by threshold, with methods in the order requested.
+    come back in the order of ``thresholds`` (which may be unsorted), with
+    methods in the order requested.
     """
     if isinstance(thresholds, Threshold):
         thresholds = (thresholds,)
@@ -284,13 +274,18 @@ def evpi_threshold_sweep(
             raise InputError(f"unknown EVPI method {m!r}")
     if "asymptotic" in methods and extra_risks is not None:
         raise InputError("the asymptotic method supports exactly one candidate model")
-    if warn:
-        _warn_small_effective_size(sample, thresholds)
+    for t in _thin_thresholds(sample, thresholds) if warn else ():
+        warnings.warn(
+            f"fewer than {MIN_SIDE_ROWS} observations on one side of threshold {t.z:g}; "
+            "estimates there are driven by a handful of rows",
+            SmallEffectiveSampleWarning,
+            stacklevel=2,
+        )
 
     per_method: dict[str, list[VoiResult]] = {}
     for m in methods:
         if m == "asymptotic":
-            per_method[m] = [evpi_asymptotic(moments(sample, t)) for t in thresholds]
+            per_method[m] = [evpi_asymptotic(ms) for ms in _moment_grid(sample, thresholds)]
         else:
             grid = bootstrap_nb_draws_grid(
                 sample, thresholds, n_reps=n_reps, method=m, seed=seed,

@@ -2,10 +2,15 @@
 codes distinguish input from numeric failures."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nbvoi
 from nbvoi import (
     LogisticDgm,
     decision_curve,
@@ -233,6 +238,20 @@ class TestExitCodes:
         rec = json.loads(err.strip().splitlines()[-1])
         assert rec["row"] == 3
 
+    def test_non_finite_feature_reports_row_number(self, capsys, tmp_path):
+        data = tmp_path / "feat.csv"
+        data.write_text("y,age\n1,63\n0,nan\n1,50\n", encoding="utf-8")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"intercept": -3.0, "terms": {"age": 0.05}}),
+                         encoding="utf-8")
+        code, out, err = run(capsys, [
+            "evpi", "--data", str(data), "--outcome", "y", "--model", str(model),
+        ])
+        assert code == 2
+        rec = json.loads(err.strip().splitlines()[-1])
+        assert rec["error"] == "input"
+        assert rec["row"] == 3
+
     def test_numeric_failure_exits_3(self, capsys, monkeypatch, dataset):
         from nbvoi.errors import NumericError
         import nbvoi.cli as cli_mod
@@ -254,6 +273,30 @@ class TestExitCodes:
         assert code == 3
         rec = json.loads(err.strip().splitlines()[-1])
         assert rec["error"] == "numeric"
+
+
+def _cli_subprocess(argv, **env) -> bytes:
+    """Run the CLI in a fresh interpreter, importing this checkout's nbvoi."""
+    src = str(Path(nbvoi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "nbvoi.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, check=True, timeout=300)
+    return proc.stdout
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    s = generate_synthetic(LogisticDgm(intercept=-1.55, slopes=(0.77,)), 500,
+                           substream(12, 2))
+    data = tmp_path / "d.csv"
+    lines = ["y,p"] + [f"{y},{float(r)!r}" for y, r in zip(s.outcomes, s.risks)]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    common = ["--data", str(data), "--outcome", "y", "--risk", "p",
+              "--thresholds", "0.01:0.2:0.01", "--n-reps", "1000", "--seed", "3"]
+    for argv in (["dca", *common], ["evpi", *common, "--method", "all", "--out", "csv"]):
+        one, two = (_cli_subprocess(argv, OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k)
+                    for k in ("1", "2"))
+        assert one and one == two, argv[0]
 
 
 def _patch_parser_default(parser, func):

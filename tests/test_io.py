@@ -58,6 +58,20 @@ class TestLoadDataset:
         with pytest.raises(InputError, match="'p'.*row 2"):
             load_dataset(p, outcome_col="y", risk_col="p")
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("\ufeffy,p\n1,0.9\n0,0.1\n", encoding="utf-8")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbfy,p")
+        s = load_dataset(p, outcome_col="y", risk_col="p")
+        assert s.outcomes.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_feature_names_row_and_column(self, tmp_path, value):
+        p = write(tmp_path, "d.csv", f"y,age\n1,63\n0,{value}\n")
+        with pytest.raises(InputError, match="non-finite.*'age'") as exc:
+            load_dataset(p, outcome_col="y", feature_cols=["age"])
+        assert exc.value.row == 3
+
     def test_missing_column(self, tmp_path):
         p = write(tmp_path, "d.csv", "y,p\n1,0.9\n")
         with pytest.raises(InputError, match="'risk'"):

@@ -21,7 +21,6 @@ from nbvoi import (
     substream,
     weighted_nb,
 )
-import nbvoi.resample as resample_mod
 
 
 class TestDirichletWeights:
@@ -124,19 +123,16 @@ class TestBootstrapNbDraws:
         b = bootstrap_nb_draws(s, t, n_reps=300, method="ordinary", seed=7)
         assert np.array_equal(a.draws, b.draws)
 
-    def test_block_size_does_not_change_results(self):
-        """Per-replicate substreams make chunking (and hence any parallel
-        split) invisible in the output."""
+    def test_replicates_are_a_prefix_of_longer_runs(self):
+        """Replicate l depends only on its own substream, so a shorter run
+        is the prefix of a longer one (and any split of the replicates
+        gives the same rows)."""
         s = _toy_sample()
         ts = make_thresholds([0.1, 0.3])
-        baseline = bootstrap_nb_draws_grid(s, ts, n_reps=200, method="bayesian", seed=5)
-        original = resample_mod._BLOCK
-        try:
-            resample_mod._BLOCK = 7
-            chunked = bootstrap_nb_draws_grid(s, ts, n_reps=200, method="bayesian", seed=5)
-        finally:
-            resample_mod._BLOCK = original
-        assert np.array_equal(baseline.draws, chunked.draws)
+        for method in ("bayesian", "ordinary"):
+            long = bootstrap_nb_draws_grid(s, ts, n_reps=200, method=method, seed=5)
+            short = bootstrap_nb_draws_grid(s, ts, n_reps=150, method=method, seed=5)
+            assert np.array_equal(long.draws[:150], short.draws)
 
     def test_rows_recomputable_from_stored_weights(self):
         s = _toy_sample()

@@ -1,9 +1,8 @@
 """Substream determinism and distribution contracts."""
 
 import numpy as np
-import pytest
 
-from nbvoi import InputError, categorical, standard_normal, substream, uniform, unit_exponential
+from nbvoi import substream
 
 
 class TestSubstream:
@@ -35,33 +34,33 @@ class TestSubstream:
 
 
 class TestDistributions:
+    """Draws from a substream follow the laws the package relies on: unit
+    exponentials (Bayesian bootstrap), uniform indices (ordinary
+    bootstrap), normals and uniforms (synthetic data)."""
+
     def test_exponential_mean(self):
-        x = unit_exponential(substream(0, 9), 1_000_000)
+        x = substream(0, 9).standard_exponential(1_000_000)
         se = x.std(ddof=1) / 1000.0
         assert abs(x.mean() - 1.0) < 3 * se
 
     def test_normal_mean_and_sd(self):
-        x = standard_normal(substream(1, 9), 1_000_000)
+        x = substream(1, 9).standard_normal(1_000_000)
         assert abs(x.mean()) < 3e-3
         assert abs(x.std(ddof=1) - 1.0) < 3e-3
 
     def test_uniform_bounds_and_mean(self):
-        x = uniform(substream(2, 9), 1_000_000)
+        x = substream(2, 9).random(1_000_000)
         assert x.min() >= 0.0 and x.max() < 1.0
         assert abs(x.mean() - 0.5) < 3 * (1 / np.sqrt(12)) / 1000.0
 
     def test_categorical_uniform_cells(self):
-        idx = categorical(5, substream(3, 9), 500_000)
+        idx = substream(3, 9).integers(0, 5, size=500_000)
         counts = np.bincount(idx, minlength=5) / 500_000
         se = np.sqrt(0.2 * 0.8 / 500_000)
         assert np.all(np.abs(counts - 0.2) < 4 * se)
 
-    def test_categorical_requires_positive_n(self):
-        with pytest.raises(InputError):
-            categorical(0, substream(0, 0))
-
     def test_fixed_seed_reproduces_sequence(self):
         g1, g2 = substream(5, 4), substream(5, 4)
-        assert np.array_equal(unit_exponential(g1, 10), unit_exponential(g2, 10))
-        assert np.array_equal(standard_normal(g1, 10), standard_normal(g2, 10))
-        assert np.array_equal(categorical(7, g1, 10), categorical(7, g2, 10))
+        assert np.array_equal(g1.standard_exponential(10), g2.standard_exponential(10))
+        assert np.array_equal(g1.standard_normal(10), g2.standard_normal(10))
+        assert np.array_equal(g1.integers(0, 7, size=10), g2.integers(0, 7, size=10))

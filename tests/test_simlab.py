@@ -1,8 +1,14 @@
 """Synthetic data generation, sanity metrics, and sample-size sweeps."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nbvoi
 from nbvoi import (
     InputError,
     LogisticDgm,
@@ -105,6 +111,16 @@ class TestCStatistic:
             ties = (ev[:, None] == nev[None, :]).sum()
             brute = (wins + 0.5 * ties) / (len(ev) * len(nev))
             assert c_statistic(s) == pytest.approx(brute, rel=1e-12)
+
+
+def test_import_does_not_load_scipy_stats():
+    """``c_statistic`` counts instead of ranking, so ``import nbvoi`` no
+    longer pays for loading ``scipy.stats``."""
+    src = str(Path(nbvoi.__file__).resolve().parents[1])
+    code = "import sys, nbvoi; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.strip() == "False"
 
 
 def _true_nb_quadrature(dgm: LogisticDgm, z: float) -> float:

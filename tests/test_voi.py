@@ -299,6 +299,21 @@ class TestEvpiThresholdSweep:
         assert [(t.z, r.method, r.evpi, r.p_useful) for t, r in r1] == \
                [(t.z, r.method, r.evpi, r.p_useful) for t, r in r2]
 
+    def test_rows_follow_grid_order(self):
+        """An unsorted grid with a duplicate gives the rows in the order
+        given, with the values of the sorted grid (exact for the ordinary
+        bootstrap, whose cell sums are integer counts)."""
+        s = self._sample(n=300, seed=2)
+        methods = ("ordinary", "asymptotic")
+        given = evpi_threshold_sweep(s, make_thresholds([0.3]) + make_thresholds([0.1, 0.3]),
+                                     methods=methods, n_reps=200, seed=4, warn=False)
+        base = evpi_threshold_sweep(s, make_thresholds([0.1, 0.3]), methods=methods,
+                                    n_reps=200, seed=4, warn=False)
+        assert [t.z for t, _ in given] == [0.3, 0.3, 0.1, 0.1, 0.3, 0.3]
+        by_z = {(t.z, r.method): r for t, r in base}
+        for t, r in given:
+            assert r == by_z[(t.z, r.method)]
+
     def test_warns_on_thin_threshold_side(self):
         s = ValidationSample([1, 0] * 15, [0.5] * 30)
         with pytest.warns(SmallEffectiveSampleWarning):
