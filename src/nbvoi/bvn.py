@@ -16,6 +16,13 @@ component is the positive maximum:
 
 where T1, T2 are first moments of the standardized components over the
 corresponding truncation regions (Tallis-type truncated-normal moments).
+
+The kernel is array-valued: ``_bvn_upper`` and ``_emax_pfirst`` work
+elementwise on arrays (one entry per threshold of a grid), with every
+branch of the scalar algorithm a mask.  P(X is positive max) is the
+bivariate-CDF term E[max] already needs, so ``_emax_pfirst`` returns both
+quantities from two bivariate-CDF evaluations per entry.  The public scalar
+functions are one-element calls into the same code.
 """
 
 from __future__ import annotations
@@ -53,6 +60,13 @@ _GL_RULES = {
                   0.1527533871307259]),
     ),
 }
+# Full-interval nodes and weights on [0, 2], by point count.
+_GL_NODES = {
+    n: (np.concatenate([1.0 - xg, 1.0 + xg]), np.concatenate([wg, wg]))
+    for n, (xg, wg) in _GL_RULES.items()
+}
+# Point count by |r| band below the high-correlation expansion.
+_GL_BANDS = ((0.3, 6), (0.75, 12), (0.925, 20))
 
 
 def std_normal_pdf(x):
@@ -68,6 +82,23 @@ def std_normal_cdf(x):
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _max(a, b):
+    """Elementwise ``max(a, b)`` with Python's tie rule (keep ``a``):
+    ``np.maximum(0.0, -0.0)`` may return -0.0, ``max(0.0, -0.0)`` is 0.0."""
+    return np.where(b > a, b, a)
+
+
+def _check_params(mu1, mu2, sigma1, sigma2, rho):
+    """The checks of :class:`BvnParams`, over scalars or arrays."""
+    for name, v in zip(("mu1", "mu2", "sigma1", "sigma2", "rho"), (mu1, mu2, sigma1, sigma2, rho)):
+        if not np.all(np.isfinite(v)):
+            raise InputError(f"BvnParams.{name} must be finite")
+    if np.any(np.less(sigma1, 0)) or np.any(np.less(sigma2, 0)):
+        raise InputError("standard deviations must be nonnegative")
+    if np.any(np.abs(rho) > 1):
+        raise InputError("correlation must lie in [-1, 1]")
+
+
 @dataclass(frozen=True)
 class BvnParams:
     """Parameters of a bivariate normal pair (means, stds, correlation)."""
@@ -79,82 +110,99 @@ class BvnParams:
     rho: float
 
     def __post_init__(self):
-        for name in ("mu1", "mu2", "sigma1", "sigma2", "rho"):
-            if not math.isfinite(getattr(self, name)):
-                raise InputError(f"BvnParams.{name} must be finite")
-        if self.sigma1 < 0 or self.sigma2 < 0:
-            raise InputError("standard deviations must be nonnegative")
-        if abs(self.rho) > 1:
-            raise InputError("correlation must lie in [-1, 1]")
+        _check_params(self.mu1, self.mu2, self.sigma1, self.sigma2, self.rho)
 
 
-def _bvn_upper(dh: float, dk: float, r: float) -> float:
-    """P(X > dh, Y > dk) for standard bivariate normal with correlation r."""
-    if np.isposinf(dh) or np.isposinf(dk):
-        return 0.0
-    if np.isneginf(dh):
-        return float(ndtr(-dk))
-    if np.isneginf(dk):
-        return float(ndtr(-dh))
-    if r == 0.0:
-        return float(ndtr(-dh)) * float(ndtr(-dk))
+def _bvn_upper(h, k, r) -> np.ndarray:
+    """P(X > h, Y > k) for standard bivariate normals with correlation r,
+    elementwise over 1-D arrays (broadcast together)."""
+    h, k, r = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (h, k, r)))
+    out = np.zeros(h.shape)
+    pos_inf = np.isposinf(h) | np.isposinf(k)
+    h_inf = np.isneginf(h) & ~pos_inf
+    k_inf = np.isneginf(k) & ~pos_inf & ~h_inf
+    out[h_inf] = ndtr(-k[h_inf])
+    out[k_inf] = ndtr(-h[k_inf])
+    finite = ~(pos_inf | h_inf | k_inf)
+    indep = finite & (r == 0.0)
+    out[indep] = ndtr(-h[indep]) * ndtr(-k[indep])
 
-    h, k = float(dh), float(dk)
+    general = finite & ~indep
+    ar = np.abs(r)
+    lower = 0.0
+    for upper, points in _GL_BANDS:
+        band = general & (ar >= lower) & (ar < upper)
+        if band.any():
+            out[band] = _bvn_gauss_legendre(h[band], k[band], r[band], points)
+        lower = upper
+    high = general & (ar >= lower)
+    if high.any():
+        out[high] = _bvn_high_correlation(h[high], k[high], r[high])
+    # min(1, max(0, p)) on the quadrature results; the limits are in [0, 1].
+    out[general] = np.where(out[general] > 0.0, out[general], 0.0)
+    out[general] = np.where(out[general] < 1.0, out[general], 1.0)
+    return out
+
+
+def _bvn_gauss_legendre(h, k, r, points):
+    """Gauss-Legendre branch of :func:`_bvn_upper` for 0 < |r| < 0.925."""
+    x, w = _GL_NODES[points]
     hk = h * k
-    ar = abs(r)
-    if ar < 0.3:
-        xg, wg = _GL_RULES[6]
-    elif ar < 0.75:
-        xg, wg = _GL_RULES[12]
-    else:
-        xg, wg = _GL_RULES[20]
-    x = np.concatenate([1.0 - xg, 1.0 + xg])
-    w = np.concatenate([wg, wg])
+    hs = 0.5 * (h * h + k * k)
+    asr = 0.5 * np.arcsin(r)
+    sn = np.sin(asr[:, None] * x)
+    bvn = np.sum(w * np.exp((sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn)), axis=1)
+    return bvn * asr / (2.0 * math.pi) + ndtr(-h) * ndtr(-k)
 
-    bvn = 0.0
-    if ar < 0.925:
-        hs = 0.5 * (h * h + k * k)
-        asr = 0.5 * math.asin(r)
-        sn = np.sin(asr * x)
-        bvn = float(np.sum(w * np.exp((sn * hk - hs) / (1.0 - sn * sn))))
-        bvn = bvn * asr / (2.0 * math.pi) + float(ndtr(-h)) * float(ndtr(-k))
-    else:
-        if r < 0.0:
-            k = -k
-            hk = -hk
-        if ar < 1.0:
-            a_sq = (1.0 - r) * (1.0 + r)
-            a = math.sqrt(a_sq)
-            bs = (h - k) ** 2
-            c = (4.0 - hk) / 8.0
-            d = (12.0 - hk) / 16.0
-            asr0 = -0.5 * (bs / a_sq + hk)
-            if asr0 > -100.0:
-                bvn = (a * math.exp(asr0)
-                       * (1.0 - c * (bs - a_sq) * (1.0 - d * bs / 5.0) / 3.0
-                          + c * d * a_sq * a_sq / 5.0))
-            if -hk < 100.0:
-                b = math.sqrt(bs)
-                bvn -= (math.exp(-0.5 * hk) * _SQRT_2PI * float(ndtr(-b / a))
-                        * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0))
-            half_a = 0.5 * a
-            xs = (half_a * x) ** 2
-            asr1 = -0.5 * (bs / xs + hk)
-            mask = asr1 > -100.0
-            if np.any(mask):
-                xs_m = xs[mask]
-                rs = np.sqrt(1.0 - xs_m)
-                sp = 1.0 + c * xs_m * (1.0 + d * xs_m)
-                ep = np.exp(-0.5 * hk * (1.0 - rs) / (1.0 + rs)) / rs
-                bvn += float(np.sum(half_a * w[mask] * np.exp(asr1[mask]) * (ep - sp)))
-            bvn = -bvn / (2.0 * math.pi)
-        if r > 0.0:
-            bvn += float(ndtr(-max(h, k)))
-        else:
-            bvn = -bvn
-            if k > h:
-                bvn += float(ndtr(k)) - float(ndtr(h))
-    return min(1.0, max(0.0, bvn))
+
+def _bvn_high_correlation(h, k, r):
+    """Expansion branch of :func:`_bvn_upper` for |r| >= 0.925."""
+    x, w = _GL_NODES[20]
+    neg = r < 0.0
+    k = np.where(neg, -k, k)
+    hk = h * k
+    bvn = np.zeros(h.shape)
+    part = np.abs(r) < 1.0
+    if part.any():
+        bvn[part] = _bvn_expansion(h[part], k[part], hk[part], r[part], x, w)
+    pos = r > 0.0
+    bvn[pos] += ndtr(-np.maximum(h[pos], k[pos]))
+    bvn[neg] = -bvn[neg]
+    swap = neg & (k > h)
+    bvn[swap] += ndtr(k[swap]) - ndtr(h[swap])
+    return bvn
+
+
+def _bvn_expansion(h, k, hk, r, x, w):
+    """The |r| < 1 series of the high-correlation branch (k, hk already
+    reflected for r < 0), with its three underflow cut-offs."""
+    a_sq = (1.0 - r) * (1.0 + r)
+    a = np.sqrt(a_sq)
+    bs = (h - k) ** 2
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 16.0
+    asr0 = -0.5 * (bs / a_sq + hk)
+    bvn = np.zeros(h.shape)
+    i = asr0 > -100.0
+    bvn[i] = (a[i] * np.exp(asr0[i])
+              * (1.0 - c[i] * (bs[i] - a_sq[i]) * (1.0 - d[i] * bs[i] / 5.0) / 3.0
+                 + c[i] * d[i] * a_sq[i] * a_sq[i] / 5.0))
+    i = -hk < 100.0
+    b = np.sqrt(bs[i])
+    bvn[i] -= (np.exp(-0.5 * hk[i]) * _SQRT_2PI * ndtr(-b / a[i])
+               * b * (1.0 - c[i] * bs[i] * (1.0 - d[i] * bs[i] / 5.0) / 3.0))
+    half_a = 0.5 * a
+    xs = (half_a[:, None] * x) ** 2
+    asr1 = -0.5 * (bs[:, None] / xs + hk[:, None])
+    row, node = np.nonzero(asr1 > -100.0)
+    xs_m = xs[row, node]
+    rs = np.sqrt(1.0 - xs_m)
+    sp = 1.0 + c[row] * xs_m * (1.0 + d[row] * xs_m)
+    ep = np.exp(-0.5 * hk[row] * (1.0 - rs) / (1.0 + rs)) / rs
+    terms = np.zeros(xs.shape)
+    terms[row, node] = half_a[row] * w[node] * np.exp(asr1[row, node]) * (ep - sp)
+    bvn += terms.sum(axis=1)
+    return -bvn / (2.0 * math.pi)
 
 
 def bvn_cdf(a: float, b: float, rho: float) -> float:
@@ -165,29 +213,88 @@ def bvn_cdf(a: float, b: float, rho: float) -> float:
     """
     if not -1.0 <= rho <= 1.0:
         raise InputError("correlation must lie in [-1, 1]")
-    return _bvn_upper(-a, -b, rho)
+    return float(_bvn_upper(-a, -b, rho)[0])
 
 
-def _step_cdf(num: float, den: float) -> float:
+def _step_cdf(num, den):
     """Phi(num/den) for den >= 0, with den == 0 read as the limit (a step)."""
-    if den > 0.0:
-        return float(ndtr(num / den))
-    if num > 0.0:
-        return 1.0
-    return 0.5 if num == 0.0 else 0.0
+    out = np.where(num > 0.0, 1.0, np.where(num == 0.0, 0.5, 0.0))
+    i = den > 0.0
+    out[i] = ndtr(num[i] / den[i])
+    return out
 
 
-def _z_moment(h: float, k: float, rho: float) -> float:
+def _z_moment(h, k, rho):
     """E[Z1 * 1{Z1 > h, Z2 > k}] for standard bivariate normal."""
-    s = math.sqrt(max(0.0, 1.0 - rho * rho))
+    s = np.sqrt(_max(0.0, 1.0 - rho * rho))
     return (std_normal_pdf(h) * _step_cdf(rho * h - k, s)
             + rho * std_normal_pdf(k) * _step_cdf(rho * k - h, s))
 
 
-def _e_max_floor_normal(mu: float, sigma: float, floor: float) -> float:
+def _e_max_floor_normal(mu, sigma, floor):
     """E[max(floor, X)] for X ~ Normal(mu, sigma), sigma > 0."""
     t = (mu - floor) / sigma
-    return floor + sigma * std_normal_pdf(t) + (mu - floor) * float(ndtr(t))
+    return floor + sigma * std_normal_pdf(t) + (mu - floor) * ndtr(t)
+
+
+def _emax_pfirst(mu1, mu2, s1, s2, rho) -> tuple[np.ndarray, np.ndarray]:
+    """``(E[max(0, X, Y)], P(X > 0 and X > Y))`` elementwise over 1-D arrays
+    of bivariate normal parameters (see :func:`e_max_zero_bvn` and
+    :func:`p_first_positive_max`).
+
+    Each quantity keeps its own degenerate cases; in the general case both
+    read the same bivariate-CDF term.
+    """
+    mu1, mu2, s1, s2, rho = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (mu1, mu2, s1, s2, rho)))
+    theta_sq = s1 * s1 + s2 * s2 - 2.0 * rho * s1 * s2
+    flat = theta_sq <= 0.0  # X - Y is a point mass
+    s1_zero, s2_zero = s1 == 0.0, s2 == 0.0
+
+    # E[max]: point masses and one-sided cases reduce to univariate forms.
+    lower = _max(_max(0.0, mu1), mu2)
+    emax = lower.copy()
+    i = s2_zero & ~s1_zero
+    emax[i] = _e_max_floor_normal(mu1[i], s1[i], _max(0.0, mu2[i]))
+    i = s1_zero & ~s2_zero
+    emax[i] = _e_max_floor_normal(mu2[i], s2[i], _max(0.0, mu1[i]))
+    both = ~s1_zero & ~s2_zero
+    i = both & flat & (mu1 >= mu2)
+    emax[i] = _e_max_floor_normal(mu1[i], s1[i], 0.0)
+    i = both & flat & ~(mu1 >= mu2)
+    emax[i] = _e_max_floor_normal(mu2[i], s2[i], 0.0)
+
+    # P(first): with sigma1 = 0 the first component is a point mass.
+    pfirst = np.zeros(mu1.shape)
+    i = s1_zero & (mu1 > 0.0) & s2_zero
+    pfirst[i] = np.where(mu1[i] > mu2[i], 1.0, 0.0)
+    i = s1_zero & (mu1 > 0.0) & ~s2_zero
+    pfirst[i] = ndtr((mu1[i] - mu2[i]) / s2[i])
+    i = ~s1_zero & flat & ~(mu1 < mu2)
+    pfirst[i] = ndtr(mu1[i] / s1[i])
+
+    # General case of P(first), which includes sigma2 = 0 (r1 = 1).
+    g = ~s1_zero & ~flat
+    theta = np.sqrt(theta_sq[g])
+    m1, m2, t1, t2, rg = mu1[g], mu2[g], s1[g], s2[g], rho[g]
+    h1 = -m1 / t1
+    k1 = -(m1 - m2) / theta
+    r1 = np.clip((t1 - rg * t2) / theta, -1.0, 1.0)
+    first = _bvn_upper(h1, k1, r1)
+    pfirst[g] = first
+
+    # General case of E[max]: both sigmas positive.
+    e = ~s2_zero[g]
+    m1, m2, t1, t2, rg, theta = m1[e], m2[e], t1[e], t2[e], rg[e], theta[e]
+    h1, k1, r1 = h1[e], k1[e], r1[e]
+    h2 = -m2 / t2
+    k2 = -(m2 - m1) / theta
+    r2 = np.clip((t2 - rg * t1) / theta, -1.0, 1.0)
+    val = (m1 * first[e] + t1 * _z_moment(h1, k1, r1)
+           + m2 * _bvn_upper(h2, k2, r2) + t2 * _z_moment(h2, k2, r2))
+    i = np.flatnonzero(g)[e]
+    emax[i] = _max(val, lower[i])
+    return emax, pfirst
 
 
 def e_max_zero_bvn(p: BvnParams) -> float:
@@ -198,33 +305,7 @@ def e_max_zero_bvn(p: BvnParams) -> float:
     closed forms.  The result is floored at max(0, mu1, mu2), its exact
     lower bound.
     """
-    mu1, mu2, s1, s2, rho = p.mu1, p.mu2, p.sigma1, p.sigma2, p.rho
-    lower = max(0.0, mu1, mu2)
-    if s1 == 0.0 and s2 == 0.0:
-        return lower
-    if s2 == 0.0:
-        return _e_max_floor_normal(mu1, s1, max(0.0, mu2))
-    if s1 == 0.0:
-        return _e_max_floor_normal(mu2, s2, max(0.0, mu1))
-
-    theta_sq = s1 * s1 + s2 * s2 - 2.0 * rho * s1 * s2
-    if theta_sq <= 0.0:
-        # X - Y is a point mass: the larger-mean component always wins.
-        if mu1 >= mu2:
-            return _e_max_floor_normal(mu1, s1, 0.0)
-        return _e_max_floor_normal(mu2, s2, 0.0)
-    theta = math.sqrt(theta_sq)
-
-    h1 = -mu1 / s1
-    k1 = -(mu1 - mu2) / theta
-    r1 = min(1.0, max(-1.0, (s1 - rho * s2) / theta))
-    h2 = -mu2 / s2
-    k2 = -(mu2 - mu1) / theta
-    r2 = min(1.0, max(-1.0, (s2 - rho * s1) / theta))
-
-    val = (mu1 * _bvn_upper(h1, k1, r1) + s1 * _z_moment(h1, k1, r1)
-           + mu2 * _bvn_upper(h2, k2, r2) + s2 * _z_moment(h2, k2, r2))
-    return max(val, lower)
+    return float(_emax_pfirst(p.mu1, p.mu2, p.sigma1, p.sigma2, p.rho)[0][0])
 
 
 def p_first_positive_max(p: BvnParams) -> float:
@@ -233,21 +314,4 @@ def p_first_positive_max(p: BvnParams) -> float:
     The probability that the first component is the strict maximum of
     {0, X, Y}.  Degenerate components are handled as point masses.
     """
-    mu1, mu2, s1, s2, rho = p.mu1, p.mu2, p.sigma1, p.sigma2, p.rho
-    if s1 == 0.0:
-        if mu1 <= 0.0:
-            return 0.0
-        if s2 == 0.0:
-            return 1.0 if mu1 > mu2 else 0.0
-        return float(ndtr((mu1 - mu2) / s2))
-    theta_sq = s1 * s1 + s2 * s2 - 2.0 * rho * s1 * s2
-    if theta_sq <= 0.0:
-        # X - Y deterministic at mu1 - mu2.
-        if mu1 < mu2:
-            return 0.0
-        return float(ndtr(mu1 / s1))
-    theta = math.sqrt(theta_sq)
-    h = -mu1 / s1
-    k = -(mu1 - mu2) / theta
-    r = min(1.0, max(-1.0, (s1 - rho * s2) / theta))
-    return _bvn_upper(h, k, r)
+    return float(_emax_pfirst(p.mu1, p.mu2, p.sigma1, p.sigma2, p.rho)[1][0])

@@ -33,7 +33,7 @@ from .netbenefit import (
     default_grid,
     make_thresholds,
 )
-from .resample import DEFAULT_N_REPS, bootstrap_nb_draws_grid, dump_draws
+from .resample import DEFAULT_N_REPS, dump_draws
 from .simlab import (
     LogisticDgm,
     SweepConfig,
@@ -41,7 +41,7 @@ from .simlab import (
     subsample_sweep,
     synthetic_sweep,
 )
-from .voi import ALL_METHODS, evpi_threshold_sweep
+from .voi import ALL_METHODS, _evpi_grid, _warn_thin
 
 _CLI_METHODS = {"bayes": "bayesian", "ordinary": "ordinary", "asymptotic": "asymptotic"}
 
@@ -126,10 +126,9 @@ def cmd_evpi(args) -> int:
     sample = _load_sample(args)
     ts = _parse_thresholds(args.thresholds, args.max_threshold)
     methods = ALL_METHODS if args.method == "all" else (_CLI_METHODS[args.method],)
-    rows = evpi_threshold_sweep(
-        sample, ts, methods=methods, n_reps=args.n_reps, seed=args.seed
-    )
-    records = [voi_record(t, res, population=args.population) for t, res in rows]
+    out = _evpi_grid(sample, ts, methods, args.n_reps, args.seed)
+    _warn_thin(out.thin, stacklevel=1)
+    records = [voi_record(t, res, population=args.population) for t, res in out.rows]
 
     if args.strict:
         for rec in records:
@@ -142,12 +141,7 @@ def cmd_evpi(args) -> int:
                 }, sort_keys=True) + "\n")
 
     if args.dump_draws:
-        for m in methods:
-            if m == "asymptotic":
-                continue
-            grid = bootstrap_nb_draws_grid(
-                sample, ts, n_reps=args.n_reps, method=m, seed=args.seed
-            )
+        for m, grid in out.draws.items():
             for i, t in enumerate(ts):
                 dump_draws(grid.at(i), f"{args.dump_draws}_{m}_z{t.z:g}.csv")
 

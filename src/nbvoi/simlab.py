@@ -24,7 +24,7 @@ from .errors import InputError, SmallEffectiveSampleWarning
 from .netbenefit import Threshold, ValidationSample
 from .resample import DATA_STREAM_ID, SWEEP_N_REPS
 from .rng import substream
-from .voi import ALL_METHODS, MIN_SIDE_ROWS, _thin_thresholds, evpi_threshold_sweep
+from .voi import ALL_METHODS, MIN_SIDE_ROWS, _evpi_grid
 
 
 @dataclass(frozen=True)
@@ -191,13 +191,9 @@ def _sweep_cell(cell, dgm, dataset, cfg: SweepConfig):
     else:
         idx = data_rng.choice(dataset.n, size=size, replace=False)
         sample = dataset.subset(idx)
-    rows = evpi_threshold_sweep(
-        sample, cfg.thresholds, methods=cfg.methods, n_reps=cfg.n_reps,
-        seed=(cfg.seed, si, sim), warn=False,
-    )
-    evpis = {(t.z, res.method): res.evpi for t, res in rows}
-    thin = tuple(t.z for t in _thin_thresholds(sample, cfg.thresholds))
-    return evpis, thin
+    out = _evpi_grid(sample, cfg.thresholds, cfg.methods, cfg.n_reps, (cfg.seed, si, sim))
+    evpis = {(t.z, res.method): res.evpi for t, res in out.rows}
+    return evpis, tuple(t.z for t in out.thin)
 
 
 def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
@@ -228,10 +224,11 @@ def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
                     size=size, threshold=t.z, method=label,
                     mean_evpi=float(vals.mean()), mc_se=se, n_sims=cfg.n_sims,
                 ))
-    for size, z in sorted(thin_cells):
+    if thin_cells:
+        cells = ", ".join(f"({size}, {z:g})" for size, z in sorted(thin_cells))
         warnings.warn(
-            f"size {size}, threshold {z:g}: fewer than {MIN_SIDE_ROWS} observations on one "
-            "side of the threshold in at least one simulation",
+            f"fewer than {MIN_SIDE_ROWS} observations on one side of the threshold in at "
+            f"least one simulation, at (size, threshold) {cells}",
             SmallEffectiveSampleWarning,
             stacklevel=3,
         )

@@ -17,7 +17,10 @@ routes are implemented:
   and keep the Monte Carlo difference nonnegative).
 * asymptotic: (NB_model, NB_all) is approximated as bivariate normal with
   plug-in moments, and the perfect-information term becomes a closed-form
-  zero-floored bivariate normal expectation.
+  zero-floored bivariate normal expectation.  Moments, covariance repair
+  and EVPI are computed as arrays over the whole threshold grid; every
+  operation is elementwise, so a threshold's result does not depend on the
+  rest of the grid.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .bvn import BvnParams, e_max_zero_bvn, p_first_positive_max
+from .bvn import _check_params, _emax_pfirst, _max
 from .errors import InputError, NumericError, SmallEffectiveSampleWarning
 from .netbenefit import Threshold, ValidationSample, _cell_table, _net_benefit
-from .resample import NbDrawMatrix, bootstrap_nb_draws_grid
+from .resample import GridDraws, NbDrawMatrix, bootstrap_nb_draws_grid
 
 ALL_METHODS = ("bayesian", "ordinary", "asymptotic")
 
@@ -43,6 +47,17 @@ _METHOD_LABELS = {
 
 _PSD_TOL = 1e-10
 MIN_SIDE_ROWS = 20  # fewer rows than this on one side of a threshold is "thin"
+
+
+def _check_moments(var_model, var_all, cov, p0, p_tp, p_fp) -> None:
+    """The checks of :class:`MomentSet`, over scalars or per-threshold arrays."""
+    if np.any(np.less(var_model, 0)) or np.any(np.less(var_all, 0)):
+        raise InputError("variances must be nonnegative")
+    bound = np.sqrt(np.multiply(var_model, var_all))
+    if np.any(np.abs(cov) > bound + 1e-12):
+        raise InputError("covariance violates the Cauchy-Schwarz bound")
+    if np.any(np.add(p_tp, p_fp) > 1.0 + 1e-12) or np.any(np.greater(p_tp, p0 + 1e-12)):
+        raise InputError("inconsistent classification probabilities")
 
 
 @dataclass(frozen=True)
@@ -65,13 +80,7 @@ class MomentSet:
     threshold: Threshold
 
     def __post_init__(self):
-        if self.var_model < 0 or self.var_all < 0:
-            raise InputError("variances must be nonnegative")
-        bound = math.sqrt(self.var_model * self.var_all)
-        if abs(self.cov) > bound + 1e-12:
-            raise InputError("covariance violates the Cauchy-Schwarz bound")
-        if self.p_tp + self.p_fp > 1.0 + 1e-12 or self.p_tp > self.p0 + 1e-12:
-            raise InputError("inconsistent classification probabilities")
+        _check_moments(self.var_model, self.var_all, self.cov, self.p0, self.p_tp, self.p_fp)
 
 
 def moments(sample: ValidationSample, t: Threshold) -> MomentSet:
@@ -84,30 +93,60 @@ def moments(sample: ValidationSample, t: Threshold) -> MomentSet:
         var_all   = (1/n) (1/(1-z))^2 P0(1-P0)
         cov       = (1/(n(1-z))) [(1-P0) P_TP + c P0 P_FP]
     """
-    return _moment_grid(sample, (t,))[0]
+    (m,) = _moment_grid(sample, (t,))
+    return m
 
 
-def _moment_grid(sample: ValidationSample, thresholds) -> list[MomentSet]:
-    """:func:`moments` at every threshold, from one table of counts."""
+_GRID_FIELDS = ("mean_model", "mean_all", "var_model", "var_all", "cov", "p_tp", "p_fp")
+
+
+@dataclass(frozen=True)
+class _MomentGrid:
+    """The :class:`MomentSet` fields over a threshold grid: the
+    ``_GRID_FIELDS`` are arrays with one entry per threshold.  Iterating
+    yields the per-threshold :class:`MomentSet` rows."""
+
+    mean_model: np.ndarray
+    mean_all: np.ndarray
+    var_model: np.ndarray
+    var_all: np.ndarray
+    cov: np.ndarray
+    p_tp: np.ndarray
+    p_fp: np.ndarray
+    n: int
+    p0: float
+    thresholds: tuple[Threshold, ...]
+
+    def __post_init__(self):
+        _check_moments(self.var_model, self.var_all, self.cov, self.p0, self.p_tp, self.p_fp)
+
+    def __iter__(self):
+        columns = zip(*(getattr(self, f).tolist() for f in _GRID_FIELDS))
+        for t, values in zip(self.thresholds, columns):
+            yield MomentSet(**dict(zip(_GRID_FIELDS, values)), n=self.n, p0=self.p0, threshold=t)
+
+
+def _moment_grid(sample: ValidationSample, thresholds, counts=None) -> _MomentGrid:
+    """:func:`moments` at every threshold, from one table of counts.
+    ``counts`` is the sample's unit-weight ``_cell_table`` sums over this
+    grid, when the caller already has them."""
     if sample.n < 2:
         raise InputError("moment estimation requires n >= 2")
     n, events = sample.n, sample.n_events
     p0 = events / n
-    tp_all, fp_all, _, _ = _cell_table(sample.outcomes, sample.risks, thresholds)()
-    out = []
-    for t, tp, fp in zip(thresholds, tp_all, fp_all):
-        c = t.harm_weight
-        p_tp, p_fp = float(tp) / n, float(fp) / n
-        var_model = (p_tp * (1 - p_tp) + c * c * p_fp * (1 - p_fp) + 2 * c * p_tp * p_fp) / n
-        var_all = p0 * (1 - p0) / (n * (1 - t.z) ** 2)
-        cov = ((1 - p0) * p_tp + c * p0 * p_fp) / (n * (1 - t.z))
-        out.append(MomentSet(
-            mean_model=float(_net_benefit(tp, fp, c, n)),
-            mean_all=float(_net_benefit(events, n - events, c, n)),
-            var_model=var_model, var_all=var_all, cov=cov,
-            n=n, p0=p0, p_tp=p_tp, p_fp=p_fp, threshold=t,
-        ))
-    return out
+    tp, fp, _, _ = counts if counts is not None else _cell_table(
+        sample.outcomes, sample.risks, thresholds)()
+    z = np.array([t.z for t in thresholds])
+    c = np.array([t.harm_weight for t in thresholds])
+    p_tp, p_fp = tp / n, fp / n
+    return _MomentGrid(
+        mean_model=_net_benefit(tp, fp, c, n),
+        mean_all=_net_benefit(events, n - events, c, n),
+        var_model=(p_tp * (1 - p_tp) + c * c * p_fp * (1 - p_fp) + 2 * c * p_tp * p_fp) / n,
+        var_all=p0 * (1 - p0) / (n * (1 - z) ** 2),
+        cov=((1 - p0) * p_tp + c * p0 * p_fp) / (n * (1 - z)),
+        p_tp=p_tp, p_fp=p_fp, n=n, p0=p0, thresholds=tuple(thresholds),
+    )
 
 
 @dataclass(frozen=True)
@@ -142,6 +181,15 @@ class VoiResult:
             raise InputError(f"unknown strategy label {self.best_strategy!r}")
 
 
+def _relative_evpi(enb_perfect, mean_model, mean_all) -> np.ndarray:
+    """:func:`relative_evpi` elementwise, NaN where it is undefined."""
+    base = _max(0.0, mean_all)
+    best = _max(_max(0.0, mean_model), mean_all)
+    denom = best - base
+    defined = (mean_model == best) & ~(denom <= 0.0)
+    return np.where(defined, (enb_perfect - base) / np.where(defined, denom, 1.0), np.nan)
+
+
 def relative_evpi(enb_perfect: float, mean_model: float, mean_all: float) -> float | None:
     """Ratio of the perfect-information gain over treat-all to the model's
     current-information gain over treat-all.
@@ -150,12 +198,8 @@ def relative_evpi(enb_perfect: float, mean_model: float, mean_all: float) -> flo
     positive incremental NB; returns None otherwise.  Equals 1 when there is
     no decision uncertainty.
     """
-    base = max(0.0, mean_all)
-    best = max(0.0, mean_model, mean_all)
-    denom = best - base
-    if mean_model != best or denom <= 0.0:
-        return None
-    return (enb_perfect - base) / denom
+    r = float(_relative_evpi(enb_perfect, mean_model, mean_all))
+    return None if math.isnan(r) else r
 
 
 def p_useful(draws: NbDrawMatrix) -> float:
@@ -168,13 +212,16 @@ def p_useful(draws: NbDrawMatrix) -> float:
     return float(np.mean(np.argmax(stacked, axis=1) >= 2))
 
 
-def _best_by_means(mean_models: np.ndarray, mean_all: float) -> tuple[str, float]:
-    """Current best strategy from expected NBs; ties resolve against the
-    model (treat-none, then treat-all, then models)."""
-    candidates = np.concatenate([[0.0, mean_all], mean_models])
-    idx = int(np.argmax(candidates))
-    label = ("treat_none", "treat_all")[idx] if idx < 2 else "model"
-    return label, float(candidates[idx])
+_STRATEGIES = np.array(["treat_none", "treat_all", "model"])
+
+
+def _best_by_means(mean_models: np.ndarray, mean_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Current best strategy per row from expected NBs (``mean_models`` is
+    (T, M), ``mean_all`` (T,)): the labels and their expected NBs.  Ties
+    resolve against the model (treat-none, then treat-all, then models)."""
+    candidates = np.column_stack([np.zeros(len(mean_all)), mean_all, mean_models])
+    idx = np.argmax(candidates, axis=1)
+    return _STRATEGIES[np.minimum(idx, 2)], candidates[np.arange(len(idx)), idx]
 
 
 def evpi_bootstrap(draws: NbDrawMatrix) -> VoiResult:
@@ -191,7 +238,8 @@ def evpi_bootstrap(draws: NbDrawMatrix) -> VoiResult:
     enb_perfect = float(row_max.mean())
     col_means = d.mean(axis=0)
     mean_models, mean_all = col_means[:-1], float(col_means[-1])
-    best, enb_current = _best_by_means(mean_models, mean_all)
+    best, enb_current = _best_by_means(mean_models[None, :], np.array([mean_all]))
+    best, enb_current = str(best[0]), float(enb_current[0])
     evpi = max(0.0, enb_perfect - enb_current)
     r = relative_evpi(enb_perfect, float(mean_models.max()), mean_all) if best == "model" else None
     mc_se = float(row_max.std(ddof=1) / math.sqrt(d.shape[0]))
@@ -202,26 +250,53 @@ def evpi_bootstrap(draws: NbDrawMatrix) -> VoiResult:
     )
 
 
-def _repair_psd(var_model: float, var_all: float, cov: float) -> tuple[float, float, float]:
-    """Floor negative eigenvalues of the 2x2 covariance at zero; eigenvalues
-    below -1e-10 cannot be attributed to rounding and raise."""
-    sigma = np.array([[var_model, cov], [cov, var_all]])
+def _repair_psd(var_model, var_all, cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Floor negative eigenvalues of each 2x2 covariance at zero; eigenvalues
+    below -1e-10 cannot be attributed to rounding and raise.  Elementwise
+    over per-threshold arrays; a matrix whose smallest eigenvalue is >= 0
+    comes back unchanged."""
+    v1, v2, cv = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (var_model, var_all, cov)))
+    sigma = np.stack([np.stack([v1, cv], axis=-1), np.stack([cv, v2], axis=-1)], axis=-2)
     vals, vecs = np.linalg.eigh(sigma)
-    if vals[0] < -_PSD_TOL:
+    bad = vals[:, 0] < -_PSD_TOL
+    if bad.any():
         raise InputError(
-            f"covariance matrix is not positive semidefinite (min eigenvalue {vals[0]:.3g})"
+            "covariance matrix is not positive semidefinite "
+            f"(min eigenvalue {vals[bad, 0][0]:.3g})"
         )
-    if vals[0] >= 0.0:
-        return var_model, var_all, cov
-    repaired = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-    return float(repaired[0, 0]), float(repaired[1, 1]), float(repaired[0, 1])
+    fix = ~(vals[:, 0] >= 0.0)
+    if not fix.any():
+        return v1, v2, cv
+    vecs = vecs[fix]
+    repaired = (vecs * np.maximum(vals[fix], 0.0)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    v1, v2, cv = v1.copy(), v2.copy(), cv.copy()
+    v1[fix], v2[fix], cv[fix] = repaired[:, 0, 0], repaired[:, 1, 1], repaired[:, 0, 1]
+    return v1, v2, cv
 
 
-def _bvn_params(m: MomentSet) -> BvnParams:
+def _asymptotic_rows(m) -> list[VoiResult]:
+    """:func:`evpi_asymptotic` elementwise over the moments of a
+    :class:`MomentSet` or a ``_MomentGrid``, one :class:`VoiResult` per
+    threshold."""
+    mean_model, mean_all = (np.atleast_1d(np.asarray(v, dtype=float))
+                            for v in (m.mean_model, m.mean_all))
     v1, v2, cv = _repair_psd(m.var_model, m.var_all, m.cov)
-    s1, s2 = math.sqrt(v1), math.sqrt(v2)
-    rho = 0.0 if s1 == 0.0 or s2 == 0.0 else min(1.0, max(-1.0, cv / (s1 * s2)))
-    return BvnParams(mu1=m.mean_model, mu2=m.mean_all, sigma1=s1, sigma2=s2, rho=rho)
+    s1, s2 = np.sqrt(v1), np.sqrt(v2)
+    rho = np.zeros(s1.shape)
+    i = (s1 != 0.0) & (s2 != 0.0)
+    rho[i] = np.clip(cv[i] / (s1[i] * s2[i]), -1.0, 1.0)
+    _check_params(mean_model, mean_all, s1, s2, rho)
+    enb_perfect, p_model = _emax_pfirst(mean_model, mean_all, s1, s2, rho)
+    best, enb_current = _best_by_means(mean_model[:, None], mean_all)
+    evpi = _max(0.0, enb_perfect - enb_current)
+    r = np.where(best == "model", _relative_evpi(enb_perfect, mean_model, mean_all), np.nan)
+    columns = (evpi, enb_current, enb_perfect, p_model, best, r)
+    return [
+        VoiResult(evpi=e, enb_current=c, enb_perfect=p, p_useful=u, best_strategy=b,
+                  method="asymptotic", r_evpi=None if math.isnan(x) else x)
+        for e, c, p, u, b, x in zip(*(a.tolist() for a in columns))
+    ]
 
 
 def evpi_asymptotic(m: MomentSet) -> VoiResult:
@@ -231,22 +306,69 @@ def evpi_asymptotic(m: MomentSet) -> VoiResult:
     the zero-floored bivariate normal expectation and P(useful) the
     probability that the model component is the strict positive maximum.
     """
-    params = _bvn_params(m)
-    enb_perfect = e_max_zero_bvn(params)
-    best, enb_current = _best_by_means(np.array([m.mean_model]), m.mean_all)
-    evpi = max(0.0, enb_perfect - enb_current)
-    p_model = p_first_positive_max(params)
-    r = relative_evpi(enb_perfect, m.mean_model, m.mean_all) if best == "model" else None
-    return VoiResult(
-        evpi=evpi, enb_current=enb_current, enb_perfect=enb_perfect,
-        p_useful=p_model, best_strategy=best, method="asymptotic", r_evpi=r,
-    )
+    (row,) = _asymptotic_rows(m)
+    return row
 
 
-def _thin_thresholds(sample: ValidationSample, thresholds) -> list[Threshold]:
-    """Thresholds with fewer than ``MIN_SIDE_ROWS`` rows on one side."""
-    tp, fp, _, _ = _cell_table(sample.outcomes, sample.risks, thresholds)()
-    return [t for t, a in zip(thresholds, tp + fp) if min(a, sample.n - a) < MIN_SIDE_ROWS]
+def _thin_thresholds(sample: ValidationSample, thresholds, counts=None) -> list[Threshold]:
+    """Thresholds with fewer than ``MIN_SIDE_ROWS`` rows on one side;
+    ``counts`` as in :func:`_moment_grid`."""
+    tp, fp, _, _ = counts if counts is not None else _cell_table(
+        sample.outcomes, sample.risks, thresholds)()
+    flagged = (tp + fp).tolist()
+    return [t for t, a in zip(thresholds, flagged) if min(a, sample.n - a) < MIN_SIDE_ROWS]
+
+
+class _GridEvpi(NamedTuple):
+    """One EVPI evaluation over a grid: the ``(threshold, result)`` rows,
+    the thin thresholds and the bootstrap draws by method."""
+
+    rows: list[tuple[Threshold, VoiResult]]
+    thin: list[Threshold]
+    draws: dict[str, GridDraws]
+
+
+def _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks=None) -> _GridEvpi:
+    """The work of :func:`evpi_threshold_sweep`, from one table of counts
+    and one bootstrap per method, without warning."""
+    if isinstance(thresholds, Threshold):
+        thresholds = (thresholds,)
+    thresholds = tuple(thresholds)
+    methods = tuple(methods)
+    for m in methods:
+        if m not in ALL_METHODS:
+            raise InputError(f"unknown EVPI method {m!r}")
+    if "asymptotic" in methods and extra_risks is not None:
+        raise InputError("the asymptotic method supports exactly one candidate model")
+
+    counts = _cell_table(sample.outcomes, sample.risks, thresholds)()
+    per_method: dict[str, list[VoiResult]] = {}
+    draws: dict[str, GridDraws] = {}
+    for m in methods:
+        if m == "asymptotic":
+            per_method[m] = _asymptotic_rows(_moment_grid(sample, thresholds, counts))
+        else:
+            draws[m] = bootstrap_nb_draws_grid(
+                sample, thresholds, n_reps=n_reps, method=m, seed=seed,
+                extra_risks=extra_risks,
+            )
+            per_method[m] = [evpi_bootstrap(draws[m].at(i)) for i in range(len(thresholds))]
+
+    rows = [(t, per_method[m][i]) for i, t in enumerate(thresholds) for m in methods]
+    return _GridEvpi(rows, _thin_thresholds(sample, thresholds, counts), draws)
+
+
+def _warn_thin(thin: list[Threshold], stacklevel: int) -> None:
+    """One :class:`SmallEffectiveSampleWarning` naming every thin threshold;
+    ``stacklevel`` counts from the caller of this function."""
+    if thin:
+        warnings.warn(
+            f"fewer than {MIN_SIDE_ROWS} observations on one side of threshold(s) "
+            f"{', '.join(f'{t.z:g}' for t in thin)}; estimates there are driven by a "
+            "handful of rows",
+            SmallEffectiveSampleWarning,
+            stacklevel=stacklevel + 1,
+        )
 
 
 def evpi_threshold_sweep(
@@ -261,43 +383,16 @@ def evpi_threshold_sweep(
     """Per-threshold EVPI for each requested method.
 
     Bootstrap methods reuse one weight stream across the whole grid; the
-    asymptotic route is evaluated independently at each threshold.  Rows
-    come back in the order of ``thresholds`` (which may be unsorted), with
-    methods in the order requested.
+    asymptotic route is evaluated over the whole grid in one array pass,
+    each threshold independently of the others.  Rows come back in the
+    order of ``thresholds`` (which may be unsorted), with methods in the
+    order requested.  With ``warn``, one warning names the thresholds with
+    fewer than ``MIN_SIDE_ROWS`` rows on one side.
     """
-    if isinstance(thresholds, Threshold):
-        thresholds = (thresholds,)
-    thresholds = tuple(thresholds)
-    methods = tuple(methods)
-    for m in methods:
-        if m not in ALL_METHODS:
-            raise InputError(f"unknown EVPI method {m!r}")
-    if "asymptotic" in methods and extra_risks is not None:
-        raise InputError("the asymptotic method supports exactly one candidate model")
-    for t in _thin_thresholds(sample, thresholds) if warn else ():
-        warnings.warn(
-            f"fewer than {MIN_SIDE_ROWS} observations on one side of threshold {t.z:g}; "
-            "estimates there are driven by a handful of rows",
-            SmallEffectiveSampleWarning,
-            stacklevel=2,
-        )
-
-    per_method: dict[str, list[VoiResult]] = {}
-    for m in methods:
-        if m == "asymptotic":
-            per_method[m] = [evpi_asymptotic(ms) for ms in _moment_grid(sample, thresholds)]
-        else:
-            grid = bootstrap_nb_draws_grid(
-                sample, thresholds, n_reps=n_reps, method=m, seed=seed,
-                extra_risks=extra_risks,
-            )
-            per_method[m] = [evpi_bootstrap(grid.at(i)) for i in range(len(thresholds))]
-
-    rows: list[tuple[Threshold, VoiResult]] = []
-    for i, t in enumerate(thresholds):
-        for m in methods:
-            rows.append((t, per_method[m][i]))
-    return rows
+    out = _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks)
+    if warn:
+        _warn_thin(out.thin, stacklevel=2)
+    return out.rows
 
 
 def population_scaled(evpi: float, multiplier: float, t: Threshold) -> tuple[float, float]:

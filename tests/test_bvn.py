@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from nbvoi import BvnParams, InputError, bvn_cdf, e_max_zero_bvn, std_normal_cdf, std_normal_pdf
+from nbvoi import bvn
 from nbvoi.bvn import p_first_positive_max
 
 
@@ -268,3 +269,80 @@ class TestPFirstPositiveMax:
         assert p_first_positive_max(BvnParams(0.5, 0.0, 0.0, 1.0, 0.0)) == pytest.approx(
             erf_cdf(0.5), abs=1e-12
         )
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestArrayKernel:
+    """One array call equals the one-element calls bit for bit, on points
+    that reach every branch of the kernel."""
+
+    # (h, k, r) for P(X > h, Y > k), grouped by the branch they reach.
+    UPPER_POINTS = [
+        (0.3, -0.2, 0.0), (-1.3, 0.4, 0.0),                   # r == 0
+        (0.4, -0.7, 0.2), (-1.1, 0.5, -0.25),                 # 6-point band
+        (0.4, 0.9, 0.5), (1.2, -0.3, -0.6),                   # 12-point band
+        (-0.5, 0.8, 0.8), (0.2, 0.2, -0.9),                   # 20-point band
+        (0.5, 0.3, 0.95), (0.5, 0.3, -0.95),                  # expansion, both signs
+        (1.2, -0.4, -0.999), (-1.0, -0.5, -0.95),             # r < 0 without / with k > h
+        (0.3, -0.5, 1.0), (0.3, -0.5, -1.0), (0.3, 0.5, -1.0),  # |r| == 1
+        (np.inf, 0.2, 0.3), (0.2, np.inf, -0.3), (-np.inf, 0.2, 0.3),
+        (0.2, -np.inf, 0.97), (-np.inf, -np.inf, 0.5),        # infinite limits
+        (5.0, -5.0, 0.99),                                    # asr0 <= -100
+        (12.0, -10.0, 0.95),                                  # -hk >= 100
+        (0.5, -0.5, 0.95),                                    # some nodes cut off
+    ]
+
+    def test_cut_off_points_reach_their_branches(self):
+        x, _ = bvn._GL_NODES[20]
+
+        def expansion_terms(h, k, r):
+            hk, a_sq, bs = h * k, (1 - r) * (1 + r), (h - k) ** 2
+            asr1 = -0.5 * (bs / (0.5 * math.sqrt(a_sq) * x) ** 2 + hk)
+            return -0.5 * (bs / a_sq + hk), -hk, asr1 > -100
+
+        asr0, minus_hk, _ = expansion_terms(5.0, -5.0, 0.99)
+        assert asr0 <= -100 and minus_hk < 100
+        _, minus_hk, _ = expansion_terms(12.0, -10.0, 0.95)
+        assert minus_hk >= 100
+        asr0, minus_hk, kept = expansion_terms(0.5, -0.5, 0.95)
+        assert asr0 > -100 and minus_hk < 100 and 0 < kept.sum() < kept.size
+
+    def test_bvn_upper_array_equals_one_element_calls(self):
+        h, k, r = (np.array(col) for col in zip(*self.UPPER_POINTS))
+        grid = bvn._bvn_upper(h, k, r)
+        assert same_bits(bvn._bvn_upper(h[::-1], k[::-1], r[::-1]), grid[::-1])
+        for i, (hi, ki, ri) in enumerate(self.UPPER_POINTS):
+            assert same_bits(bvn._bvn_upper(hi, ki, ri), grid[i:i + 1])
+            assert same_bits(bvn_cdf(-hi, -ki, ri), grid[i])
+
+    # (mu1, mu2, sigma1, sigma2, rho), grouped by the branches they reach.
+    PARAM_POINTS = [
+        (0.3, 0.1, 0.0, 0.0, 0.0), (-0.2, -0.1, 0.0, 0.0, 0.5),   # both sigmas 0
+        (0.5, 0.0, 0.0, 1.0, 0.0), (-0.5, 0.0, 0.0, 1.0, 0.3),    # sigma1 = 0
+        (0.05, 0.04, 0.3, 0.0, 0.0), (-0.1, 0.2, 0.3, 0.0, 0.0),  # sigma2 = 0 (P: r = 1)
+        (0.3, 0.2, 0.5, 0.5, 1.0), (0.1, 0.2, 0.5, 0.5, 1.0),     # theta^2 <= 0
+        (0.0, 0.0, 1.0, 1.0, 0.0), (0.05, 0.04, 0.01, 0.01, 0.5),  # general
+        (0.1, -0.3, 0.4, 0.2, -0.7), (0.0, 0.0, 1.0, 1.0, 0.9999),
+    ]
+
+    def test_emax_and_pfirst_array_equals_one_element_calls(self):
+        cols = [np.array(col) for col in zip(*self.PARAM_POINTS)]
+        emax, pfirst = bvn._emax_pfirst(*cols)
+        for i, p in enumerate(self.PARAM_POINTS):
+            assert same_bits(e_max_zero_bvn(BvnParams(*p)), emax[i])
+            assert same_bits(p_first_positive_max(BvnParams(*p)), pfirst[i])
+
+    def test_degenerate_branches_keep_their_own_rules(self):
+        """With sigma2 = 0, E[max] is a one-sided normal expectation while
+        P(first) takes the general path with r = 1; both match their
+        closed forms."""
+        mu1, mu2, s1 = 0.05, 0.04, 0.3
+        p = BvnParams(mu1, mu2, s1, 0.0, 0.0)
+        t = (mu1 - mu2) / s1
+        assert e_max_zero_bvn(p) == pytest.approx(
+            mu2 + s1 * phi(t) + (mu1 - mu2) * erf_cdf(t), abs=1e-15)
+        assert p_first_positive_max(p) == pytest.approx(erf_cdf(t), abs=1e-12)

@@ -13,7 +13,9 @@ import pytest
 import nbvoi
 from nbvoi import (
     LogisticDgm,
+    bootstrap_nb_draws_grid,
     decision_curve,
+    dump_draws,
     generate_synthetic,
     make_thresholds,
     substream,
@@ -133,6 +135,38 @@ class TestEvpi:
         dump = tmp_path / "draws_bayesian_z0.2.csv"
         assert dump.exists()
         assert len(dump.read_text().splitlines()) == 51
+
+    def test_dump_draws_reuses_the_evpi_bootstrap(self, capsys, dataset, tmp_path, monkeypatch):
+        """One bootstrap per method feeds both the EVPI rows and the dumped
+        draws, which equal a direct grid call with the same arguments."""
+        import nbvoi.cli as cli_mod
+        import nbvoi.voi as voi_mod
+
+        path, sample = dataset
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return bootstrap_nb_draws_grid(*args, **kwargs)
+
+        for mod in (voi_mod, cli_mod):
+            monkeypatch.setattr(mod, "bootstrap_nb_draws_grid", counting, raising=False)
+        prefix = tmp_path / "draws"
+        code, _, _ = run(capsys, [
+            "evpi", "--data", str(path), "--outcome", "y", "--risk", "p",
+            "--thresholds", "0.1,0.2", "--n-reps", "50", "--seed", "5",
+            "--method", "all", "--dump-draws", str(prefix),
+        ])
+        assert code == 0
+        assert sorted(calls) == ["bayesian", "ordinary"]
+        for method in ("bayesian", "ordinary"):
+            grid = bootstrap_nb_draws_grid(sample, make_thresholds([0.1, 0.2]), n_reps=50,
+                                           method=method, seed=5)
+            for i, z in enumerate(("0.1", "0.2")):
+                expect = tmp_path / "expect.csv"
+                dump_draws(grid.at(i), expect)
+                got = tmp_path / f"draws_{method}_z{z}.csv"
+                assert got.read_text() == expect.read_text()
 
     def test_strict_warns_on_large_mc_se(self, capsys, dataset):
         path, _ = dataset

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -310,3 +311,16 @@ class TestSubsampleSweep:
                           n_sims=2, n_reps=100, methods=("bayesian",), seed=3)
         with pytest.warns(SmallEffectiveSampleWarning):
             subsample_sweep(data, cfg)
+
+    def test_one_warning_names_every_thin_cell(self):
+        """Every risk is 0.5: all rows are flagged at 0.2 and none at 0.6,
+        so every (size, threshold) cell is thin."""
+        data = ValidationSample([1, 0] * 50, [0.5] * 100)
+        cfg = SweepConfig(sizes=(30, 100), thresholds=make_thresholds([0.2, 0.6]),
+                          n_sims=2, methods=("asymptotic",), seed=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            subsample_sweep(data, cfg)
+        thin = [w for w in caught if issubclass(w.category, SmallEffectiveSampleWarning)]
+        assert len(thin) == 1
+        assert str(thin[0].message).endswith("(30, 0.2), (30, 0.6), (100, 0.2), (100, 0.6)")

@@ -1,6 +1,7 @@
 """EVPI computations: bootstrap route, asymptotic route, and their agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,25 @@ class TestEvpiAsymptotic:
         with pytest.raises(InputError):
             _repair_psd(1e-4, 1e-4, 3e-4)
 
+    def test_psd_repair_is_elementwise(self):
+        """Stacked covariances give each matrix's own result: PSD ones come
+        back unchanged, a rounding breach is rebuilt, a large one raises."""
+        from nbvoi.voi import _repair_psd
+
+        v = np.array([1e-4, 1e-4, 4e-4, 0.0, 2e-4])
+        a = np.array([1e-4, 1e-4, 1e-4, 3e-4, 2e-4])
+        c = np.array([1e-4 + 1e-12, 5e-5, -2e-4, 0.0, 2e-4])
+        stacked = _repair_psd(v, a, c)
+        for i in range(v.size):
+            one = _repair_psd(v[i], a[i], c[i])
+            for got, ref in zip(stacked, one):
+                assert got[i:i + 1].tobytes() == ref.tobytes()
+        assert (stacked[0][0], stacked[1][0], stacked[2][0]) != (v[0], a[0], c[0])  # rebuilt
+        for i in (1, 2, 3):
+            assert (stacked[0][i], stacked[1][i], stacked[2][i]) == (v[i], a[i], c[i])
+        with pytest.raises(InputError):
+            _repair_psd(np.append(v, 1e-4), np.append(a, 1e-4), np.append(c, 3e-4))
+
     def test_pre_clamp_floor(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -318,6 +338,18 @@ class TestEvpiThresholdSweep:
         s = ValidationSample([1, 0] * 15, [0.5] * 30)
         with pytest.warns(SmallEffectiveSampleWarning):
             evpi_threshold_sweep(s, (Threshold(0.9, max_z=0.99),), n_reps=50, seed=0)
+
+    def test_one_warning_names_every_thin_threshold(self):
+        """60 rows with risks spread over (0, 1): 0.1 and 0.95 leave fewer
+        than 20 rows on one side, 0.5 does not."""
+        s = ValidationSample([1, 0] * 30, np.linspace(0.01, 0.99, 60))
+        ts = make_thresholds([0.1, 0.5, 0.95])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evpi_threshold_sweep(s, ts, methods=("asymptotic", "ordinary"), n_reps=50, seed=0)
+        thin = [w for w in caught if issubclass(w.category, SmallEffectiveSampleWarning)]
+        assert len(thin) == 1
+        assert "threshold(s) 0.1, 0.95;" in str(thin[0].message)
 
     def test_rejects_unknown_method(self):
         s = self._sample(n=100)
