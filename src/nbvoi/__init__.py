@@ -15,14 +15,12 @@ from .errors import InputError, NumericError, SmallEffectiveSampleWarning
 from .io import FeatureTable, ModelSpec, load_dataset, load_model_spec, score, scored_sample
 from .netbenefit import (
     DecisionCurve,
-    NbEstimate,
     Threshold,
     ValidationSample,
     decision_curve,
     default_grid,
     make_thresholds,
     nb_all,
-    nb_estimate,
     nb_model,
     weighted_nb,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "ModelSpec",
     "MomentSet",
     "NbDrawMatrix",
-    "NbEstimate",
     "NumericError",
     "SmallEffectiveSampleWarning",
     "SweepConfig",
@@ -101,7 +98,6 @@ __all__ = [
     "moments",
     "multinomial_weights",
     "nb_all",
-    "nb_estimate",
     "nb_model",
     "p_useful",
     "population_scaled",

@@ -127,7 +127,7 @@ def cmd_evpi(args) -> int:
     ts = _parse_thresholds(args.thresholds, args.max_threshold)
     methods = ALL_METHODS if args.method == "all" else (_CLI_METHODS[args.method],)
     out = _evpi_grid(sample, ts, methods, args.n_reps, args.seed)
-    _warn_thin(out.thin, stacklevel=1)
+    _warn_thin([f"{t.z:g}" for t in out.thin], stacklevel=1)
     records = [voi_record(t, res, population=args.population) for t, res in out.rows]
 
     if args.strict:

@@ -201,24 +201,6 @@ def weighted_nb(sample: ValidationSample, weights, t: Threshold) -> tuple[float,
 
 
 @dataclass(frozen=True)
-class NbEstimate:
-    """Point estimates of the three strategies' net benefit at one threshold."""
-
-    nb_model: float
-    nb_all: float
-    threshold: Threshold
-    nb_none: float = 0.0
-
-    def __post_init__(self):
-        if self.nb_none != 0.0:
-            raise InputError("treat-none net benefit is 0 by definition")
-
-
-def nb_estimate(sample: ValidationSample, t: Threshold) -> NbEstimate:
-    return NbEstimate(nb_model=nb_model(sample, t), nb_all=nb_all(sample, t), threshold=t)
-
-
-@dataclass(frozen=True)
 class DecisionCurve:
     """Net benefit of model / treat-all / treat-none over a threshold grid.
 

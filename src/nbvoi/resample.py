@@ -115,7 +115,6 @@ class NbDrawMatrix:
     method: str
     seed: int | tuple
     threshold: Threshold
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         d = np.asarray(self.draws, dtype=float)
@@ -210,24 +209,12 @@ def bootstrap_nb_draws(
     method: str = "bayesian",
     seed: int | tuple = 0,
     extra_risks=None,
-    keep_weights: bool = False,
 ) -> NbDrawMatrix:
-    """Draw the (n_reps, S) matrix of replicate NBs at a single threshold.
-
-    With ``keep_weights=True`` the replicate weight matrix is retained on
-    the result so each draw can be audited against
-    :func:`~nbvoi.netbenefit.weighted_nb`.
-    """
+    """Draw the (n_reps, S) matrix of replicate NBs at a single threshold."""
     grid = bootstrap_nb_draws_grid(
         sample, (t,), n_reps=n_reps, method=method, seed=seed, extra_risks=extra_risks
     )
-    mat = grid.at(0)
-    if not keep_weights:
-        return mat
-    draw = dirichlet_weights if method == "bayesian" else multinomial_weights
-    w = np.stack([draw(sample.n, substream(seed, METHOD_IDS[method], l)).weights
-                  for l in range(n_reps)])
-    return NbDrawMatrix(draws=mat.draws, method=method, seed=seed, threshold=t, weights=w)
+    return grid.at(0)
 
 
 def dump_draws(matrix: NbDrawMatrix, path) -> None:

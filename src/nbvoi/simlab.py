@@ -12,7 +12,6 @@ results.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -20,11 +19,11 @@ from functools import partial
 import numpy as np
 from scipy.special import expit
 
-from .errors import InputError, SmallEffectiveSampleWarning
+from .errors import InputError
 from .netbenefit import Threshold, ValidationSample
 from .resample import DATA_STREAM_ID, SWEEP_N_REPS
 from .rng import substream
-from .voi import ALL_METHODS, MIN_SIDE_ROWS, _evpi_grid
+from .voi import ALL_METHODS, _evpi_grid, _warn_thin
 
 
 @dataclass(frozen=True)
@@ -224,14 +223,8 @@ def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
                     size=size, threshold=t.z, method=label,
                     mean_evpi=float(vals.mean()), mc_se=se, n_sims=cfg.n_sims,
                 ))
-    if thin_cells:
-        cells = ", ".join(f"({size}, {z:g})" for size, z in sorted(thin_cells))
-        warnings.warn(
-            f"fewer than {MIN_SIDE_ROWS} observations on one side of the threshold in at "
-            f"least one simulation, at (size, threshold) {cells}",
-            SmallEffectiveSampleWarning,
-            stacklevel=3,
-        )
+    _warn_thin([f"({size}, {z:g})" for size, z in sorted(thin_cells)], stacklevel=3,
+               where="the threshold in at least one simulation, at (size, threshold)", note="")
     return SweepResult(rows=tuple(rows), config=cfg)
 
 

@@ -358,14 +358,15 @@ def _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks=None) -> _
     return _GridEvpi(rows, _thin_thresholds(sample, thresholds, counts), draws)
 
 
-def _warn_thin(thin: list[Threshold], stacklevel: int) -> None:
-    """One :class:`SmallEffectiveSampleWarning` naming every thin threshold;
+def _warn_thin(names: list[str], stacklevel: int, where: str = "threshold(s)",
+               note: str = "; estimates there are driven by a handful of rows") -> None:
+    """One :class:`SmallEffectiveSampleWarning` naming every place (threshold
+    or sweep cell) with fewer than ``MIN_SIDE_ROWS`` rows on one side;
     ``stacklevel`` counts from the caller of this function."""
-    if thin:
+    if names:
         warnings.warn(
-            f"fewer than {MIN_SIDE_ROWS} observations on one side of threshold(s) "
-            f"{', '.join(f'{t.z:g}' for t in thin)}; estimates there are driven by a "
-            "handful of rows",
+            f"fewer than {MIN_SIDE_ROWS} observations on one side of {where} "
+            f"{', '.join(names)}{note}",
             SmallEffectiveSampleWarning,
             stacklevel=stacklevel + 1,
         )
@@ -378,7 +379,6 @@ def evpi_threshold_sweep(
     n_reps: int = 10_000,
     seed: int | tuple = 0,
     extra_risks=None,
-    warn: bool = True,
 ) -> list[tuple[Threshold, VoiResult]]:
     """Per-threshold EVPI for each requested method.
 
@@ -386,12 +386,11 @@ def evpi_threshold_sweep(
     asymptotic route is evaluated over the whole grid in one array pass,
     each threshold independently of the others.  Rows come back in the
     order of ``thresholds`` (which may be unsorted), with methods in the
-    order requested.  With ``warn``, one warning names the thresholds with
-    fewer than ``MIN_SIDE_ROWS`` rows on one side.
+    order requested.  One warning names the thresholds with fewer than
+    ``MIN_SIDE_ROWS`` rows on one side.
     """
     out = _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks)
-    if warn:
-        _warn_thin(out.thin, stacklevel=2)
+    _warn_thin([f"{t.z:g}" for t in out.thin], stacklevel=2)
     return out.rows
 
 

@@ -94,7 +94,7 @@ def test_criterion_2_cross_method_agreement(announce):
         for k in range(20):
             samp = generate_synthetic(DGM, n, substream((4242, n_idx, k), 2))
             rows = evpi_threshold_sweep(samp, ts, n_reps=1000,
-                                        seed=(4242, n_idx, k), warn=False)
+                                        seed=(4242, n_idx, k))
             by = {(t.z, r.method): r for t, r in rows}
             for z in (0.1, 0.2, 0.3):
                 b = by[(z, "bayesian_bootstrap")]
@@ -142,6 +142,7 @@ def test_criterion_3_monotone_decline(announce):
     announce(3, "EVPI declines with sample size", failures, elapsed)
 
 
+@pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
 def test_criterion_4_nonnegativity_and_determinism(announce, tmp_path):
     """EVPI >= 0 with bounded pre-clamp value on 1,000 randomized small
     samples; identical seeds give byte-identical CLI output across two runs
@@ -159,7 +160,7 @@ def test_criterion_4_nonnegativity_and_determinism(announce, tmp_path):
         method = "bayesian" if k % 2 == 0 else "ordinary"
         rows = evpi_threshold_sweep(
             s, (Threshold(z, max_z=0.99),), methods=(method, "asymptotic"),
-            n_reps=400, seed=(777, k), warn=False,
+            n_reps=400, seed=(777, k),
         )
         for _, r in rows:
             if r.evpi < 0:

@@ -8,6 +8,7 @@ so a row permutation of the sample must change nothing.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,8 @@ from nbvoi import (
 
 Z_VALUES = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
 SETTINGS = settings(max_examples=150, deadline=None)
+# Thin thresholds are part of the drawn samples, not a finding.
+pytestmark = pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
 
 risk = st.one_of(st.sampled_from(Z_VALUES + (0.0, 1.0)), st.floats(0.0, 1.0))
 grids = st.lists(st.sampled_from(Z_VALUES), min_size=1, max_size=8).map(
@@ -44,7 +47,7 @@ def samples(draw):
 
 
 def asymptotic_rows(s, ts):
-    return evpi_threshold_sweep(s, ts, methods=("asymptotic",), warn=False)
+    return evpi_threshold_sweep(s, ts, methods=("asymptotic",))
 
 
 @SETTINGS

@@ -278,38 +278,22 @@ def same_bits(a, b) -> bool:
 
 class TestArrayKernel:
     """One array call equals the one-element calls bit for bit, on points
-    that reach every branch of the kernel."""
+    that reach every mask of the kernel."""
 
-    # (h, k, r) for P(X > h, Y > k), grouped by the branch they reach.
+    # (h, k, r) for P(X > h, Y > k), grouped by the case they reach.
     UPPER_POINTS = [
-        (0.3, -0.2, 0.0), (-1.3, 0.4, 0.0),                   # r == 0
-        (0.4, -0.7, 0.2), (-1.1, 0.5, -0.25),                 # 6-point band
-        (0.4, 0.9, 0.5), (1.2, -0.3, -0.6),                   # 12-point band
-        (-0.5, 0.8, 0.8), (0.2, 0.2, -0.9),                   # 20-point band
-        (0.5, 0.3, 0.95), (0.5, 0.3, -0.95),                  # expansion, both signs
-        (1.2, -0.4, -0.999), (-1.0, -0.5, -0.95),             # r < 0 without / with k > h
+        (0.3, -0.2, 0.0), (-1.3, 0.4, 0.5), (0.4, 0.9, -0.6),  # Owen's identity,
+        (-1.2, -0.3, 0.8),                                      # both sides of 0
+        (0.0, 0.7, 0.3), (0.0, -0.7, 0.3),                    # h = 0, k of each sign
+        (0.7, 0.0, -0.4), (-0.7, 0.0, -0.4),                  # k = 0, h of each sign
+        (-0.0, 0.7, 0.5), (-0.0, -0.7, 0.5),                  # h = -0.0
+        (0.0, 0.0, 0.6), (-0.0, 0.0, -0.3),                   # h = k = 0
         (0.3, -0.5, 1.0), (0.3, -0.5, -1.0), (0.3, 0.5, -1.0),  # |r| == 1
         (np.inf, 0.2, 0.3), (0.2, np.inf, -0.3), (-np.inf, 0.2, 0.3),
         (0.2, -np.inf, 0.97), (-np.inf, -np.inf, 0.5),        # infinite limits
-        (5.0, -5.0, 0.99),                                    # asr0 <= -100
-        (12.0, -10.0, 0.95),                                  # -hk >= 100
-        (0.5, -0.5, 0.95),                                    # some nodes cut off
+        (1.1021169771698833, 1.102116396500089, 0.9999999999912381),    # 1 - |r| <= 1e-9,
+        (0.6267352727346518, -0.6267353071759564, -0.9999999999989546),  # h ~ k, h ~ -k
     ]
-
-    def test_cut_off_points_reach_their_branches(self):
-        x, _ = bvn._GL_NODES[20]
-
-        def expansion_terms(h, k, r):
-            hk, a_sq, bs = h * k, (1 - r) * (1 + r), (h - k) ** 2
-            asr1 = -0.5 * (bs / (0.5 * math.sqrt(a_sq) * x) ** 2 + hk)
-            return -0.5 * (bs / a_sq + hk), -hk, asr1 > -100
-
-        asr0, minus_hk, _ = expansion_terms(5.0, -5.0, 0.99)
-        assert asr0 <= -100 and minus_hk < 100
-        _, minus_hk, _ = expansion_terms(12.0, -10.0, 0.95)
-        assert minus_hk >= 100
-        asr0, minus_hk, kept = expansion_terms(0.5, -0.5, 0.95)
-        assert asr0 > -100 and minus_hk < 100 and 0 < kept.sum() < kept.size
 
     def test_bvn_upper_array_equals_one_element_calls(self):
         h, k, r = (np.array(col) for col in zip(*self.UPPER_POINTS))
@@ -318,6 +302,35 @@ class TestArrayKernel:
         for i, (hi, ki, ri) in enumerate(self.UPPER_POINTS):
             assert same_bits(bvn._bvn_upper(hi, ki, ri), grid[i:i + 1])
             assert same_bits(bvn_cdf(-hi, -ki, ri), grid[i])
+
+    def test_signed_zero_arguments_agree(self):
+        for k in (0.7, -0.7, 0.0):
+            assert same_bits(bvn._bvn_upper(-0.0, k, 0.5), bvn._bvn_upper(0.0, k, 0.5))
+            assert same_bits(bvn._bvn_upper(k, -0.0, -0.5), bvn._bvn_upper(k, 0.0, -0.5))
+
+    # (h, k, r, P(X > h, Y > k)).  References to 30 digits from mpmath at 40
+    # digits: quadrature of phi(t) * Phi((r t - k) / sqrt(1 - r^2)) over
+    # t > h, with breakpoints around t = k / r, cross-checked against Owen's
+    # identity with mpmath's own integral for T.  The first three have
+    # 1 - |r| <= 1e-8, where computing y - r*x directly errs by 1e-11 to 5e-14.
+    REFERENCE = [
+        (0.6267352727346518, -0.6267353071759564, -0.9999999999989546,
+         1.94793046485611237681893826638e-7),
+        (1.1021169771698833, 1.102116396500089, 0.9999999999912381,
+         0.135205106411211281852978700894),
+        (1.1440360521793835, -1.1439722982247609, -0.9999999973804558,
+         1.56112564802423466635353995654e-6),
+        (-0.4, -0.9, 0.9999999, 0.655421741610324174914120456956),
+        (0.5, 0.3, 0.95, 0.289802496918888116694034900988),
+        (-0.7, 1.3, -0.6, 0.032329269153463399642134043897),
+        (0.0, 1.2, 0.4, 0.0880790096355473291144744504515),
+        (3.0, -2.5, 0.8, 0.00134989803163009447731313996178),
+        (0.3, -0.2, 0.0, 0.221328518562827405997404621208),
+    ]
+
+    def test_bvn_upper_matches_high_precision_references(self):
+        h, k, r, ref = (np.array(col) for col in zip(*self.REFERENCE))
+        assert np.abs(bvn._bvn_upper(h, k, r) - ref).max() <= 1e-15
 
     # (mu1, mu2, sigma1, sigma2, rho), grouped by the branches they reach.
     PARAM_POINTS = [

@@ -14,7 +14,6 @@ from nbvoi import (
     LogisticDgm,
     make_thresholds,
     nb_all,
-    nb_estimate,
     nb_model,
     substream,
     true_nb_of_dgm,
@@ -318,11 +317,3 @@ class TestDecisionCurve:
         # 3 binomial SEs around 0.95 is ~0.046; allow a little extra for
         # small-sample percentile undercoverage
         assert 0.90 <= coverage <= 0.995
-
-
-class TestNbEstimate:
-    def test_treat_none_is_fixed_at_zero(self):
-        s = ValidationSample(HAND_Y, HAND_P)
-        est = nb_estimate(s, Threshold(0.2))
-        assert est.nb_none == 0.0
-        assert est.nb_model == pytest.approx(0.1, rel=1e-14)

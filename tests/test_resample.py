@@ -21,6 +21,7 @@ from nbvoi import (
     substream,
     weighted_nb,
 )
+from nbvoi.resample import METHOD_IDS
 
 
 class TestDirichletWeights:
@@ -135,12 +136,14 @@ class TestBootstrapNbDraws:
             assert np.array_equal(long.draws[:150], short.draws)
 
     def test_rows_recomputable_from_stored_weights(self):
+        """Replicate l's weights are the Dirichlet draw of its own
+        substream, so each row can be audited against ``weighted_nb``."""
         s = _toy_sample()
         t = Threshold(0.25)
-        mat = bootstrap_nb_draws(s, t, n_reps=100, method="bayesian", seed=11,
-                                 keep_weights=True)
+        mat = bootstrap_nb_draws(s, t, n_reps=100, method="bayesian", seed=11)
         for l in (0, 17, 99):
-            m, a = weighted_nb(s, mat.weights[l], t)
+            w = dirichlet_weights(s.n, substream(11, METHOD_IDS["bayesian"], l)).weights
+            m, a = weighted_nb(s, w, t)
             assert mat.draws[l, 0] == pytest.approx(m, rel=1e-12, abs=1e-15)
             assert mat.draws[l, 1] == pytest.approx(a, rel=1e-12, abs=1e-15)
 

@@ -281,7 +281,7 @@ class TestSubsampleSweep:
         # same substream as the sweep cell reproduces the cell exactly
         direct = evpi_threshold_sweep(
             data, make_thresholds([0.2]), methods=("bayesian",),
-            n_reps=400, seed=(17, 0, 0), warn=False,
+            n_reps=400, seed=(17, 0, 0),
         )
         assert res.rows[0].mean_evpi == direct[0][1].evpi
         assert res.rows[0].mc_se == 0.0

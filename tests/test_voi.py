@@ -279,13 +279,13 @@ class TestEvpiThresholdSweep:
         dgm = LogisticDgm(intercept=-1.55, slopes=(0.77,))
         return generate_synthetic(dgm, n, substream(seed, 2))
 
+    @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
     def test_treat_none_certain_gives_zero_for_all_methods(self):
         rng = substream(5, 2)
         y = (rng.random(200) < 0.05).astype(int)
         risks = rng.random(200) * 0.3  # nobody reaches z = 0.5
         s = ValidationSample(y, risks)
-        rows = evpi_threshold_sweep(s, (Threshold(0.5),), n_reps=2000, seed=11,
-                                    warn=False)
+        rows = evpi_threshold_sweep(s, (Threshold(0.5),), n_reps=2000, seed=11)
         for _, r in rows:
             assert r.best_strategy == "treat_none"
             assert r.evpi <= 1e-15
@@ -293,7 +293,7 @@ class TestEvpiThresholdSweep:
     def test_methods_agree_on_moderate_sample(self):
         s = self._sample()
         ts = make_thresholds([0.1, 0.2, 0.3])
-        rows = evpi_threshold_sweep(s, ts, n_reps=2000, seed=3, warn=False)
+        rows = evpi_threshold_sweep(s, ts, n_reps=2000, seed=3)
         by = {(t.z, r.method): r for t, r in rows}
         for z in (0.1, 0.2, 0.3):
             b = by[(z, "bayesian_bootstrap")]
@@ -306,7 +306,7 @@ class TestEvpiThresholdSweep:
 
     def test_asymptotic_and_bootstrap_p_useful_agree(self):
         s = self._sample(seed=9)
-        rows = evpi_threshold_sweep(s, (T02,), n_reps=4000, seed=5, warn=False)
+        rows = evpi_threshold_sweep(s, (T02,), n_reps=4000, seed=5)
         by = {r.method: r for _, r in rows}
         assert abs(by["bayesian_bootstrap"].p_useful - by["asymptotic"].p_useful) < 0.05
         assert abs(by["ordinary_bootstrap"].p_useful - by["asymptotic"].p_useful) < 0.05
@@ -314,8 +314,8 @@ class TestEvpiThresholdSweep:
     def test_fixed_seed_identical_tables(self):
         s = self._sample(n=300, seed=1)
         ts = make_thresholds([0.1, 0.2])
-        r1 = evpi_threshold_sweep(s, ts, n_reps=500, seed=8, warn=False)
-        r2 = evpi_threshold_sweep(s, ts, n_reps=500, seed=8, warn=False)
+        r1 = evpi_threshold_sweep(s, ts, n_reps=500, seed=8)
+        r2 = evpi_threshold_sweep(s, ts, n_reps=500, seed=8)
         assert [(t.z, r.method, r.evpi, r.p_useful) for t, r in r1] == \
                [(t.z, r.method, r.evpi, r.p_useful) for t, r in r2]
 
@@ -326,9 +326,9 @@ class TestEvpiThresholdSweep:
         s = self._sample(n=300, seed=2)
         methods = ("ordinary", "asymptotic")
         given = evpi_threshold_sweep(s, make_thresholds([0.3]) + make_thresholds([0.1, 0.3]),
-                                     methods=methods, n_reps=200, seed=4, warn=False)
+                                     methods=methods, n_reps=200, seed=4)
         base = evpi_threshold_sweep(s, make_thresholds([0.1, 0.3]), methods=methods,
-                                    n_reps=200, seed=4, warn=False)
+                                    n_reps=200, seed=4)
         assert [t.z for t, _ in given] == [0.3, 0.3, 0.1, 0.1, 0.3, 0.3]
         by_z = {(t.z, r.method): r for t, r in base}
         for t, r in given:
@@ -362,6 +362,7 @@ class TestEvpiThresholdSweep:
             evpi_threshold_sweep(s, (T02,), methods=("asymptotic",), seed=0,
                                  extra_risks=s.risks * 0.5)
 
+    @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
     def test_evpi_nonnegative_on_randomized_small_samples(self):
         rng = np.random.default_rng(50)
         for k in range(60):
@@ -372,7 +373,7 @@ class TestEvpiThresholdSweep:
             s = ValidationSample(y, risks)
             z = float(rng.uniform(0.02, 0.9))
             rows = evpi_threshold_sweep(s, (Threshold(z, max_z=0.99),),
-                                        n_reps=300, seed=(60, k), warn=False)
+                                        n_reps=300, seed=(60, k))
             for _, r in rows:
                 assert r.evpi >= 0.0
                 floor = 1e-12 + (r.mc_se if r.mc_se is not None else 1e-10)
