@@ -123,30 +123,39 @@ class ValidationSample:
         return f"ValidationSample(n={self.n}, events={self.n_events})"
 
 
-def _cell_table(outcomes: np.ndarray, risks: np.ndarray, thresholds):
-    """Per-threshold flagged sums of a sample over a threshold grid (any
-    order, duplicates allowed).
+class _CellTable:
+    """Each row's cell over a threshold grid (any order, duplicates allowed),
+    and the per-threshold flagged sums of any masses put on those cells.
 
-    Each row's cell is its outcome times (T + 1) plus the number of grid
-    thresholds at or below its risk; a row is flagged (``risk >= z``) at the
-    j-th smallest threshold exactly when that number exceeds j.  Returns
-    ``sums(weights=None) -> (tp, fp, events, non_events)``: the flagged-event
-    and flagged-non-event weight at each threshold of the grid, and the total
-    event and non-event weight.  Unit weights give integer counts.
+    A row's label is its outcome times ``width`` (T + 1) plus the number of
+    grid thresholds at or below its risk; a row is flagged (``risk >= z``)
+    at the j-th smallest threshold exactly when that number exceeds j.
+    Rows with one label add the same amount to every net benefit on the
+    grid, so only the mass on each of the ``2 * width`` labels matters.
     """
-    zs = np.array([t.z for t in thresholds])
-    order = np.argsort(zs, kind="stable")
-    width = zs.size + 1
-    labels = outcomes * width + np.searchsorted(zs[order], risks, side="right")
 
-    def sums(weights=None):
-        cells = np.bincount(labels, weights=weights, minlength=2 * width).reshape(2, width)
-        tail = cells[:, ::-1].cumsum(axis=1)[:, ::-1]  # tail[:, k]: cells k..T
-        flagged = np.empty((2, width - 1), dtype=tail.dtype)
-        flagged[:, order] = tail[:, 1:]
-        return flagged[1], flagged[0], tail[1, 0], tail[0, 0]
+    __slots__ = ("labels", "order", "width")
 
-    return sums
+    def __init__(self, outcomes: np.ndarray, risks: np.ndarray, thresholds):
+        zs = np.array([t.z for t in thresholds])
+        self.order = np.argsort(zs, kind="stable")
+        self.width = zs.size + 1
+        self.labels = outcomes * self.width + np.searchsorted(zs[self.order], risks, side="right")
+
+    def sums(self, cells=None):
+        """``(tp, fp, events, non_events)`` from the masses ``cells`` of shape
+        ``(..., 2 * width)`` indexed by label: the flagged-event and
+        flagged-non-event mass at each threshold of the grid (shape
+        ``(..., T)``) and the total event and non-event mass.  The default
+        is the sample's row counts, which gives integers.
+        """
+        if cells is None:
+            cells = np.bincount(self.labels, minlength=2 * self.width)
+        cells = cells.reshape(cells.shape[:-1] + (2, self.width))
+        tail = cells[..., ::-1].cumsum(axis=-1)[..., ::-1]  # tail[..., k]: cells k..T
+        flagged = np.empty(tail.shape[:-1] + (self.width - 1,), dtype=tail.dtype)
+        flagged[..., self.order] = tail[..., 1:]
+        return flagged[..., 1, :], flagged[..., 0, :], tail[..., 1, 0], tail[..., 0, 0]
 
 
 def _net_benefit(tp, fp, harm_weight, total):
@@ -156,7 +165,7 @@ def _net_benefit(tp, fp, harm_weight, total):
 
 def nb_model(sample: ValidationSample, t: Threshold) -> float:
     """Net benefit of treating those with ``risk >= z``."""
-    tp, fp, _, _ = _cell_table(sample.outcomes, sample.risks, (t,))()
+    tp, fp, _, _ = _CellTable(sample.outcomes, sample.risks, (t,)).sums()
     return float(_net_benefit(tp[0], fp[0], t.harm_weight, sample.n))
 
 
@@ -288,7 +297,7 @@ def decision_curve(
     if n_boot < 0:
         raise InputError("n_boot must be >= 0")
 
-    tp, fp, events, non_events = _cell_table(sample.outcomes, sample.risks, ts)()
+    tp, fp, events, non_events = _CellTable(sample.outcomes, sample.risks, ts).sums()
     c = np.array([t.harm_weight for t in ts])
     point_model = _net_benefit(tp, fp, c, sample.n)
     point_all = _net_benefit(events, non_events, c, sample.n)

@@ -1,4 +1,4 @@
-"""Bootstrap weight generation and matrices of per-replicate net benefit draws.
+"""Bootstrap weights and matrices of per-replicate net benefit draws.
 
 Two resampling schemes weight the n observations of a validation sample:
 
@@ -9,16 +9,32 @@ Two resampling schemes weight the n observations of a validation sample:
 * ``multinomial`` -- counts from n equiprobable draws with replacement,
   scaled by 1/n (the ordinary bootstrap).
 
-Replicate ``l`` of a run keyed by ``seed`` always consumes the dedicated
-random substream ``(seed, method_id, l)``, so results are independent of
-worker count and evaluation order.  Weight vectors are drawn once per
-replicate and reused across every threshold of a grid, keeping the
-replicate curves internally coherent.
+``dirichlet_weights``, ``multinomial_weights`` and
+``netbenefit.weighted_nb`` apply them row by row; they are the reference.
+``bootstrap_nb_draws_grid`` never draws a row weight.  Over a threshold
+grid, a replicate's net benefits depend on the rows only through the mass
+on each occupied cell: the rows sharing an outcome and a threshold bin
+(``netbenefit._CellTable``), or with extra models an outcome and a bin
+under every model.  Summed flat-Dirichlet weights are exactly
+Dirichlet(n_1, ..., n_K) over the K cells with n_k rows each (the
+aggregation property of Rubin's Bayesian bootstrap), drawn as
+``standard_gamma(n_k)`` normalized per replicate; summed resample counts
+are exactly Multinomial(n, n_k / n).  A replicate therefore costs O(K),
+not O(n), and the ordinary draws remain integer counts, so replicate l
+equals, bit for bit, the net benefit of a resampled dataset that takes
+each cell's count from that cell's rows.
 
-Replicates are evaluated one at a time, with no blocks or chunks: each
-replicate's row weights are summed into the sample's per-threshold cells
-(``netbenefit._cell_table``), so no result depends on the BLAS thread count
-and ordinary-bootstrap cell sums are exact integers.
+Replicates are drawn in blocks of ``_block_rows(K)`` (``BLOCK_REPS``, or
+fewer when K is so large that a block would exceed ``BLOCK_CELLS`` cell
+masses).  Block b of method m uses the substream ``(seed, m, b)`` and
+numpy fills it one replicate at a time, so results depend only on the
+inputs and the seed: a shorter run is a prefix of a longer one, the worker
+and BLAS thread counts play no part (cells are summed with ``bincount``),
+and cells are ordered by label, so permuting the rows changes nothing.
+One replicate serves every threshold of the grid, keeping curves coherent.
+The cells do depend on the grid: adding a threshold that splits an
+occupied cell changes the draws at the other thresholds, though not their
+distribution.
 """
 
 from __future__ import annotations
@@ -28,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .netbenefit import Threshold, ValidationSample, _cell_table, _net_benefit
+from .netbenefit import Threshold, ValidationSample, _CellTable, _net_benefit
 from .rng import substream
 
 METHOD_IDS = {"bayesian": 0, "ordinary": 1}
@@ -36,6 +52,9 @@ DATA_STREAM_ID = 2  # reserved for non-bootstrap consumers (data generation)
 
 DEFAULT_N_REPS = 10_000       # single-dataset analyses
 SWEEP_N_REPS = 1_000          # default inside simulation sweeps
+
+BLOCK_REPS = 256              # replicates per random block
+BLOCK_CELLS = 1 << 18         # most (replicate, cell) masses in one block: 2 MB of floats
 
 
 @dataclass(frozen=True)
@@ -75,29 +94,19 @@ class WeightVector:
         return self.weights.shape[0]
 
 
-def _replicate_mass(n: int, method: str, rng: np.random.Generator):
-    """One replicate's row weights and their total: flat-Dirichlet weights
-    (n unit exponentials, normalized; total 1) for ``bayesian``, integer
-    resample counts over n rows (total n) for ``ordinary``."""
-    if method == "bayesian":
-        e = rng.standard_exponential(n)
-        return e / e.sum(), 1.0
-    return np.bincount(rng.integers(0, n, size=n), minlength=n), n
-
-
 def dirichlet_weights(n: int, rng: np.random.Generator) -> WeightVector:
     """Draw flat-Dirichlet weights (n unit exponentials, normalized)."""
     if n < 1:
         raise InputError("dirichlet_weights requires n >= 1")
-    w, _ = _replicate_mass(n, "bayesian", rng)
-    return WeightVector(weights=w, kind="dirichlet")
+    e = rng.standard_exponential(n)
+    return WeightVector(weights=e / e.sum(), kind="dirichlet")
 
 
 def multinomial_weights(n: int, rng: np.random.Generator) -> WeightVector:
     """Draw ordinary-bootstrap weights: resample counts over n cells, / n."""
     if n < 1:
         raise InputError("multinomial_weights requires n >= 1")
-    counts, _ = _replicate_mass(n, "ordinary", rng)
+    counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
     return WeightVector(weights=counts / n, kind="multinomial", counts=counts)
 
 
@@ -143,8 +152,9 @@ class NbDrawMatrix:
 
 @dataclass(frozen=True)
 class GridDraws:
-    """Replicate NB draws over a threshold grid, one weight stream shared
-    by all thresholds.  ``draws`` has shape (N, T, S)."""
+    """Replicate NB draws over a threshold grid; replicate l is one
+    re-weighting of the sample, shared by all thresholds.  ``draws`` has
+    shape (N, T, S)."""
 
     draws: np.ndarray
     thresholds: tuple[Threshold, ...]
@@ -158,6 +168,43 @@ class GridDraws:
         )
 
 
+def _joint_cells(tables):
+    """The occupied cells of one or more tables over the same rows: the
+    distinct label tuples, ordered by label.  Returns ``(first, inverse,
+    counts)``: one row of each cell, each row's cell and each cell's row
+    count."""
+    key = tables[0].labels
+    for table in tables[1:]:
+        _, key = np.unique(key, return_inverse=True)
+        key = key * table.width + table.labels % table.width  # outcome is in key already
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True)
+    return first, inverse, counts
+
+
+def _block_rows(n_cells: int) -> int:
+    """Replicates per block: ``BLOCK_REPS``, fewer when that many
+    replicates of ``n_cells`` masses would exceed ``BLOCK_CELLS``."""
+    return max(1, min(BLOCK_REPS, BLOCK_CELLS // n_cells))
+
+
+def _mass_blocks(counts: np.ndarray, n_reps: int, method: str, seed):
+    """Yield ``(start, masses)`` per block of replicates: the (rows, K) cell
+    masses of replicates ``start, start + 1, ...`` for cells with ``counts``
+    rows.  Bayesian masses are Dirichlet(counts) (total 1); ordinary masses
+    are Multinomial(n, counts / n) counts (total n)."""
+    n, k = int(counts.sum()), counts.size
+    rows, mid = _block_rows(k), METHOD_IDS[method]
+    for b, start in enumerate(range(0, n_reps, rows)):
+        size = (min(rows, n_reps - start), k)
+        rng = substream(seed, mid, b)
+        if method == "bayesian":
+            g = rng.standard_gamma(counts, size=size)
+            yield start, g / g.sum(axis=1, keepdims=True)
+        else:
+            yield start, rng.multinomial(n, counts / n, size=size[0])
+
+
 def bootstrap_nb_draws_grid(
     sample: ValidationSample,
     thresholds,
@@ -168,7 +215,8 @@ def bootstrap_nb_draws_grid(
 ) -> GridDraws:
     """Draw ``n_reps`` replicate NB vectors at every threshold of a grid.
 
-    One weight vector per replicate, applied at all thresholds.  Output is a
+    One re-weighting per replicate, applied at all thresholds, drawn over
+    the occupied cells in blocks (see the module docstring).  Output is a
     pure function of ``(sample, thresholds, n_reps, method, seed)``.
     """
     if isinstance(thresholds, Threshold):
@@ -189,16 +237,23 @@ def bootstrap_nb_draws_grid(
         if not np.isfinite(extra).all() or extra.min() < 0.0 or extra.max() > 1.0:
             raise InputError("extra model risks must lie in [0, 1]")
         risk_cols.extend(extra)
-    tables = [_cell_table(sample.outcomes, r, thresholds) for r in risk_cols]
+    tables = [_CellTable(sample.outcomes, r, thresholds) for r in risk_cols]
+    first, _, counts = _joint_cells(tables)
+    k, n_labels = counts.size, 2 * tables[0].width
+    # Flat bincount index of (replicate within block, label) per cell mass.
+    offsets = np.arange(_block_rows(k))[:, None] * n_labels
+    slots = [(offsets + t.labels[first]).ravel() for t in tables]
     c = np.array([t.harm_weight for t in thresholds])
-    mid = METHOD_IDS[method]
+    total = 1.0 if method == "bayesian" else sample.n
     draws = np.empty((n_reps, len(thresholds), len(tables) + 1))
-    for l in range(n_reps):
-        mass, total = _replicate_mass(sample.n, method, substream(seed, mid, l))
-        for s, sums in enumerate(tables):
-            tp, fp, events, non_events = sums(mass)
-            draws[l, :, s] = _net_benefit(tp, fp, c, total)
-        draws[l, :, -1] = _net_benefit(events, non_events, c, total)
+    for start, masses in _mass_blocks(counts, n_reps, method, seed):
+        b, weights = masses.shape[0], masses.ravel()
+        block = draws[start:start + b]
+        for s, (table, slot) in enumerate(zip(tables, slots)):
+            cells = np.bincount(slot[:b * k], weights=weights, minlength=b * n_labels)
+            tp, fp, events, non_events = table.sums(cells.reshape(b, n_labels))
+            block[:, :, s] = _net_benefit(tp, fp, c, total)
+        block[:, :, -1] = _net_benefit(events[:, None], non_events[:, None], c, total)
     return GridDraws(draws=draws, thresholds=thresholds, method=method, seed=seed)
 
 

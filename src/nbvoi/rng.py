@@ -2,7 +2,7 @@
 
 Every stochastic routine in the package derives its generators through
 :func:`substream`, keyed by an integer seed plus a tuple of non-negative
-integers identifying the consumer (replicate index, sweep cell, method id,
+integers identifying the consumer (replicate block, sweep cell, method id,
 ...).  Streams with different keys are statistically independent, and the
 stream for a given key depends only on ``(seed, key)`` -- never on how many
 other streams exist or in which order they are created.  That is what makes

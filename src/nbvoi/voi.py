@@ -34,7 +34,7 @@ import numpy as np
 
 from .bvn import _check_params, _emax_pfirst, _max
 from .errors import InputError, NumericError, SmallEffectiveSampleWarning
-from .netbenefit import Threshold, ValidationSample, _cell_table, _net_benefit
+from .netbenefit import Threshold, ValidationSample, _CellTable, _net_benefit
 from .resample import GridDraws, NbDrawMatrix, bootstrap_nb_draws_grid
 
 ALL_METHODS = ("bayesian", "ordinary", "asymptotic")
@@ -128,14 +128,14 @@ class _MomentGrid:
 
 def _moment_grid(sample: ValidationSample, thresholds, counts=None) -> _MomentGrid:
     """:func:`moments` at every threshold, from one table of counts.
-    ``counts`` is the sample's unit-weight ``_cell_table`` sums over this
+    ``counts`` is the sample's ``_CellTable.sums()`` over this
     grid, when the caller already has them."""
     if sample.n < 2:
         raise InputError("moment estimation requires n >= 2")
     n, events = sample.n, sample.n_events
     p0 = events / n
-    tp, fp, _, _ = counts if counts is not None else _cell_table(
-        sample.outcomes, sample.risks, thresholds)()
+    tp, fp, _, _ = counts if counts is not None else _CellTable(
+        sample.outcomes, sample.risks, thresholds).sums()
     z = np.array([t.z for t in thresholds])
     c = np.array([t.harm_weight for t in thresholds])
     p_tp, p_fp = tp / n, fp / n
@@ -313,8 +313,8 @@ def evpi_asymptotic(m: MomentSet) -> VoiResult:
 def _thin_thresholds(sample: ValidationSample, thresholds, counts=None) -> list[Threshold]:
     """Thresholds with fewer than ``MIN_SIDE_ROWS`` rows on one side;
     ``counts`` as in :func:`_moment_grid`."""
-    tp, fp, _, _ = counts if counts is not None else _cell_table(
-        sample.outcomes, sample.risks, thresholds)()
+    tp, fp, _, _ = counts if counts is not None else _CellTable(
+        sample.outcomes, sample.risks, thresholds).sums()
     flagged = (tp + fp).tolist()
     return [t for t, a in zip(thresholds, flagged) if min(a, sample.n - a) < MIN_SIDE_ROWS]
 
@@ -341,7 +341,7 @@ def _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks=None) -> _
     if "asymptotic" in methods and extra_risks is not None:
         raise InputError("the asymptotic method supports exactly one candidate model")
 
-    counts = _cell_table(sample.outcomes, sample.risks, thresholds)()
+    counts = _CellTable(sample.outcomes, sample.risks, thresholds).sums()
     per_method: dict[str, list[VoiResult]] = {}
     draws: dict[str, GridDraws] = {}
     for m in methods:
@@ -382,7 +382,7 @@ def evpi_threshold_sweep(
 ) -> list[tuple[Threshold, VoiResult]]:
     """Per-threshold EVPI for each requested method.
 
-    Bootstrap methods reuse one weight stream across the whole grid; the
+    Bootstrap methods share each replicate across the whole grid; the
     asymptotic route is evaluated over the whole grid in one array pass,
     each threshold independently of the others.  Rows come back in the
     order of ``thresholds`` (which may be unsorted), with methods in the

@@ -121,11 +121,18 @@ class TestBvnCdf:
 
 def quad_e_max_zero(mu1, mu2, s1, s2, rho):
     """Independent oracle: E[max(0,X,Y)] = int_0^inf P(max(X,Y) > m) dm,
-    with the joint CDF from scipy."""
+    with the joint CDF from scipy.  With one standard deviation zero, the
+    closed form of a one-sided normal expectation instead:
+    E[max(a, X)] = a + (mu - a) Phi(d) + s phi(d), d = (mu - a) / s, for
+    X ~ N(mu, s^2) and the constant a = max(0, other mean)."""
     from scipy.integrate import quad
 
     if s1 == 0 and s2 == 0:
         return max(0.0, mu1, mu2)
+    if s1 == 0 or s2 == 0:
+        mu, s, a = (mu2, s2, max(0.0, mu1)) if s1 == 0 else (mu1, s1, max(0.0, mu2))
+        d = (mu - a) / s
+        return a + (mu - a) * erf_cdf(d) + s * phi(d)
     cov = [[s1 * s1, rho * s1 * s2], [rho * s1 * s2, s2 * s2]]
     dist = multivariate_normal(mean=[mu1, mu2], cov=cov, allow_singular=True)
 

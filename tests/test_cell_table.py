@@ -15,16 +15,13 @@ from nbvoi import (
     ValidationSample,
     WeightVector,
     bootstrap_nb_draws_grid,
-    dirichlet_weights,
     moments,
-    multinomial_weights,
     nb_all,
     nb_model,
-    substream,
     weighted_nb,
 )
-from nbvoi.netbenefit import _cell_table, _net_benefit
-from nbvoi.resample import METHOD_IDS
+from nbvoi.netbenefit import _CellTable, _net_benefit
+from nbvoi.resample import _joint_cells, _mass_blocks
 from nbvoi.voi import MIN_SIDE_ROWS, _moment_grid, _thin_thresholds
 
 Z_VALUES = (0.05, 0.1, 0.2, 0.25, 0.5, 0.7)
@@ -56,8 +53,10 @@ def resample_counts(draw, n):
 def test_table_nb_equals_row_reference_for_counts(s, ts, data):
     counts = data.draw(resample_counts(s.n))
     wv = WeightVector(weights=counts / s.n, kind="multinomial", counts=counts)
-    tp, fp, events, non_events = _cell_table(s.outcomes, s.risks, ts)(counts)
-    unit_tp, unit_fp, _, _ = _cell_table(s.outcomes, s.risks, ts)()
+    table = _CellTable(s.outcomes, s.risks, ts)
+    tp, fp, events, non_events = table.sums(
+        np.bincount(table.labels, weights=counts, minlength=2 * table.width))
+    unit_tp, unit_fp, _, _ = table.sums()
     for j, t in enumerate(ts):
         flagged = s.risks >= t.z
         assert unit_tp[j] == np.sum(flagged & (s.outcomes == 1))
@@ -95,15 +94,32 @@ def test_thin_rule_matches_row_count(s, ts):
     assert _thin_thresholds(s, ts) == expect
 
 
+def _cell_draws(s, ts, n_reps, method, seed, extra=()):
+    """The cell masses the bootstrap draws for each replicate, (n_reps, K),
+    each row's cell and each cell's row count."""
+    tables = [_CellTable(s.outcomes, r, ts) for r in (s.risks, *extra)]
+    _, inverse, counts = _joint_cells(tables)
+    masses = np.concatenate([m for _, m in _mass_blocks(counts, n_reps, method, seed)])
+    return masses, inverse, counts
+
+
+def _resample_rows(inverse, cell_counts):
+    """Rows of a resample taking each cell's drawn count from that cell's
+    rows (cycling through them)."""
+    idx = [np.resize(np.flatnonzero(inverse == k), c) for k, c in enumerate(cell_counts)]
+    return np.concatenate(idx).astype(np.int64)
+
+
 @SETTINGS
 @given(samples(), grids, st.integers(0, 2**32 - 1))
 def test_ordinary_draw_is_nb_of_materialized_resample(s, ts, seed):
     """Replicate l of the ordinary bootstrap is, bit for bit, the NB of the
-    resample that its own substream draws."""
+    resample that takes each cell's drawn count from that cell's rows."""
     draws = bootstrap_nb_draws_grid(s, ts, n_reps=3, method="ordinary", seed=seed).draws
+    masses, inverse, _ = _cell_draws(s, ts, 3, "ordinary", seed)
     for l in range(3):
-        counts = multinomial_weights(s.n, substream(seed, METHOD_IDS["ordinary"], l)).counts
-        resample = s.subset(np.repeat(np.arange(s.n), counts))
+        assert masses[l].sum() == s.n
+        resample = s.subset(_resample_rows(inverse, masses[l]))
         for j, t in enumerate(ts):
             assert draws[l, j, 0] == nb_model(resample, t)
             assert draws[l, j, 1] == nb_all(resample, t)
@@ -112,11 +128,54 @@ def test_ordinary_draw_is_nb_of_materialized_resample(s, ts, seed):
 @SETTINGS
 @given(samples(), grids, st.integers(0, 2**32 - 1))
 def test_bayesian_draw_matches_row_reference(s, ts, seed):
-    """Dirichlet weights are not integers: only the summation order differs."""
+    """Row weights that split each cell's Dirichlet mass equally give the
+    same NBs; only the summation order differs."""
     draws = bootstrap_nb_draws_grid(s, ts, n_reps=3, method="bayesian", seed=seed).draws
+    masses, inverse, counts = _cell_draws(s, ts, 3, "bayesian", seed)
     for l in range(3):
-        wv = dirichlet_weights(s.n, substream(seed, METHOD_IDS["bayesian"], l))
+        w = masses[l][inverse] / counts[inverse]  # each cell's mass split equally
         for j, t in enumerate(ts):
-            got_model, got_all = weighted_nb(s, wv, t)
+            got_model, got_all = weighted_nb(s, w, t)
             assert draws[l, j, 0] == pytest.approx(got_model, rel=1e-12, abs=1e-15)
             assert draws[l, j, 1] == pytest.approx(got_all, rel=1e-12, abs=1e-15)
+
+
+@SETTINGS
+@given(samples(), grids, st.data(), st.integers(0, 2**32 - 1))
+def test_extra_model_draws_are_nb_of_joint_cell_resample(s, ts, data, seed):
+    """With a second model the cells are the (outcome, bin, bin) labels;
+    every model column of ordinary draw l is the NB of that replicate's
+    materialized resample."""
+    second = np.array(data.draw(st.lists(risk, min_size=s.n, max_size=s.n)))
+    draws = bootstrap_nb_draws_grid(s, ts, n_reps=3, method="ordinary", seed=seed,
+                                    extra_risks=second).draws
+    masses, inverse, _ = _cell_draws(s, ts, 3, "ordinary", seed, extra=(second,))
+    for l in range(3):
+        rows = _resample_rows(inverse, masses[l])
+        first, other = s.subset(rows), ValidationSample(s.outcomes[rows], second[rows])
+        for j, t in enumerate(ts):
+            assert draws[l, j, 0] == nb_model(first, t)
+            assert draws[l, j, 1] == nb_model(other, t)
+            assert draws[l, j, 2] == nb_all(first, t)
+
+
+@SETTINGS
+@given(samples(), grids, st.data(), st.sampled_from(["bayesian", "ordinary"]),
+       st.integers(0, 2**32 - 1))
+def test_draws_do_not_depend_on_row_order_or_position_in_cell(s, ts, data, method, seed):
+    """Cells are ordered by label, so a row permutation, or a risk moving
+    within its cell, leaves every draw bit-identical."""
+    perm = np.array(data.draw(st.permutations(range(s.n))), dtype=np.int64)
+    base = bootstrap_nb_draws_grid(s, ts, n_reps=5, method=method, seed=seed).draws
+    permuted = bootstrap_nb_draws_grid(s.subset(perm), ts, n_reps=5, method=method,
+                                       seed=seed).draws
+    assert np.array_equal(base, permuted)
+
+    # Move every risk to the low edge of its cell: the largest grid
+    # threshold at or below it, or 0 below the grid.
+    zs = np.sort([t.z for t in ts])
+    below = np.searchsorted(zs, s.risks, side="right")
+    moved = np.where(below > 0, zs[np.maximum(below - 1, 0)], 0.0)
+    shifted = bootstrap_nb_draws_grid(ValidationSample(s.outcomes, moved), ts, n_reps=5,
+                                      method=method, seed=seed).draws
+    assert np.array_equal(base, shifted)

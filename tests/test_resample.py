@@ -1,7 +1,10 @@
 """Bootstrap weight generators and NB draw matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from nbvoi import (
     InputError,
@@ -10,6 +13,7 @@ from nbvoi import (
     ValidationSample,
     bootstrap_nb_draws,
     bootstrap_nb_draws_grid,
+    default_grid,
     dirichlet_weights,
     dump_draws,
     generate_synthetic,
@@ -21,7 +25,15 @@ from nbvoi import (
     substream,
     weighted_nb,
 )
-from nbvoi.resample import METHOD_IDS
+from nbvoi.netbenefit import _CellTable
+from nbvoi.resample import (
+    BLOCK_CELLS,
+    BLOCK_REPS,
+    METHOD_IDS,
+    _block_rows,
+    _joint_cells,
+    _mass_blocks,
+)
 
 
 class TestDirichletWeights:
@@ -125,24 +137,27 @@ class TestBootstrapNbDraws:
         assert np.array_equal(a.draws, b.draws)
 
     def test_replicates_are_a_prefix_of_longer_runs(self):
-        """Replicate l depends only on its own substream, so a shorter run
-        is the prefix of a longer one (and any split of the replicates
-        gives the same rows)."""
+        """Block b has a fixed key and numpy fills it one replicate at a
+        time, so a shorter run is the prefix of a longer one, within a
+        block and across blocks."""
         s = _toy_sample()
         ts = make_thresholds([0.1, 0.3])
         for method in ("bayesian", "ordinary"):
-            long = bootstrap_nb_draws_grid(s, ts, n_reps=200, method=method, seed=5)
-            short = bootstrap_nb_draws_grid(s, ts, n_reps=150, method=method, seed=5)
-            assert np.array_equal(long.draws[:150], short.draws)
+            for n_long, n_short in ((200, 150), (3 * BLOCK_REPS, BLOCK_REPS + 7)):
+                long = bootstrap_nb_draws_grid(s, ts, n_reps=n_long, method=method, seed=5)
+                short = bootstrap_nb_draws_grid(s, ts, n_reps=n_short, method=method, seed=5)
+                assert np.array_equal(long.draws[:n_short], short.draws)
 
     def test_rows_recomputable_from_stored_weights(self):
-        """Replicate l's weights are the Dirichlet draw of its own
-        substream, so each row can be audited against ``weighted_nb``."""
+        """Replicate l's cell masses, split equally among each cell's rows,
+        are row weights that ``weighted_nb`` audits the row against."""
         s = _toy_sample()
         t = Threshold(0.25)
         mat = bootstrap_nb_draws(s, t, n_reps=100, method="bayesian", seed=11)
+        _, inverse, counts = _joint_cells([_CellTable(s.outcomes, s.risks, (t,))])
+        ((_, masses),) = _mass_blocks(counts, 100, "bayesian", 11)
         for l in (0, 17, 99):
-            w = dirichlet_weights(s.n, substream(11, METHOD_IDS["bayesian"], l)).weights
+            w = masses[l][inverse] / counts[inverse]
             m, a = weighted_nb(s, w, t)
             assert mat.draws[l, 0] == pytest.approx(m, rel=1e-12, abs=1e-15)
             assert mat.draws[l, 1] == pytest.approx(a, rel=1e-12, abs=1e-15)
@@ -160,12 +175,18 @@ class TestBootstrapNbDraws:
         wy1 = (grid.draws[:, 1, 1] + c1) / (1 + c1)
         np.testing.assert_allclose(wy0, wy1, rtol=1e-10)
 
-    def test_single_threshold_matches_grid_slice(self):
-        s = _toy_sample()
+    def test_thresholds_splitting_no_cell_leave_draws_unchanged(self):
+        """A duplicate threshold, or one with no risk between it and its
+        neighbours, leaves the occupied cells as they were, so every draw
+        at the other thresholds is bit-identical."""
+        s = _toy_sample()  # risks 0.05 0.1 0.3 0.45 0.5 0.7 0.8 0.9
         ts = make_thresholds([0.2, 0.4])
-        grid = bootstrap_nb_draws_grid(s, ts, n_reps=150, method="ordinary", seed=21)
-        single = bootstrap_nb_draws(s, ts[0], n_reps=150, method="ordinary", seed=21)
-        assert np.array_equal(grid.at(0).draws, single.draws)
+        for method in ("bayesian", "ordinary"):
+            base = bootstrap_nb_draws_grid(s, ts, n_reps=300, method=method, seed=21).draws
+            for extra in (0.2, 0.35, 0.95, 0.01):
+                wider = bootstrap_nb_draws_grid(s, ts + (Threshold(extra),), n_reps=300,
+                                                method=method, seed=21).draws
+                assert np.array_equal(wider[:, :2], base)
 
     def test_extra_model_columns(self):
         s = _toy_sample()
@@ -185,6 +206,113 @@ class TestBootstrapNbDraws:
         with pytest.raises(InputError):
             bootstrap_nb_draws(s, Threshold(0.2), n_reps=10, seed=0,
                                extra_risks=np.array([1.5] * s.n))
+
+
+def _cell_sample():
+    """44 rows in six (outcome, bin) cells of 23, 9, 2, 5, 1 and 4 rows over
+    the grid (0.2, 0.5)."""
+    layout = [(0, 0.1, 23), (0, 0.3, 9), (0, 0.7, 2), (1, 0.1, 5), (1, 0.3, 1), (1, 0.7, 4)]
+    y = np.concatenate([[y] * k for y, _, k in layout])
+    p = np.concatenate([[p] * k for _, p, k in layout])
+    ts = make_thresholds([0.2, 0.5])
+    _, inverse, counts = _joint_cells([_CellTable(y, p, ts)])
+    assert counts.tolist() == [23, 9, 2, 5, 1, 4]
+    return ValidationSample(y, p), ts, inverse, counts
+
+
+class TestCellBootstrap:
+    """The per-cell draws against the per-row weights they aggregate.
+
+    The distributional tests compare two independent samples at a pinned
+    seed with two-sample Kolmogorov-Smirnov tests, Bonferroni-corrected to
+    a total level of 1e-3.  On discrete (ordinary-bootstrap) values the
+    test is conservative, so a correct sampler fails each of them with
+    probability at most 1e-3."""
+
+    REPS = 2000
+
+    def _row_cell_sums(self, s, inverse, counts, draw_weights, field):
+        """Per-row weights (or resample counts) summed into the cells."""
+        rng = substream(41, 9)
+        return np.array([
+            np.bincount(inverse, weights=getattr(draw_weights(s.n, rng), field),
+                        minlength=counts.size)
+            for _ in range(self.REPS)
+        ])
+
+    def _assert_same_marginals(self, a, b):
+        for k in range(a.shape[1]):
+            assert ks_2samp(a[:, k], b[:, k]).pvalue > 1e-3 / a.shape[1], k
+
+    def test_gamma_masses_match_summed_dirichlet_weights(self):
+        """Summed flat-Dirichlet row weights are Dirichlet(cell counts)."""
+        s, _, inverse, counts = _cell_sample()
+        cells = np.concatenate([m for _, m in _mass_blocks(counts, self.REPS, "bayesian", 41)])
+        rows = self._row_cell_sums(s, inverse, counts, dirichlet_weights, "weights")
+        self._assert_same_marginals(cells, rows)
+
+    def test_multinomial_counts_match_summed_resample_counts(self):
+        """Summed resample counts are Multinomial(n, cell counts / n)."""
+        s, _, inverse, counts = _cell_sample()
+        cells = np.concatenate([m for _, m in _mass_blocks(counts, self.REPS, "ordinary", 41)])
+        assert (cells.sum(axis=1) == s.n).all()
+        rows = self._row_cell_sums(s, inverse, counts, multinomial_weights, "counts")
+        self._assert_same_marginals(cells, rows)
+
+    def test_threshold_alone_matches_it_inside_a_200_point_grid(self):
+        """The cells depend on the grid, the distribution of the draws at a
+        threshold does not (independent seeds, 4 comparisons)."""
+        s = generate_synthetic(LogisticDgm(-1.55, (0.77,)), 300, substream(43, 2))
+        grid = default_grid()
+        assert grid[99].z == 0.1
+        for method in ("bayesian", "ordinary"):
+            alone = bootstrap_nb_draws(s, grid[99], n_reps=4000, method=method, seed=1).draws
+            inside = bootstrap_nb_draws_grid(s, grid, n_reps=4000, method=method,
+                                             seed=2).draws[:, 99]
+            for col in (0, 1):
+                assert ks_2samp(alone[:, col], inside[:, col]).pvalue > 1e-3 / 4
+
+    def test_block_b_is_drawn_from_substream_b(self):
+        counts = np.array([3, 1, 4])
+        n_reps = 2 * BLOCK_REPS + 5
+        bayes = list(_mass_blocks(counts, n_reps, "bayesian", 7))
+        assert [start for start, _ in bayes] == [0, BLOCK_REPS, 2 * BLOCK_REPS]
+        g = substream(7, METHOD_IDS["bayesian"], 1).standard_gamma(counts, size=(BLOCK_REPS, 3))
+        assert np.array_equal(bayes[1][1], g / g.sum(axis=1, keepdims=True))
+        ordinary = list(_mass_blocks(counts, n_reps, "ordinary", 7))
+        m = substream(7, METHOD_IDS["ordinary"], 2).multinomial(8, counts / 8, size=5)
+        assert np.array_equal(ordinary[2][1], m)
+
+    def test_block_rows_follow_the_cell_count(self):
+        assert _block_rows(1) == _block_rows(BLOCK_CELLS // BLOCK_REPS) == BLOCK_REPS
+        for k in (BLOCK_CELLS // BLOCK_REPS + 1, 5_000, BLOCK_CELLS):
+            assert 1 <= _block_rows(k) < BLOCK_REPS and _block_rows(k) * k <= BLOCK_CELLS
+        assert _block_rows(10 * BLOCK_CELLS) == 1
+
+    def test_block_memory_is_capped_when_cells_approach_rows(self):
+        """Two continuous models over a 197-point grid put 20,000 rows in
+        about as many cells.  Each block then holds at most BLOCK_CELLS
+        masses, and a whole call allocates no more than the draws, six
+        block-sized arrays of 8-byte entries and 200 bytes per row."""
+        rng = substream(45, 9)
+        n = 20_000
+        s = ValidationSample(rng.integers(0, 2, n), rng.random(n))
+        second = rng.random(n)
+        ts = make_thresholds(np.arange(1, 198) / 200)
+        tables = [_CellTable(s.outcomes, r, ts) for r in (s.risks, second)]
+        _, _, counts = _joint_cells(tables)
+        assert counts.size > 0.8 * n and counts.size > BLOCK_CELLS // BLOCK_REPS
+        for _, masses in _mass_blocks(counts, 40, "bayesian", 3):
+            assert masses.size <= BLOCK_CELLS
+
+        n_reps = 100
+        tracemalloc.start()
+        try:
+            grid = bootstrap_nb_draws_grid(s, ts, n_reps=n_reps, seed=3, extra_risks=second)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid.draws.nbytes + 6 * 8 * BLOCK_CELLS + 200 * n
 
 
 class TestCovarianceAgainstMoments:

@@ -241,18 +241,14 @@ class TestSyntheticSweep:
         assert big.mean_evpi < small.mean_evpi - np.hypot(small.mc_se, big.mc_se)
 
     def test_threshold_order_does_not_change_values(self):
-        """Weights are shared across the grid per replicate, so reordering
-        thresholds only reorders rows."""
+        """The bootstrap cells are ordered by label, not by grid position,
+        so an unsorted grid gives the same values, bit for bit."""
         base = dict(sizes=(150,), n_sims=2, n_reps=150, methods=("ordinary",), seed=9)
         fwd = synthetic_sweep(DGM, SweepConfig(thresholds=make_thresholds([0.1, 0.3]), **base))
-        # reversed grids are rejected as non-increasing, so compare via
-        # single-threshold runs instead
-        lone_01 = synthetic_sweep(DGM, SweepConfig(thresholds=make_thresholds([0.1]), **base))
-        lone_03 = synthetic_sweep(DGM, SweepConfig(thresholds=make_thresholds([0.3]), **base))
-        assert fwd.row(150, 0.1, "ordinary_bootstrap").mean_evpi == \
-            lone_01.row(150, 0.1, "ordinary_bootstrap").mean_evpi
-        assert fwd.row(150, 0.3, "ordinary_bootstrap").mean_evpi == \
-            lone_03.row(150, 0.3, "ordinary_bootstrap").mean_evpi
+        rev = synthetic_sweep(DGM, SweepConfig(thresholds=(Threshold(0.3), Threshold(0.1)),
+                                               **base))
+        for z in (0.1, 0.3):
+            assert fwd.row(150, z, "ordinary_bootstrap") == rev.row(150, z, "ordinary_bootstrap")
 
     def test_parallel_workers_identical(self):
         cfg1 = _small_cfg(n_workers=1)
