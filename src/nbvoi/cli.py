@@ -33,7 +33,7 @@ from .netbenefit import (
     default_grid,
     make_thresholds,
 )
-from .resample import DEFAULT_N_REPS, dump_draws
+from .resample import DEFAULT_N_REPS, NbDrawMatrix, dump_draws
 from .simlab import (
     LogisticDgm,
     SweepConfig,
@@ -123,12 +123,15 @@ def cmd_dca(args) -> int:
 
 
 def cmd_evpi(args) -> int:
+    methods = ALL_METHODS if args.method == "all" else (_CLI_METHODS[args.method],)
+    if args.dump_draws and methods == ("asymptotic",):
+        raise InputError("--dump-draws needs a bootstrap method: bayes, ordinary or all")
     sample = _load_sample(args)
     ts = _parse_thresholds(args.thresholds, args.max_threshold)
-    methods = ALL_METHODS if args.method == "all" else (_CLI_METHODS[args.method],)
     out = _evpi_grid(sample, ts, methods, args.n_reps, args.seed)
-    _warn_thin([f"{t.z:g}" for t in out.thin], stacklevel=1)
-    records = [voi_record(t, res, population=args.population) for t, res in out.rows]
+    _warn_thin([f"{t.z:g}" for t, thin in zip(ts, out.thin) if thin], stacklevel=1)
+    records = [voi_record(t, fields, population=args.population)
+               for t, fields in out.by_threshold()]
 
     if args.strict:
         for rec in records:
@@ -143,7 +146,8 @@ def cmd_evpi(args) -> int:
     if args.dump_draws:
         for m, grid in out.draws.items():
             for i, t in enumerate(ts):
-                dump_draws(grid.at(i), f"{args.dump_draws}_{m}_z{t.z:g}.csv")
+                matrix = NbDrawMatrix(grid.draws[:, i], method=m, seed=args.seed, threshold=t)
+                dump_draws(matrix, f"{args.dump_draws}_{m}_z{t.z!r}.csv")
 
     if args.out == "json":
         payload = {
@@ -163,15 +167,11 @@ def _config_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def cmd_simulate(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"config file not found: {args.config}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file is not valid JSON: {exc}") from None
-
+def _sweep_setup(raw: dict, workers: int | None):
+    """The sweep a ``simulate`` config asks for: ``(cfg, dgm, dataset)``, with
+    ``dgm`` None for a subsample sweep and ``dataset`` None otherwise."""
+    if not isinstance(raw, dict):
+        raise InputError("config must be a JSON object")
     kind = raw.get("kind")
     if kind not in ("synthetic", "subsample"):
         raise InputError("config 'kind' must be 'synthetic' or 'subsample'")
@@ -186,7 +186,7 @@ def cmd_simulate(args) -> int:
         "n_reps": int(raw.get("n_reps", 1000)),
         "methods": methods,
         "seed": int(raw.get("seed", 0)),
-        "n_workers": int(args.workers if args.workers is not None else raw.get("workers", 1)),
+        "n_workers": int(workers if workers is not None else raw.get("workers", 1)),
     }
 
     if kind == "synthetic":
@@ -199,24 +199,40 @@ def cmd_simulate(args) -> int:
         )
         if "sizes" not in raw:
             raise InputError("synthetic config requires 'sizes'")
-        cfg = SweepConfig(sizes=tuple(raw["sizes"]), **common)
-        result = synthetic_sweep(dgm, cfg)
+        return SweepConfig(sizes=tuple(raw["sizes"]), **common), dgm, None
+
+    if "data" not in raw or "outcome" not in raw:
+        raise InputError("subsample config requires 'data' and 'outcome'")
+    if "risk" in raw:
+        dataset = load_dataset(raw["data"], outcome_col=raw["outcome"], risk_col=raw["risk"])
+    elif "model" in raw:
+        spec = load_model_spec(raw["model"])
+        table = load_dataset(
+            raw["data"], outcome_col=raw["outcome"], feature_cols=spec.columns
+        )
+        dataset = scored_sample(table, spec)
     else:
-        if "data" not in raw or "outcome" not in raw:
-            raise InputError("subsample config requires 'data' and 'outcome'")
-        if "risk" in raw:
-            dataset = load_dataset(raw["data"], outcome_col=raw["outcome"], risk_col=raw["risk"])
-        elif "model" in raw:
-            spec = load_model_spec(raw["model"])
-            table = load_dataset(
-                raw["data"], outcome_col=raw["outcome"], feature_cols=spec.columns
-            )
-            dataset = scored_sample(table, spec)
-        else:
-            raise InputError("subsample config requires 'risk' or 'model'")
-        sizes = tuple(raw["sizes"]) if "sizes" in raw else doubling_sizes(dataset.n)
-        cfg = SweepConfig(sizes=sizes, **common)
-        result = subsample_sweep(dataset, cfg)
+        raise InputError("subsample config requires 'risk' or 'model'")
+    sizes = tuple(raw["sizes"]) if "sizes" in raw else doubling_sizes(dataset.n)
+    return SweepConfig(sizes=sizes, **common), None, dataset
+
+
+def cmd_simulate(args) -> int:
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except FileNotFoundError:
+        raise InputError(f"config file not found: {args.config}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"config file is not valid JSON: {exc}") from None
+
+    try:
+        cfg, dgm, dataset = _sweep_setup(raw, args.workers)
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid config value: {exc}") from None
+    result = synthetic_sweep(dgm, cfg) if dgm is not None else subsample_sweep(dataset, cfg)
 
     comments = [
         f"nbvoi {__version__}",

@@ -18,18 +18,16 @@ identical analyses produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import InputError
 from .netbenefit import DecisionCurve, Threshold, ValidationSample
-from .simlab import SweepResult
-from .voi import VoiResult, population_scaled
+from .voi import population_scaled
 
 
 @dataclass(frozen=True)
@@ -212,18 +210,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_records_csv(records: list[dict], stream, comments: list[str] | None = None) -> None:
-    """Write homogeneous dict records as CSV with optional '#' header lines."""
-    for line in comments or []:
-        stream.write(f"# {line}\n")
-    if not records:
-        return
-    cols = list(records[0].keys())
-    stream.write(",".join(cols) + "\n")
-    for rec in records:
-        stream.write(",".join("" if rec[c] is None else _fmt(rec[c]) for c in cols) + "\n")
-
-
 def write_json(payload: dict, stream) -> None:
     json.dump(payload, stream, indent=2, allow_nan=False)
     stream.write("\n")
@@ -239,25 +225,27 @@ def decision_curve_payload(curve: DecisionCurve) -> dict:
     }
 
 
-def voi_record(t: Threshold, res: VoiResult, population: float | None = None) -> dict:
-    seed = res.seed
+def voi_record(t: Threshold, res: dict, population: float | None = None) -> dict:
+    """The output record of one EVPI result from the fields of its
+    ``voi.VoiResult`` (``vars(result)``, or one entry of the EVPI columns)."""
+    seed = res["seed"]
     if isinstance(seed, tuple):  # composite sweep-cell seeds; keep CSV-safe
         seed = "-".join(str(v) for v in seed)
     rec = {
         "threshold": t.z,
-        "method": res.method,
-        "evpi": res.evpi,
-        "enb_current": res.enb_current,
-        "enb_perfect": res.enb_perfect,
-        "p_useful": res.p_useful,
-        "best_strategy": res.best_strategy,
-        "r_evpi": res.r_evpi,
-        "mc_se": res.mc_se,
+        "method": res["method"],
+        "evpi": res["evpi"],
+        "enb_current": res["enb_current"],
+        "enb_perfect": res["enb_perfect"],
+        "p_useful": res["p_useful"],
+        "best_strategy": res["best_strategy"],
+        "r_evpi": res["r_evpi"],
+        "mc_se": res["mc_se"],
         "seed": seed,
-        "n_reps": res.n_reps,
+        "n_reps": res["n_reps"],
     }
     if population is not None:
-        tp, fp = population_scaled(res.evpi, population, t)
+        tp, fp = population_scaled(rec["evpi"], population, t)
         rec["tp_equivalents"] = tp
         rec["fp_equivalents"] = fp
     return rec
@@ -290,17 +278,17 @@ def voi_table(records: list[dict], population: float | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_records(result: SweepResult) -> list[dict]:
-    return [
-        {
-            "size": r.size, "threshold": r.threshold, "method": r.method,
-            "mean_evpi": r.mean_evpi, "mc_se": r.mc_se, "n_sims": r.n_sims,
-        }
-        for r in result.rows
-    ]
+def sweep_records(result) -> list[dict]:
+    """One record per row of a ``simlab.SweepResult``, keyed by field."""
+    return [asdict(r) for r in result.rows]
 
 
 def render_csv(records: list[dict], comments: list[str] | None = None) -> str:
-    buf = _io.StringIO()
-    write_records_csv(records, buf, comments=comments)
-    return buf.getvalue()
+    """Homogeneous dict records as CSV text, after optional '#' header lines."""
+    lines = [f"# {line}" for line in comments or []]
+    if records:
+        cols = list(records[0].keys())
+        lines.append(",".join(cols))
+        lines.extend(",".join("" if rec[c] is None else _fmt(rec[c]) for c in cols)
+                     for rec in records)
+    return "".join(f"{line}\n" for line in lines)

@@ -137,10 +137,6 @@ class NbDrawMatrix:
             raise InputError(f"unknown bootstrap method {self.method!r}")
 
     @property
-    def n_reps(self) -> int:
-        return self.draws.shape[0]
-
-    @property
     def n_models(self) -> int:
         return self.draws.shape[1] - 1
 
@@ -160,12 +156,6 @@ class GridDraws:
     thresholds: tuple[Threshold, ...]
     method: str
     seed: int | tuple
-
-    def at(self, index: int) -> NbDrawMatrix:
-        return NbDrawMatrix(
-            draws=self.draws[:, index, :], method=self.method,
-            seed=self.seed, threshold=self.thresholds[index],
-        )
 
 
 def _joint_cells(tables):
@@ -269,7 +259,7 @@ def bootstrap_nb_draws(
     grid = bootstrap_nb_draws_grid(
         sample, (t,), n_reps=n_reps, method=method, seed=seed, extra_risks=extra_risks
     )
-    return grid.at(0)
+    return NbDrawMatrix(draws=grid.draws[:, 0, :], method=method, seed=seed, threshold=t)
 
 
 def dump_draws(matrix: NbDrawMatrix, path) -> None:

@@ -23,7 +23,7 @@ from .errors import InputError
 from .netbenefit import Threshold, ValidationSample
 from .resample import DATA_STREAM_ID, SWEEP_N_REPS
 from .rng import substream
-from .voi import ALL_METHODS, _evpi_grid, _warn_thin
+from .voi import _METHOD_LABELS, ALL_METHODS, _evpi_grid, _warn_thin
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,8 @@ class SweepResult:
 
 
 def _sweep_cell(cell, dgm, dataset, cfg: SweepConfig):
-    """Compute one (size_index, sim_index) cell; returns per-(z, method)
-    EVPIs plus the thresholds with a thin side of the split."""
+    """Compute one (size_index, sim_index) cell: the (methods, thresholds)
+    EVPI array and the mask of thresholds with a thin side of the split."""
     si, sim = cell
     size = cfg.sizes[si]
     data_rng = substream((cfg.seed, si, sim), DATA_STREAM_ID)
@@ -191,13 +191,10 @@ def _sweep_cell(cell, dgm, dataset, cfg: SweepConfig):
         idx = data_rng.choice(dataset.n, size=size, replace=False)
         sample = dataset.subset(idx)
     out = _evpi_grid(sample, cfg.thresholds, cfg.methods, cfg.n_reps, (cfg.seed, si, sim))
-    evpis = {(t.z, res.method): res.evpi for t, res in out.rows}
-    return evpis, tuple(t.z for t in out.thin)
+    return np.array([c.evpi for c in out.columns]), out.thin
 
 
 def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
-    from .voi import _METHOD_LABELS
-
     cells = [(si, sim) for si in range(len(cfg.sizes)) for sim in range(cfg.n_sims)]
     worker = partial(_sweep_cell, dgm=dgm, dataset=dataset, cfg=cfg)
     if cfg.n_workers > 1:
@@ -207,25 +204,28 @@ def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
     else:
         results = [worker(c) for c in cells]
 
-    method_labels = [_METHOD_LABELS[m] for m in cfg.methods]
-    rows = []
-    thin_cells = set()
-    for si, size in enumerate(cfg.sizes):
-        sims = [results[si * cfg.n_sims + sim] for sim in range(cfg.n_sims)]
-        for evpis, thin in sims:
-            for z in thin:
-                thin_cells.add((size, z))
-        for t in cfg.thresholds:
-            for label in method_labels:
-                vals = np.array([evpis[(t.z, label)] for evpis, _ in sims])
-                se = float(vals.std(ddof=1) / np.sqrt(cfg.n_sims)) if cfg.n_sims > 1 else 0.0
-                rows.append(SweepRow(
-                    size=size, threshold=t.z, method=label,
-                    mean_evpi=float(vals.mean()), mc_se=se, n_sims=cfg.n_sims,
-                ))
-    _warn_thin([f"({size}, {z:g})" for size, z in sorted(thin_cells)], stacklevel=3,
+    n_sizes, n_sims, n_t = len(cfg.sizes), cfg.n_sims, len(cfg.thresholds)
+    evpi = np.array([e for e, _ in results]).reshape(n_sizes, n_sims, len(cfg.methods), n_t)
+    thin = np.array([m for _, m in results]).reshape(n_sizes, n_sims, n_t).any(axis=1)
+    # Simulations last and contiguous: each cell's mean and SD take numpy's
+    # pairwise sum over its simulations in order.
+    by_sim = np.ascontiguousarray(np.moveaxis(evpi, 1, -1))
+    means = by_sim.mean(axis=-1).tolist()
+    ses = (by_sim.std(axis=-1, ddof=1) / np.sqrt(n_sims) if n_sims > 1
+           else np.zeros(by_sim.shape[:-1])).tolist()
+    labels = [_METHOD_LABELS[m] for m in cfg.methods]
+    rows = tuple(
+        SweepRow(size=size, threshold=t.z, method=label, mean_evpi=means[si][k][j],
+                 mc_se=ses[si][k][j], n_sims=n_sims)
+        for si, size in enumerate(cfg.sizes)
+        for j, t in enumerate(cfg.thresholds)
+        for k, label in enumerate(labels)
+    )
+    thin_cells = sorted({(size, t.z) for si, size in enumerate(cfg.sizes)
+                         for t, m in zip(cfg.thresholds, thin[si].tolist()) if m})
+    _warn_thin([f"({size}, {z:g})" for size, z in thin_cells], stacklevel=3,
                where="the threshold in at least one simulation, at (size, threshold)", note="")
-    return SweepResult(rows=tuple(rows), config=cfg)
+    return SweepResult(rows=rows, config=cfg)
 
 
 def synthetic_sweep(dgm: LogisticDgm, cfg: SweepConfig) -> SweepResult:

@@ -17,17 +17,22 @@ routes are implemented:
   and keep the Monte Carlo difference nonnegative).
 * asymptotic: (NB_model, NB_all) is approximated as bivariate normal with
   plug-in moments, and the perfect-information term becomes a closed-form
-  zero-floored bivariate normal expectation.  Moments, covariance repair
-  and EVPI are computed as arrays over the whole threshold grid; every
-  operation is elementwise, so a threshold's result does not depend on the
-  rest of the grid.
+  zero-floored bivariate normal expectation.
+
+Both routes work on whole grids: ``_evpi_grid`` returns, per method, the
+:class:`VoiResult` fields as arrays over the thresholds, from one reduction
+over the ``(N, T, S)`` bootstrap draws or one array pass over the moments.
+Every operation is elementwise in the threshold, so a threshold's result
+does not depend on the rest of the grid.  The one-threshold functions call
+the same code with a one-threshold grid; they and
+:func:`evpi_threshold_sweep` alone build :class:`VoiResult` rows.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -46,41 +51,40 @@ _METHOD_LABELS = {
 }
 
 _PSD_TOL = 1e-10
+_COLUMN_BLOCK = 1 << 18  # most (threshold, replicate) entries per bootstrap temporary: 2 MB
 MIN_SIDE_ROWS = 20  # fewer rows than this on one side of a threshold is "thin"
-
-
-def _check_moments(var_model, var_all, cov, p0, p_tp, p_fp) -> None:
-    """The checks of :class:`MomentSet`, over scalars or per-threshold arrays."""
-    if np.any(np.less(var_model, 0)) or np.any(np.less(var_all, 0)):
-        raise InputError("variances must be nonnegative")
-    bound = np.sqrt(np.multiply(var_model, var_all))
-    if np.any(np.abs(cov) > bound + 1e-12):
-        raise InputError("covariance violates the Cauchy-Schwarz bound")
-    if np.any(np.add(p_tp, p_fp) > 1.0 + 1e-12) or np.any(np.greater(p_tp, p0 + 1e-12)):
-        raise InputError("inconsistent classification probabilities")
 
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Plug-in mean/covariance of ``(NB_model, NB_all)`` at one threshold.
+    """Plug-in mean/covariance of ``(NB_model, NB_all)``: floats at one
+    threshold, or arrays with one entry per threshold of a grid (then
+    ``threshold`` holds the grid).  The checks run elementwise.
 
     ``p_tp`` and ``p_fp`` are the sample fractions of flagged events and
     flagged non-events; ``p0`` is the event rate.
     """
 
-    mean_model: float
-    mean_all: float
-    var_model: float
-    var_all: float
-    cov: float
+    mean_model: float | np.ndarray
+    mean_all: float | np.ndarray
+    var_model: float | np.ndarray
+    var_all: float | np.ndarray
+    cov: float | np.ndarray
     n: int
     p0: float
-    p_tp: float
-    p_fp: float
-    threshold: Threshold
+    p_tp: float | np.ndarray
+    p_fp: float | np.ndarray
+    threshold: Threshold | tuple[Threshold, ...]
 
     def __post_init__(self):
-        _check_moments(self.var_model, self.var_all, self.cov, self.p0, self.p_tp, self.p_fp)
+        if np.any(np.less(self.var_model, 0)) or np.any(np.less(self.var_all, 0)):
+            raise InputError("variances must be nonnegative")
+        bound = np.sqrt(np.multiply(self.var_model, self.var_all))
+        if np.any(np.abs(self.cov) > bound + 1e-12):
+            raise InputError("covariance violates the Cauchy-Schwarz bound")
+        if (np.any(np.add(self.p_tp, self.p_fp) > 1.0 + 1e-12)
+                or np.any(np.greater(self.p_tp, self.p0 + 1e-12))):
+            raise InputError("inconsistent classification probabilities")
 
 
 def moments(sample: ValidationSample, t: Threshold) -> MomentSet:
@@ -93,43 +97,16 @@ def moments(sample: ValidationSample, t: Threshold) -> MomentSet:
         var_all   = (1/n) (1/(1-z))^2 P0(1-P0)
         cov       = (1/(n(1-z))) [(1-P0) P_TP + c P0 P_FP]
     """
-    (m,) = _moment_grid(sample, (t,))
-    return m
+    grid = _moment_grid(sample, (t,))
+    return replace(grid, threshold=t, **{
+        k: v[0].item() for k, v in vars(grid).items() if isinstance(v, np.ndarray)})
 
 
-_GRID_FIELDS = ("mean_model", "mean_all", "var_model", "var_all", "cov", "p_tp", "p_fp")
-
-
-@dataclass(frozen=True)
-class _MomentGrid:
-    """The :class:`MomentSet` fields over a threshold grid: the
-    ``_GRID_FIELDS`` are arrays with one entry per threshold.  Iterating
-    yields the per-threshold :class:`MomentSet` rows."""
-
-    mean_model: np.ndarray
-    mean_all: np.ndarray
-    var_model: np.ndarray
-    var_all: np.ndarray
-    cov: np.ndarray
-    p_tp: np.ndarray
-    p_fp: np.ndarray
-    n: int
-    p0: float
-    thresholds: tuple[Threshold, ...]
-
-    def __post_init__(self):
-        _check_moments(self.var_model, self.var_all, self.cov, self.p0, self.p_tp, self.p_fp)
-
-    def __iter__(self):
-        columns = zip(*(getattr(self, f).tolist() for f in _GRID_FIELDS))
-        for t, values in zip(self.thresholds, columns):
-            yield MomentSet(**dict(zip(_GRID_FIELDS, values)), n=self.n, p0=self.p0, threshold=t)
-
-
-def _moment_grid(sample: ValidationSample, thresholds, counts=None) -> _MomentGrid:
-    """:func:`moments` at every threshold, from one table of counts.
-    ``counts`` is the sample's ``_CellTable.sums()`` over this
-    grid, when the caller already has them."""
+def _moment_grid(sample: ValidationSample, thresholds, counts=None) -> MomentSet:
+    """:func:`moments` at every threshold, as one array-valued
+    :class:`MomentSet` from one table of counts.  ``counts`` is the
+    sample's ``_CellTable.sums()`` over this grid, when the caller already
+    has them."""
     if sample.n < 2:
         raise InputError("moment estimation requires n >= 2")
     n, events = sample.n, sample.n_events
@@ -139,14 +116,22 @@ def _moment_grid(sample: ValidationSample, thresholds, counts=None) -> _MomentGr
     z = np.array([t.z for t in thresholds])
     c = np.array([t.harm_weight for t in thresholds])
     p_tp, p_fp = tp / n, fp / n
-    return _MomentGrid(
+    return MomentSet(
         mean_model=_net_benefit(tp, fp, c, n),
         mean_all=_net_benefit(events, n - events, c, n),
         var_model=(p_tp * (1 - p_tp) + c * c * p_fp * (1 - p_fp) + 2 * c * p_tp * p_fp) / n,
         var_all=p0 * (1 - p0) / (n * (1 - z) ** 2),
         cov=((1 - p0) * p_tp + c * p0 * p_fp) / (n * (1 - z)),
-        p_tp=p_tp, p_fp=p_fp, n=n, p0=p0, thresholds=tuple(thresholds),
+        n=n, p0=p0, p_tp=p_tp, p_fp=p_fp, threshold=tuple(thresholds),
     )
+
+
+def _check_voi(evpi, p_useful) -> None:
+    """The checks of :class:`VoiResult`, over scalars or per-threshold arrays."""
+    if np.any(np.less(evpi, 0)):
+        raise NumericError("EVPI must be nonnegative after clamping")
+    if not np.all(np.greater_equal(p_useful, 0.0) & np.less_equal(p_useful, 1.0)):
+        raise NumericError("P(useful) must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -173,10 +158,7 @@ class VoiResult:
     n_reps: int | None = None
 
     def __post_init__(self):
-        if self.evpi < 0:
-            raise NumericError("EVPI must be nonnegative after clamping")
-        if not 0.0 <= self.p_useful <= 1.0:
-            raise NumericError("P(useful) must lie in [0, 1]")
+        _check_voi(self.evpi, self.p_useful)
         if self.best_strategy not in ("model", "treat_all", "treat_none"):
             raise InputError(f"unknown strategy label {self.best_strategy!r}")
 
@@ -202,16 +184,6 @@ def relative_evpi(enb_perfect: float, mean_model: float, mean_all: float) -> flo
     return None if math.isnan(r) else r
 
 
-def p_useful(draws: NbDrawMatrix) -> float:
-    """Fraction of draws in which a model strategy has the strictly highest
-    NB among {treat-none, treat-all, models}.  For the single-model case this
-    is P(nb_model > max(0, nb_all)).  Ties resolve against the model:
-    treat-none, then treat-all, then the model columns in order."""
-    d = draws.draws
-    stacked = np.column_stack([np.zeros(d.shape[0]), d[:, -1], d[:, :-1]])
-    return float(np.mean(np.argmax(stacked, axis=1) >= 2))
-
-
 _STRATEGIES = np.array(["treat_none", "treat_all", "model"])
 
 
@@ -224,6 +196,86 @@ def _best_by_means(mean_models: np.ndarray, mean_all: np.ndarray) -> tuple[np.nd
     return _STRATEGIES[np.minimum(idx, 2)], candidates[np.arange(len(idx)), idx]
 
 
+_VOI_ARRAYS = ("evpi", "enb_current", "enb_perfect", "p_useful", "best_strategy", "r_evpi",
+               "mc_se")
+
+
+@dataclass(frozen=True)
+class _EvpiColumns:
+    """The :class:`VoiResult` fields of one method over a threshold grid:
+    the ``_VOI_ARRAYS`` hold one entry per threshold, NaN where a row holds
+    None (``r_evpi`` where undefined, ``mc_se`` on the asymptotic route).
+    The :class:`VoiResult` checks run elementwise."""
+
+    evpi: np.ndarray
+    enb_current: np.ndarray
+    enb_perfect: np.ndarray
+    p_useful: np.ndarray
+    best_strategy: np.ndarray
+    r_evpi: np.ndarray
+    mc_se: np.ndarray
+    method: str
+    seed: int | tuple | None = None
+    n_reps: int | None = None
+
+    def __post_init__(self):
+        _check_voi(self.evpi, self.p_useful)
+
+    def fields(self) -> list[dict]:
+        """The :class:`VoiResult` fields at each threshold, as Python values."""
+        common = {"method": self.method, "seed": self.seed, "n_reps": self.n_reps}
+        rows = [dict(zip(_VOI_ARRAYS, values), **common)
+                for values in zip(*(getattr(self, f).tolist() for f in _VOI_ARRAYS))]
+        for row in rows:
+            row.update({f: None for f in ("r_evpi", "mc_se") if math.isnan(row[f])})
+        return rows
+
+
+def _p_useful(d: np.ndarray) -> np.ndarray:
+    """:func:`p_useful` at each threshold of ``(N, T, S)`` draws."""
+    useful = d[..., :-1].max(axis=-1) > np.maximum(d[..., -1], 0.0)
+    return np.count_nonzero(useful, axis=0) / d.shape[0]
+
+
+def p_useful(draws: NbDrawMatrix) -> float:
+    """Fraction of draws in which a model strategy has the strictly highest
+    NB among {treat-none, treat-all, models}.  For the single-model case this
+    is P(nb_model > max(0, nb_all)).  Ties resolve against the model:
+    treat-none, then treat-all, then the model columns in order."""
+    return float(_p_useful(draws.draws[:, None, :])[0])
+
+
+def _bootstrap_columns(d: np.ndarray, method: str, seed) -> _EvpiColumns:
+    """:func:`evpi_bootstrap` at each threshold of ``(N, T, S)`` draws.
+
+    Every reduction runs along the replicate axis, so a threshold's entries
+    depend only on its own draws.  The column means add the replicates in
+    order; the row maxima are laid out replicate-last, so their mean and SD
+    use numpy's pairwise sum exactly as over one threshold's vector.  The
+    per-replicate arrays are built for ``_COLUMN_BLOCK`` entries at a time.
+    """
+    n_reps, n_t = d.shape[:2]
+    if n_reps < 2:
+        raise InputError("EVPI from draws requires at least 2 replicates")
+    means = d.mean(axis=0)
+    mean_models, mean_all = means[:, :-1], means[:, -1]
+    useful, enb_perfect, mc_se = np.empty(n_t), np.empty(n_t), np.empty(n_t)
+    step = max(1, _COLUMN_BLOCK // n_reps)
+    for j in range(0, n_t, step):
+        block = slice(j, j + step)
+        useful[block] = _p_useful(d[:, block])
+        row_max = np.maximum(d[:, block].max(axis=2).T, 0.0, order="C")
+        enb_perfect[block] = row_max.mean(axis=1)
+        mc_se[block] = row_max.std(axis=1, ddof=1) / math.sqrt(n_reps)
+    best, enb_current = _best_by_means(mean_models, mean_all)
+    return _EvpiColumns(
+        evpi=_max(0.0, enb_perfect - enb_current), enb_current=enb_current,
+        enb_perfect=enb_perfect, p_useful=useful, best_strategy=best,
+        r_evpi=_relative_evpi(enb_perfect, mean_models.max(axis=1), mean_all),
+        mc_se=mc_se, method=_METHOD_LABELS[method], seed=seed, n_reps=n_reps,
+    )
+
+
 def evpi_bootstrap(draws: NbDrawMatrix) -> VoiResult:
     """EVPI from a matrix of bootstrap NB draws.
 
@@ -231,23 +283,8 @@ def evpi_bootstrap(draws: NbDrawMatrix) -> VoiResult:
     ``enb_current`` is max{0, column means}.  Requires at least two
     replicates.
     """
-    d = draws.draws
-    if d.shape[0] < 2:
-        raise InputError("EVPI from draws requires at least 2 replicates")
-    row_max = np.maximum(d.max(axis=1), 0.0)
-    enb_perfect = float(row_max.mean())
-    col_means = d.mean(axis=0)
-    mean_models, mean_all = col_means[:-1], float(col_means[-1])
-    best, enb_current = _best_by_means(mean_models[None, :], np.array([mean_all]))
-    best, enb_current = str(best[0]), float(enb_current[0])
-    evpi = max(0.0, enb_perfect - enb_current)
-    r = relative_evpi(enb_perfect, float(mean_models.max()), mean_all) if best == "model" else None
-    mc_se = float(row_max.std(ddof=1) / math.sqrt(d.shape[0]))
-    return VoiResult(
-        evpi=evpi, enb_current=enb_current, enb_perfect=enb_perfect,
-        p_useful=p_useful(draws), best_strategy=best, method=_METHOD_LABELS[draws.method],
-        r_evpi=r, mc_se=mc_se, seed=draws.seed, n_reps=d.shape[0],
-    )
+    (row,) = _bootstrap_columns(draws.draws[:, None, :], draws.method, draws.seed).fields()
+    return VoiResult(**row)
 
 
 def _repair_psd(var_model, var_all, cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -275,10 +312,9 @@ def _repair_psd(var_model, var_all, cov) -> tuple[np.ndarray, np.ndarray, np.nda
     return v1, v2, cv
 
 
-def _asymptotic_rows(m) -> list[VoiResult]:
+def _asymptotic_columns(m: MomentSet) -> _EvpiColumns:
     """:func:`evpi_asymptotic` elementwise over the moments of a
-    :class:`MomentSet` or a ``_MomentGrid``, one :class:`VoiResult` per
-    threshold."""
+    :class:`MomentSet`, one entry per threshold."""
     mean_model, mean_all = (np.atleast_1d(np.asarray(v, dtype=float))
                             for v in (m.mean_model, m.mean_all))
     v1, v2, cv = _repair_psd(m.var_model, m.var_all, m.cov)
@@ -289,14 +325,12 @@ def _asymptotic_rows(m) -> list[VoiResult]:
     _check_params(mean_model, mean_all, s1, s2, rho)
     enb_perfect, p_model = _emax_pfirst(mean_model, mean_all, s1, s2, rho)
     best, enb_current = _best_by_means(mean_model[:, None], mean_all)
-    evpi = _max(0.0, enb_perfect - enb_current)
-    r = np.where(best == "model", _relative_evpi(enb_perfect, mean_model, mean_all), np.nan)
-    columns = (evpi, enb_current, enb_perfect, p_model, best, r)
-    return [
-        VoiResult(evpi=e, enb_current=c, enb_perfect=p, p_useful=u, best_strategy=b,
-                  method="asymptotic", r_evpi=None if math.isnan(x) else x)
-        for e, c, p, u, b, x in zip(*(a.tolist() for a in columns))
-    ]
+    return _EvpiColumns(
+        evpi=_max(0.0, enb_perfect - enb_current), enb_current=enb_current,
+        enb_perfect=enb_perfect, p_useful=p_model, best_strategy=best,
+        r_evpi=_relative_evpi(enb_perfect, mean_model, mean_all),
+        mc_se=np.full(mean_model.shape, np.nan), method="asymptotic",
+    )
 
 
 def evpi_asymptotic(m: MomentSet) -> VoiResult:
@@ -306,26 +340,34 @@ def evpi_asymptotic(m: MomentSet) -> VoiResult:
     the zero-floored bivariate normal expectation and P(useful) the
     probability that the model component is the strict positive maximum.
     """
-    (row,) = _asymptotic_rows(m)
-    return row
+    (row,) = _asymptotic_columns(m).fields()
+    return VoiResult(**row)
 
 
-def _thin_thresholds(sample: ValidationSample, thresholds, counts=None) -> list[Threshold]:
-    """Thresholds with fewer than ``MIN_SIDE_ROWS`` rows on one side;
+def _thin_mask(sample: ValidationSample, thresholds, counts=None) -> np.ndarray:
+    """Which thresholds have fewer than ``MIN_SIDE_ROWS`` rows on one side;
     ``counts`` as in :func:`_moment_grid`."""
     tp, fp, _, _ = counts if counts is not None else _CellTable(
         sample.outcomes, sample.risks, thresholds).sums()
-    flagged = (tp + fp).tolist()
-    return [t for t, a in zip(thresholds, flagged) if min(a, sample.n - a) < MIN_SIDE_ROWS]
+    flagged = tp + fp
+    return np.minimum(flagged, sample.n - flagged) < MIN_SIDE_ROWS
 
 
 class _GridEvpi(NamedTuple):
-    """One EVPI evaluation over a grid: the ``(threshold, result)`` rows,
-    the thin thresholds and the bootstrap draws by method."""
+    """One EVPI evaluation over a grid: the columns of each method in the
+    order requested, the mask of thin thresholds and the bootstrap draws by
+    method."""
 
-    rows: list[tuple[Threshold, VoiResult]]
-    thin: list[Threshold]
+    thresholds: tuple[Threshold, ...]
+    columns: list[_EvpiColumns]
+    thin: np.ndarray
     draws: dict[str, GridDraws]
+
+    def by_threshold(self) -> list[tuple[Threshold, dict]]:
+        """``(threshold, VoiResult fields)`` pairs in the order of the grid,
+        methods in the order requested."""
+        per_method = [c.fields() for c in self.columns]
+        return [(t, rows[i]) for i, t in enumerate(self.thresholds) for rows in per_method]
 
 
 def _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks=None) -> _GridEvpi:
@@ -342,20 +384,18 @@ def _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks=None) -> _
         raise InputError("the asymptotic method supports exactly one candidate model")
 
     counts = _CellTable(sample.outcomes, sample.risks, thresholds).sums()
-    per_method: dict[str, list[VoiResult]] = {}
+    columns: list[_EvpiColumns] = []
     draws: dict[str, GridDraws] = {}
     for m in methods:
         if m == "asymptotic":
-            per_method[m] = _asymptotic_rows(_moment_grid(sample, thresholds, counts))
+            columns.append(_asymptotic_columns(_moment_grid(sample, thresholds, counts)))
         else:
             draws[m] = bootstrap_nb_draws_grid(
                 sample, thresholds, n_reps=n_reps, method=m, seed=seed,
                 extra_risks=extra_risks,
             )
-            per_method[m] = [evpi_bootstrap(draws[m].at(i)) for i in range(len(thresholds))]
-
-    rows = [(t, per_method[m][i]) for i, t in enumerate(thresholds) for m in methods]
-    return _GridEvpi(rows, _thin_thresholds(sample, thresholds, counts), draws)
+            columns.append(_bootstrap_columns(draws[m].draws, m, seed))
+    return _GridEvpi(thresholds, columns, _thin_mask(sample, thresholds, counts), draws)
 
 
 def _warn_thin(names: list[str], stacklevel: int, where: str = "threshold(s)",
@@ -390,8 +430,8 @@ def evpi_threshold_sweep(
     ``MIN_SIDE_ROWS`` rows on one side.
     """
     out = _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks)
-    _warn_thin([f"{t.z:g}" for t in out.thin], stacklevel=2)
-    return out.rows
+    _warn_thin([f"{t.z:g}" for t, thin in zip(out.thresholds, out.thin) if thin], stacklevel=2)
+    return [(t, VoiResult(**fields)) for t, fields in out.by_threshold()]
 
 
 def population_scaled(evpi: float, multiplier: float, t: Threshold) -> tuple[float, float]:

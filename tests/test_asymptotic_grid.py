@@ -12,14 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbvoi import (
-    Threshold,
-    ValidationSample,
-    decision_curve,
-    evpi_asymptotic,
-    evpi_threshold_sweep,
-    moments,
-)
+from nbvoi import Threshold, ValidationSample, decision_curve, evpi_threshold_sweep, moments
+from nbvoi.voi import evpi_asymptotic
 
 Z_VALUES = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
 SETTINGS = settings(max_examples=150, deadline=None)

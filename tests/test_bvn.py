@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from nbvoi import BvnParams, InputError, bvn_cdf, e_max_zero_bvn, std_normal_cdf, std_normal_pdf
+from nbvoi import BvnParams, InputError, bvn_cdf, e_max_zero_bvn, std_normal_cdf
 from nbvoi import bvn
-from nbvoi.bvn import p_first_positive_max
+from nbvoi.bvn import p_first_positive_max, std_normal_pdf
 
 
 def phi(x):

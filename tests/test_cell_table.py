@@ -10,19 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbvoi import (
-    Threshold,
-    ValidationSample,
-    WeightVector,
-    bootstrap_nb_draws_grid,
-    moments,
-    nb_all,
-    nb_model,
-    weighted_nb,
-)
+from nbvoi import Threshold, ValidationSample, WeightVector, moments, nb_all, nb_model, weighted_nb
 from nbvoi.netbenefit import _CellTable, _net_benefit
-from nbvoi.resample import _joint_cells, _mass_blocks
-from nbvoi.voi import MIN_SIDE_ROWS, _moment_grid, _thin_thresholds
+from nbvoi.resample import _joint_cells, _mass_blocks, bootstrap_nb_draws_grid
+from nbvoi.voi import MIN_SIDE_ROWS, _moment_grid, _thin_mask
 
 Z_VALUES = (0.05, 0.1, 0.2, 0.25, 0.5, 0.7)
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -73,14 +64,19 @@ def test_moments_equal_row_reference(s, ts):
     unit = WeightVector(weights=np.full(n, 1.0 / n), kind="multinomial",
                         counts=np.ones(n, dtype=int))
     grid = _moment_grid(s, ts)
-    for t, m in zip(ts, grid):
+    assert grid.threshold == ts
+    for j, t in enumerate(ts):
+        m = moments(s, t)
         flagged, events = s.risks >= t.z, s.outcomes == 1
         assert m.p_tp == float(np.sum(flagged & events)) / n
         assert m.p_fp == float(np.sum(flagged & ~events)) / n
         assert m.p0 == float(np.sum(events)) / n
         assert (m.mean_model, m.mean_all) == weighted_nb(s, unit, t)
         assert (m.mean_model, m.mean_all) == (nb_model(s, t), nb_all(s, t))
-        assert moments(s, t) == m
+        for f in ("mean_model", "mean_all", "var_model", "var_all", "cov", "p_tp", "p_fp"):
+            assert type(getattr(m, f)) is float
+            assert getattr(m, f) == getattr(grid, f)[j]
+        assert (m.n, m.p0, m.threshold) == (grid.n, grid.p0, t)
 
 
 @SETTINGS
@@ -89,9 +85,8 @@ def test_thin_rule_matches_row_count(s, ts):
     expect = []
     for t in ts:
         above = int(np.sum(s.risks >= t.z))
-        if min(above, s.n - above) < MIN_SIDE_ROWS:
-            expect.append(t)
-    assert _thin_thresholds(s, ts) == expect
+        expect.append(min(above, s.n - above) < MIN_SIDE_ROWS)
+    assert _thin_mask(s, ts).tolist() == expect
 
 
 def _cell_draws(s, ts, n_reps, method, seed, extra=()):

@@ -11,17 +11,10 @@ import numpy as np
 import pytest
 
 import nbvoi
-from nbvoi import (
-    LogisticDgm,
-    bootstrap_nb_draws_grid,
-    decision_curve,
-    dump_draws,
-    generate_synthetic,
-    make_thresholds,
-    substream,
-)
+from nbvoi import LogisticDgm, decision_curve, generate_synthetic, make_thresholds, substream
 from nbvoi.cli import main
 from nbvoi.io import render_csv
+from nbvoi.resample import NbDrawMatrix, bootstrap_nb_draws_grid, dump_draws
 
 
 @pytest.fixture()
@@ -162,11 +155,35 @@ class TestEvpi:
         for method in ("bayesian", "ordinary"):
             grid = bootstrap_nb_draws_grid(sample, make_thresholds([0.1, 0.2]), n_reps=50,
                                            method=method, seed=5)
-            for i, z in enumerate(("0.1", "0.2")):
+            for i, (t, z) in enumerate(zip(grid.thresholds, ("0.1", "0.2"))):
                 expect = tmp_path / "expect.csv"
-                dump_draws(grid.at(i), expect)
+                dump_draws(NbDrawMatrix(grid.draws[:, i], method, 5, t), expect)
                 got = tmp_path / f"draws_{method}_z{z}.csv"
                 assert got.read_text() == expect.read_text()
+
+    def test_dump_draws_rejects_the_asymptotic_method(self, capsys, dataset, tmp_path):
+        """The asymptotic route draws nothing, so there is nothing to dump."""
+        path, _ = dataset
+        code, out, err = run(capsys, [
+            "evpi", "--data", str(path), "--outcome", "y", "--risk", "p",
+            "--thresholds", "0.2", "--method", "asymptotic",
+            "--dump-draws", str(tmp_path / "draws"),
+        ])
+        assert code == 2 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "input"
+        assert list(tmp_path.glob("draws*")) == []
+
+    def test_dump_draws_keeps_close_thresholds_apart(self, capsys, dataset, tmp_path):
+        """Thresholds that print alike in 6 significant digits get a file each."""
+        path, _ = dataset
+        code, _, _ = run(capsys, [
+            "evpi", "--data", str(path), "--outcome", "y", "--risk", "p",
+            "--thresholds", "0.1234561,0.1234562", "--n-reps", "20", "--seed", "5",
+            "--method", "bayes", "--dump-draws", str(tmp_path / "draws"),
+        ])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.glob("draws_*")) == [
+            "draws_bayesian_z0.1234561.csv", "draws_bayesian_z0.1234562.csv"]
 
     def test_strict_warns_on_large_mc_se(self, capsys, dataset):
         path, _ = dataset
@@ -253,6 +270,23 @@ class TestSimulate:
         assert "ordinary_bootstrap" in out
 
 
+    @pytest.mark.parametrize("edit", [
+        {"n_sims": "abc"},
+        {"thresholds": ["x"]},
+        {"dgm": {"intercept": "a", "slopes": [0.77]}},
+        None,
+    ], ids=["n_sims", "thresholds", "dgm_intercept", "top_level_array"])
+    def test_malformed_config_exits_2_with_json_error(self, capsys, tmp_path, edit):
+        raw = json.loads(self._config(tmp_path).read_text(encoding="utf-8"))
+        raw = [raw] if edit is None else dict(raw, **edit)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run(capsys, ["simulate", "--config", str(p)])
+        assert code == 2 and out == ""
+        rec = json.loads(err.strip().splitlines()[-1])
+        assert rec["error"] == "input"
+
+
 class TestExitCodes:
     def test_missing_file_exits_2_with_json_error(self, capsys):
         code, out, err = run(capsys, [
@@ -307,6 +341,21 @@ class TestExitCodes:
         assert code == 3
         rec = json.loads(err.strip().splitlines()[-1])
         assert rec["error"] == "numeric"
+
+
+    def test_failed_column_check_exits_3(self, capsys, monkeypatch, dataset):
+        """A P(useful) outside [0, 1] fails the EVPI columns' own check."""
+        import nbvoi.voi as voi_mod
+
+        path, _ = dataset
+        monkeypatch.setattr(voi_mod, "_p_useful", lambda d: np.full(d.shape[1], 1.5))
+        code, out, err = run(capsys, [
+            "evpi", "--data", str(path), "--outcome", "y", "--risk", "p",
+            "--thresholds", "0.1,0.2", "--n-reps", "50", "--method", "bayes",
+        ])
+        assert code == 3 and out == ""
+        rec = json.loads(err.strip().splitlines()[-1])
+        assert rec["error"] == "numeric" and "P(useful)" in rec["message"]
 
 
 def _cli_subprocess(argv, **env) -> bytes:

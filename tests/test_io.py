@@ -6,17 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from nbvoi import (
-    FeatureTable,
-    InputError,
-    ModelSpec,
-    ValidationSample,
-    load_dataset,
-    load_model_spec,
-    score,
-    scored_sample,
-)
-from nbvoi.io import render_csv, voi_table
+from nbvoi import FeatureTable, InputError, ModelSpec, ValidationSample, scored_sample
+from nbvoi.io import load_dataset, load_model_spec, render_csv, score, voi_table
 
 
 def write(tmp_path, name, text):

@@ -9,7 +9,6 @@ from nbvoi import (
     ValidationSample,
     WeightVector,
     decision_curve,
-    default_grid,
     generate_synthetic,
     LogisticDgm,
     make_thresholds,
@@ -19,6 +18,7 @@ from nbvoi import (
     true_nb_of_dgm,
     weighted_nb,
 )
+from nbvoi.netbenefit import default_grid
 
 # Shared hand-worked example: flags rows 0, 1, 4 at z = 0.2, giving
 # 1 TP and 2 FP -> nb_model = (1 - 2 * 0.25) / 5 = 0.1, nb_all = 0.25.

@@ -12,20 +12,15 @@ from nbvoi import (
     Threshold,
     ValidationSample,
     bootstrap_nb_draws,
-    bootstrap_nb_draws_grid,
-    default_grid,
-    dirichlet_weights,
-    dump_draws,
     generate_synthetic,
     make_thresholds,
     moments,
-    multinomial_weights,
     nb_all,
     nb_model,
     substream,
     weighted_nb,
 )
-from nbvoi.netbenefit import _CellTable
+from nbvoi.netbenefit import _CellTable, default_grid
 from nbvoi.resample import (
     BLOCK_CELLS,
     BLOCK_REPS,
@@ -33,6 +28,10 @@ from nbvoi.resample import (
     _block_rows,
     _joint_cells,
     _mass_blocks,
+    bootstrap_nb_draws_grid,
+    dirichlet_weights,
+    dump_draws,
+    multinomial_weights,
 )
 
 

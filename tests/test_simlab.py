@@ -18,15 +18,14 @@ from nbvoi import (
     Threshold,
     ValidationSample,
     c_statistic,
-    doubling_sizes,
     evpi_threshold_sweep,
     generate_synthetic,
     make_thresholds,
-    subsample_sweep,
     substream,
     synthetic_sweep,
     true_nb_of_dgm,
 )
+from nbvoi.simlab import doubling_sizes, subsample_sweep
 
 DGM = LogisticDgm(intercept=-1.55, slopes=(0.77,))
 

@@ -9,22 +9,18 @@ import pytest
 from nbvoi import (
     InputError,
     LogisticDgm,
-    MomentSet,
-    NbDrawMatrix,
     SmallEffectiveSampleWarning,
     Threshold,
     ValidationSample,
-    evpi_asymptotic,
-    evpi_bootstrap,
     evpi_threshold_sweep,
     generate_synthetic,
     make_thresholds,
     moments,
-    p_useful,
     population_scaled,
-    relative_evpi,
     substream,
 )
+from nbvoi.resample import NbDrawMatrix
+from nbvoi.voi import MomentSet, evpi_asymptotic, evpi_bootstrap, p_useful, relative_evpi
 
 T02 = Threshold(0.2)
 
