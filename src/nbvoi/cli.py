@@ -68,21 +68,18 @@ def _parse_thresholds(spec: str | None, max_z: float) -> tuple[Threshold, ...]:
     return make_thresholds(values, max_z=max_z)
 
 
-def _load_sample(args):
-    if args.risk is not None and args.model is not None:
-        raise InputError("give either --risk (pre-computed risks) or --model, not both")
-    if args.risk is not None:
-        return load_dataset(
-            args.data, outcome_col=args.outcome, risk_col=args.risk,
-            delimiter=args.delimiter,
-        )
-    if args.model is None:
-        raise InputError("either --risk or --model is required")
-    spec = load_model_spec(args.model)
-    table = load_dataset(
-        args.data, outcome_col=args.outcome, feature_cols=spec.columns,
-        delimiter=args.delimiter,
-    )
+def _load_sample(data, outcome, risk, model, delimiter=None):
+    """The sample in the file ``data``: its ``outcome`` column with either
+    the ``risk`` column or the risks the coefficient file ``model`` gives
+    its features.  Exactly one of ``risk`` and ``model`` must be given."""
+    if (risk is None) == (model is None):
+        raise InputError("give exactly one of risk (a column of pre-computed risks) "
+                         "and model (a coefficient file)")
+    if risk is not None:
+        return load_dataset(data, outcome_col=outcome, risk_col=risk, delimiter=delimiter)
+    spec = load_model_spec(model)
+    table = load_dataset(data, outcome_col=outcome, feature_cols=spec.columns,
+                         delimiter=delimiter)
     return scored_sample(table, spec)
 
 
@@ -103,7 +100,7 @@ def _json_text(payload: dict) -> str:
 
 
 def cmd_dca(args) -> int:
-    sample = _load_sample(args)
+    sample = _load_sample(args.data, args.outcome, args.risk, args.model, args.delimiter)
     ts = _parse_thresholds(args.thresholds, args.max_threshold)
     method = _CLI_METHODS[args.method]
     if method == "asymptotic":
@@ -126,7 +123,7 @@ def cmd_evpi(args) -> int:
     methods = ALL_METHODS if args.method == "all" else (_CLI_METHODS[args.method],)
     if args.dump_draws and methods == ("asymptotic",):
         raise InputError("--dump-draws needs a bootstrap method: bayes, ordinary or all")
-    sample = _load_sample(args)
+    sample = _load_sample(args.data, args.outcome, args.risk, args.model, args.delimiter)
     ts = _parse_thresholds(args.thresholds, args.max_threshold)
     out = _evpi_grid(sample, ts, methods, args.n_reps, args.seed)
     _warn_thin([f"{t.z:g}" for t, thin in zip(ts, out.thin) if thin], stacklevel=1)
@@ -167,6 +164,13 @@ def _config_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _whole(value, field: str) -> int:
+    """A whole-number config value; a fractional one is an input error."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InputError(f"config field {field!r} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _sweep_setup(raw: dict, workers: int | None):
     """The sweep a ``simulate`` config asks for: ``(cfg, dgm, dataset)``, with
     ``dgm`` None for a subsample sweep and ``dataset`` None otherwise."""
@@ -182,12 +186,14 @@ def _sweep_setup(raw: dict, workers: int | None):
     )
     common = {
         "thresholds": thresholds,
-        "n_sims": int(raw.get("n_sims", 100)),
-        "n_reps": int(raw.get("n_reps", 1000)),
+        "n_sims": _whole(raw.get("n_sims", 100), "n_sims"),
+        "n_reps": _whole(raw.get("n_reps", 1000), "n_reps"),
         "methods": methods,
-        "seed": int(raw.get("seed", 0)),
-        "n_workers": int(workers if workers is not None else raw.get("workers", 1)),
+        "seed": _whole(raw.get("seed", 0), "seed"),
+        "n_workers": _whole(workers if workers is not None else raw.get("workers", 1),
+                            "workers"),
     }
+    sizes = tuple(_whole(v, "sizes") for v in raw["sizes"]) if "sizes" in raw else None
 
     if kind == "synthetic":
         dgm_raw = raw.get("dgm")
@@ -197,23 +203,15 @@ def _sweep_setup(raw: dict, workers: int | None):
             intercept=float(dgm_raw.get("intercept", 0.0)),
             slopes=tuple(dgm_raw.get("slopes", ())),
         )
-        if "sizes" not in raw:
+        if sizes is None:
             raise InputError("synthetic config requires 'sizes'")
-        return SweepConfig(sizes=tuple(raw["sizes"]), **common), dgm, None
+        return SweepConfig(sizes=sizes, **common), dgm, None
 
     if "data" not in raw or "outcome" not in raw:
         raise InputError("subsample config requires 'data' and 'outcome'")
-    if "risk" in raw:
-        dataset = load_dataset(raw["data"], outcome_col=raw["outcome"], risk_col=raw["risk"])
-    elif "model" in raw:
-        spec = load_model_spec(raw["model"])
-        table = load_dataset(
-            raw["data"], outcome_col=raw["outcome"], feature_cols=spec.columns
-        )
-        dataset = scored_sample(table, spec)
-    else:
-        raise InputError("subsample config requires 'risk' or 'model'")
-    sizes = tuple(raw["sizes"]) if "sizes" in raw else doubling_sizes(dataset.n)
+    dataset = _load_sample(raw["data"], raw["outcome"], raw.get("risk"), raw.get("model"))
+    if sizes is None:
+        sizes = doubling_sizes(dataset.n)
     return SweepConfig(sizes=sizes, **common), None, dataset
 
 
@@ -244,12 +242,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    spec = load_model_spec(args.model)
-    table = load_dataset(
-        args.data, outcome_col=args.outcome, feature_cols=spec.columns,
-        delimiter=args.delimiter,
-    )
-    sample = scored_sample(table, spec)
+    sample = _load_sample(args.data, args.outcome, None, args.model, args.delimiter)
     records = [
         {args.outcome: int(y), "risk": float(r)}
         for y, r in zip(sample.outcomes, sample.risks)

@@ -228,9 +228,6 @@ def decision_curve_payload(curve: DecisionCurve) -> dict:
 def voi_record(t: Threshold, res: dict, population: float | None = None) -> dict:
     """The output record of one EVPI result from the fields of its
     ``voi.VoiResult`` (``vars(result)``, or one entry of the EVPI columns)."""
-    seed = res["seed"]
-    if isinstance(seed, tuple):  # composite sweep-cell seeds; keep CSV-safe
-        seed = "-".join(str(v) for v in seed)
     rec = {
         "threshold": t.z,
         "method": res["method"],
@@ -241,7 +238,7 @@ def voi_record(t: Threshold, res: dict, population: float | None = None) -> dict
         "best_strategy": res["best_strategy"],
         "r_evpi": res["r_evpi"],
         "mc_se": res["mc_se"],
-        "seed": seed,
+        "seed": res["seed"],
         "n_reps": res["n_reps"],
     }
     if population is not None:

@@ -10,6 +10,10 @@ false positives at the exchange rate z/(1-z) implied by the threshold:
 Classification is inclusive at the threshold: ``risk == z`` counts as
 treated.  All estimators are plain sample means, so they remain
 well-defined for degenerate samples (all events or all non-events).
+
+``_CellTable`` alone knows how rows fall into cells over a threshold grid.
+Point estimates, moments and thin-side checks read its row-count sums; the
+bootstrap draws masses on its cells and asks it for their sums.
 """
 
 from __future__ import annotations
@@ -124,38 +128,65 @@ class ValidationSample:
 
 
 class _CellTable:
-    """Each row's cell over a threshold grid (any order, duplicates allowed),
-    and the per-threshold flagged sums of any masses put on those cells.
+    """The occupied cells of a sample over a threshold grid (any order,
+    duplicates allowed), and the per-threshold sums of masses on them.
 
-    A row's label is its outcome times ``width`` (T + 1) plus the number of
-    grid thresholds at or below its risk; a row is flagged (``risk >= z``)
-    at the j-th smallest threshold exactly when that number exceeds j.
-    Rows with one label add the same amount to every net benefit on the
-    grid, so only the mass on each of the ``2 * width`` labels matters.
+    Under each of the M risk columns a row's label is its outcome times
+    ``width`` (T + 1) plus the number of grid thresholds at or below its
+    risk; the row is flagged (``risk >= z``) at the j-th smallest threshold
+    exactly when that number exceeds j.  A cell is a label tuple that some
+    row carries; its rows add the same amount to every net benefit on the
+    grid.  Cells are ordered by label tuple, whatever the row order:
+    ``cell_counts`` (K,) holds their row counts, ``cell_labels`` (M, K)
+    their labels and ``row_cell`` each row's cell.  ``counts`` is
+    ``(tp, fp, events, non_events)`` of the row counts, first column only.
     """
 
-    __slots__ = ("labels", "order", "width")
+    __slots__ = ("thresholds", "harm_weight", "order", "width", "cell_counts", "row_cell",
+                 "cell_labels", "counts")
 
-    def __init__(self, outcomes: np.ndarray, risks: np.ndarray, thresholds):
-        zs = np.array([t.z for t in thresholds])
+    def __init__(self, outcomes: np.ndarray, risk_cols, thresholds):
+        self.thresholds = tuple(thresholds)
+        zs = np.array([t.z for t in self.thresholds])
+        self.harm_weight = zs / (1.0 - zs)
         self.order = np.argsort(zs, kind="stable")
-        self.width = zs.size + 1
-        self.labels = outcomes * self.width + np.searchsorted(zs[self.order], risks, side="right")
+        self.width = width = zs.size + 1
+        edges = zs[self.order]
+        labels = [outcomes * width + np.searchsorted(edges, r, side="right") for r in risk_cols]
+        # A further column's key ranks the label tuples seen so far and appends
+        # the column's bin (the outcome is in the key already), so an occupied
+        # key decodes to (tuple rank, bin), and cells stay in label order.
+        key, rows = labels[0], np.bincount(labels[0], minlength=2 * width)
+        self.cell_labels = np.flatnonzero(rows)[None]
+        for more in labels[1:]:
+            key = (np.cumsum(rows > 0) - 1)[key] * width + more % width
+            rows = np.bincount(key, minlength=self.cell_labels.shape[1] * width)
+            prev, bins = np.divmod(np.flatnonzero(rows), width)
+            prior = self.cell_labels[:, prev]
+            self.cell_labels = np.vstack([prior, prior[0] // width * width + bins])
+        self.cell_counts = rows[rows > 0]
+        self.row_cell = (np.cumsum(rows > 0) - 1)[key]
+        tp, fp, events, non_events = self.sums(self.cell_counts)
+        self.counts = (tp[0], fp[0], events, non_events)
 
-    def sums(self, cells=None):
-        """``(tp, fp, events, non_events)`` from the masses ``cells`` of shape
-        ``(..., 2 * width)`` indexed by label: the flagged-event and
-        flagged-non-event mass at each threshold of the grid (shape
-        ``(..., T)``) and the total event and non-event mass.  The default
-        is the sample's row counts, which gives integers.
+    def sums(self, masses: np.ndarray):
+        """``(tp, fp, events, non_events)`` from ``masses`` of shape
+        ``(..., K)`` on the cells: the flagged-event and flagged-non-event
+        mass under each risk column at each threshold of the grid (shape
+        ``(..., M, T)``) and the total event and non-event mass (shape
+        ``(...)``, added up along the last column's labels).
         """
-        if cells is None:
-            cells = np.bincount(self.labels, minlength=2 * self.width)
-        cells = cells.reshape(cells.shape[:-1] + (2, self.width))
-        tail = cells[..., ::-1].cumsum(axis=-1)[..., ::-1]  # tail[..., k]: cells k..T
-        flagged = np.empty(tail.shape[:-1] + (self.width - 1,), dtype=tail.dtype)
-        flagged[..., self.order] = tail[..., 1:]
-        return flagged[..., 1, :], flagged[..., 0, :], tail[..., 1, 0], tail[..., 0, 0]
+        lead, n_labels = masses.shape[:-1], 2 * self.width
+        reps = masses.size // masses.shape[-1]
+        offsets = np.arange(reps)[:, None] * n_labels
+        tp, fp = np.empty((2,) + lead + (len(self.cell_labels), self.width - 1))
+        for m, labels in enumerate(self.cell_labels):
+            cells = np.bincount((offsets + labels).ravel(), weights=masses.reshape(-1),
+                                minlength=reps * n_labels).reshape(lead + (2, self.width))
+            tail = cells[..., ::-1].cumsum(axis=-1)[..., ::-1]  # tail[..., k]: cells k..T
+            tp[..., m, self.order] = tail[..., 1, 1:]
+            fp[..., m, self.order] = tail[..., 0, 1:]
+        return tp, fp, tail[..., 1, 0], tail[..., 0, 0]
 
 
 def _net_benefit(tp, fp, harm_weight, total):
@@ -165,7 +196,7 @@ def _net_benefit(tp, fp, harm_weight, total):
 
 def nb_model(sample: ValidationSample, t: Threshold) -> float:
     """Net benefit of treating those with ``risk >= z``."""
-    tp, fp, _, _ = _CellTable(sample.outcomes, sample.risks, (t,)).sums()
+    tp, fp, _, _ = _CellTable(sample.outcomes, [sample.risks], (t,)).counts
     return float(_net_benefit(tp[0], fp[0], t.harm_weight, sample.n))
 
 
@@ -297,10 +328,10 @@ def decision_curve(
     if n_boot < 0:
         raise InputError("n_boot must be >= 0")
 
-    tp, fp, events, non_events = _CellTable(sample.outcomes, sample.risks, ts).sums()
-    c = np.array([t.harm_weight for t in ts])
-    point_model = _net_benefit(tp, fp, c, sample.n)
-    point_all = _net_benefit(events, non_events, c, sample.n)
+    table = _CellTable(sample.outcomes, [sample.risks], ts)
+    tp, fp, events, non_events = table.counts
+    point_model = _net_benefit(tp, fp, table.harm_weight, sample.n)
+    point_all = _net_benefit(events, non_events, table.harm_weight, sample.n)
 
     if n_boot == 0:
         return DecisionCurve(

@@ -13,16 +13,15 @@ Two resampling schemes weight the n observations of a validation sample:
 ``netbenefit.weighted_nb`` apply them row by row; they are the reference.
 ``bootstrap_nb_draws_grid`` never draws a row weight.  Over a threshold
 grid, a replicate's net benefits depend on the rows only through the mass
-on each occupied cell: the rows sharing an outcome and a threshold bin
-(``netbenefit._CellTable``), or with extra models an outcome and a bin
-under every model.  Summed flat-Dirichlet weights are exactly
-Dirichlet(n_1, ..., n_K) over the K cells with n_k rows each (the
-aggregation property of Rubin's Bayesian bootstrap), drawn as
-``standard_gamma(n_k)`` normalized per replicate; summed resample counts
-are exactly Multinomial(n, n_k / n).  A replicate therefore costs O(K),
-not O(n), and the ordinary draws remain integer counts, so replicate l
-equals, bit for bit, the net benefit of a resampled dataset that takes
-each cell's count from that cell's rows.
+on each occupied cell of ``netbenefit._CellTable``, which owns the cells
+and turns cell masses into per-threshold sums; this module only draws the
+masses.  Summed flat-Dirichlet weights are exactly Dirichlet(n_1, ..., n_K)
+over the K cells with n_k rows each (the aggregation property of Rubin's
+Bayesian bootstrap), drawn as ``standard_gamma(n_k)`` normalized per
+replicate; summed resample counts are exactly Multinomial(n, n_k / n).  A
+replicate therefore costs O(K), not O(n), and the ordinary draws remain
+integer counts, so replicate l equals, bit for bit, the net benefit of a
+resampled dataset that takes each cell's count from that cell's rows.
 
 Replicates are drawn in blocks of ``_block_rows(K)`` (``BLOCK_REPS``, or
 fewer when K is so large that a block would exceed ``BLOCK_CELLS`` cell
@@ -30,11 +29,11 @@ masses).  Block b of method m uses the substream ``(seed, m, b)`` and
 numpy fills it one replicate at a time, so results depend only on the
 inputs and the seed: a shorter run is a prefix of a longer one, the worker
 and BLAS thread counts play no part (cells are summed with ``bincount``),
-and cells are ordered by label, so permuting the rows changes nothing.
-One replicate serves every threshold of the grid, keeping curves coherent.
-The cells do depend on the grid: adding a threshold that splits an
-occupied cell changes the draws at the other thresholds, though not their
-distribution.
+and the table orders its cells by outcome and bins, so permuting the rows
+changes nothing.  One replicate serves every threshold of the grid,
+keeping curves coherent.  The cells do depend on the grid: adding a
+threshold that splits an occupied cell changes the draws at the other
+thresholds, though not their distribution.
 """
 
 from __future__ import annotations
@@ -158,20 +157,6 @@ class GridDraws:
     seed: int | tuple
 
 
-def _joint_cells(tables):
-    """The occupied cells of one or more tables over the same rows: the
-    distinct label tuples, ordered by label.  Returns ``(first, inverse,
-    counts)``: one row of each cell, each row's cell and each cell's row
-    count."""
-    key = tables[0].labels
-    for table in tables[1:]:
-        _, key = np.unique(key, return_inverse=True)
-        key = key * table.width + table.labels % table.width  # outcome is in key already
-    _, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True)
-    return first, inverse, counts
-
-
 def _block_rows(n_cells: int) -> int:
     """Replicates per block: ``BLOCK_REPS``, fewer when that many
     replicates of ``n_cells`` masses would exceed ``BLOCK_CELLS``."""
@@ -220,29 +205,19 @@ def bootstrap_nb_draws_grid(
     risk_cols = [sample.risks]
     if extra_risks is not None:
         extra = np.atleast_2d(np.asarray(extra_risks, dtype=float))
-        if extra.shape[0] == sample.n and extra.shape[1] != sample.n:
-            extra = extra.T
         if extra.shape[1] != sample.n:
             raise InputError("extra model risks must have one value per observation")
         if not np.isfinite(extra).all() or extra.min() < 0.0 or extra.max() > 1.0:
             raise InputError("extra model risks must lie in [0, 1]")
         risk_cols.extend(extra)
-    tables = [_CellTable(sample.outcomes, r, thresholds) for r in risk_cols]
-    first, _, counts = _joint_cells(tables)
-    k, n_labels = counts.size, 2 * tables[0].width
-    # Flat bincount index of (replicate within block, label) per cell mass.
-    offsets = np.arange(_block_rows(k))[:, None] * n_labels
-    slots = [(offsets + t.labels[first]).ravel() for t in tables]
-    c = np.array([t.harm_weight for t in thresholds])
+    table = _CellTable(sample.outcomes, risk_cols, thresholds)
+    c = table.harm_weight
     total = 1.0 if method == "bayesian" else sample.n
-    draws = np.empty((n_reps, len(thresholds), len(tables) + 1))
-    for start, masses in _mass_blocks(counts, n_reps, method, seed):
-        b, weights = masses.shape[0], masses.ravel()
-        block = draws[start:start + b]
-        for s, (table, slot) in enumerate(zip(tables, slots)):
-            cells = np.bincount(slot[:b * k], weights=weights, minlength=b * n_labels)
-            tp, fp, events, non_events = table.sums(cells.reshape(b, n_labels))
-            block[:, :, s] = _net_benefit(tp, fp, c, total)
+    draws = np.empty((n_reps, len(thresholds), len(risk_cols) + 1))
+    for start, masses in _mass_blocks(table.cell_counts, n_reps, method, seed):
+        tp, fp, events, non_events = table.sums(masses)
+        block = draws[start:start + masses.shape[0]]
+        block[:, :, :-1] = _net_benefit(tp, fp, c, total).transpose(0, 2, 1)
         block[:, :, -1] = _net_benefit(events[:, None], non_events[:, None], c, total)
     return GridDraws(draws=draws, thresholds=thresholds, method=method, seed=seed)
 

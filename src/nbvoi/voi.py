@@ -97,24 +97,21 @@ def moments(sample: ValidationSample, t: Threshold) -> MomentSet:
         var_all   = (1/n) (1/(1-z))^2 P0(1-P0)
         cov       = (1/(n(1-z))) [(1-P0) P_TP + c P0 P_FP]
     """
-    grid = _moment_grid(sample, (t,))
+    grid = _moment_grid(sample, _CellTable(sample.outcomes, [sample.risks], (t,)))
     return replace(grid, threshold=t, **{
         k: v[0].item() for k, v in vars(grid).items() if isinstance(v, np.ndarray)})
 
 
-def _moment_grid(sample: ValidationSample, thresholds, counts=None) -> MomentSet:
-    """:func:`moments` at every threshold, as one array-valued
-    :class:`MomentSet` from one table of counts.  ``counts`` is the
-    sample's ``_CellTable.sums()`` over this grid, when the caller already
-    has them."""
+def _moment_grid(sample: ValidationSample, table: _CellTable) -> MomentSet:
+    """:func:`moments` at every threshold of the sample's cell table, as one
+    array-valued :class:`MomentSet` from the table's counts."""
     if sample.n < 2:
         raise InputError("moment estimation requires n >= 2")
     n, events = sample.n, sample.n_events
     p0 = events / n
-    tp, fp, _, _ = counts if counts is not None else _CellTable(
-        sample.outcomes, sample.risks, thresholds).sums()
-    z = np.array([t.z for t in thresholds])
-    c = np.array([t.harm_weight for t in thresholds])
+    tp, fp, _, _ = table.counts
+    z = np.array([t.z for t in table.thresholds])
+    c = table.harm_weight
     p_tp, p_fp = tp / n, fp / n
     return MomentSet(
         mean_model=_net_benefit(tp, fp, c, n),
@@ -122,7 +119,7 @@ def _moment_grid(sample: ValidationSample, thresholds, counts=None) -> MomentSet
         var_model=(p_tp * (1 - p_tp) + c * c * p_fp * (1 - p_fp) + 2 * c * p_tp * p_fp) / n,
         var_all=p0 * (1 - p0) / (n * (1 - z) ** 2),
         cov=((1 - p0) * p_tp + c * p0 * p_fp) / (n * (1 - z)),
-        n=n, p0=p0, p_tp=p_tp, p_fp=p_fp, threshold=tuple(thresholds),
+        n=n, p0=p0, p_tp=p_tp, p_fp=p_fp, threshold=table.thresholds,
     )
 
 
@@ -344,13 +341,12 @@ def evpi_asymptotic(m: MomentSet) -> VoiResult:
     return VoiResult(**row)
 
 
-def _thin_mask(sample: ValidationSample, thresholds, counts=None) -> np.ndarray:
-    """Which thresholds have fewer than ``MIN_SIDE_ROWS`` rows on one side;
-    ``counts`` as in :func:`_moment_grid`."""
-    tp, fp, _, _ = counts if counts is not None else _CellTable(
-        sample.outcomes, sample.risks, thresholds).sums()
+def _thin_mask(table: _CellTable) -> np.ndarray:
+    """Which thresholds of a cell table have fewer than ``MIN_SIDE_ROWS``
+    rows on one side."""
+    tp, fp, events, non_events = table.counts
     flagged = tp + fp
-    return np.minimum(flagged, sample.n - flagged) < MIN_SIDE_ROWS
+    return np.minimum(flagged, events + non_events - flagged) < MIN_SIDE_ROWS
 
 
 class _GridEvpi(NamedTuple):
@@ -383,19 +379,19 @@ def _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks=None) -> _
     if "asymptotic" in methods and extra_risks is not None:
         raise InputError("the asymptotic method supports exactly one candidate model")
 
-    counts = _CellTable(sample.outcomes, sample.risks, thresholds).sums()
+    table = _CellTable(sample.outcomes, [sample.risks], thresholds)
     columns: list[_EvpiColumns] = []
     draws: dict[str, GridDraws] = {}
     for m in methods:
         if m == "asymptotic":
-            columns.append(_asymptotic_columns(_moment_grid(sample, thresholds, counts)))
+            columns.append(_asymptotic_columns(_moment_grid(sample, table)))
         else:
             draws[m] = bootstrap_nb_draws_grid(
                 sample, thresholds, n_reps=n_reps, method=m, seed=seed,
                 extra_risks=extra_risks,
             )
             columns.append(_bootstrap_columns(draws[m].draws, m, seed))
-    return _GridEvpi(thresholds, columns, _thin_mask(sample, thresholds, counts), draws)
+    return _GridEvpi(thresholds, columns, _thin_mask(table), draws)
 
 
 def _warn_thin(names: list[str], stacklevel: int, where: str = "threshold(s)",

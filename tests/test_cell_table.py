@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nbvoi import Threshold, ValidationSample, WeightVector, moments, nb_all, nb_model, weighted_nb
 from nbvoi.netbenefit import _CellTable, _net_benefit
-from nbvoi.resample import _joint_cells, _mass_blocks, bootstrap_nb_draws_grid
+from nbvoi.resample import _mass_blocks, bootstrap_nb_draws_grid
 from nbvoi.voi import MIN_SIDE_ROWS, _moment_grid, _thin_mask
 
 Z_VALUES = (0.05, 0.1, 0.2, 0.25, 0.5, 0.7)
@@ -39,15 +39,44 @@ def resample_counts(draw, n):
     return np.bincount(idx, minlength=n)
 
 
+def reference_joint_cells(outcomes, risk_cols, ts):
+    """The cells as ``np.unique`` found them before the table owned them:
+    each column's row labels, then one row of each cell, each row's cell and
+    each cell's row count, cells ordered by their label tuples."""
+    zs = np.sort([t.z for t in ts])
+    width = zs.size + 1
+    labels = [outcomes * width + np.searchsorted(zs, r, side="right") for r in risk_cols]
+    key = labels[0]
+    for more in labels[1:]:
+        _, key = np.unique(key, return_inverse=True)
+        key = key.ravel() * width + more % width
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True)
+    return labels, first, inverse.ravel(), counts
+
+
+@SETTINGS
+@given(samples(), grids, st.integers(0, 2), st.data())
+def test_cells_equal_unique_reference(s, ts, n_extra, data):
+    extra = [np.array(data.draw(st.lists(risk, min_size=s.n, max_size=s.n)))
+             for _ in range(n_extra)]
+    cols = [s.risks, *extra]
+    table = _CellTable(s.outcomes, cols, ts)
+    labels, first, inverse, counts = reference_joint_cells(s.outcomes, cols, ts)
+    assert table.cell_counts.tolist() == counts.tolist()
+    assert table.row_cell.tolist() == inverse.tolist()
+    assert table.cell_labels.tolist() == [l[first].tolist() for l in labels]
+
+
 @SETTINGS
 @given(samples(), grids, st.data())
 def test_table_nb_equals_row_reference_for_counts(s, ts, data):
     counts = data.draw(resample_counts(s.n))
     wv = WeightVector(weights=counts / s.n, kind="multinomial", counts=counts)
-    table = _CellTable(s.outcomes, s.risks, ts)
-    tp, fp, events, non_events = table.sums(
-        np.bincount(table.labels, weights=counts, minlength=2 * table.width))
-    unit_tp, unit_fp, _, _ = table.sums()
+    table = _CellTable(s.outcomes, [s.risks], ts)
+    (tp,), (fp,), events, non_events = table.sums(
+        np.bincount(table.row_cell, weights=counts, minlength=table.cell_counts.size))
+    unit_tp, unit_fp, _, _ = table.counts
     for j, t in enumerate(ts):
         flagged = s.risks >= t.z
         assert unit_tp[j] == np.sum(flagged & (s.outcomes == 1))
@@ -63,7 +92,7 @@ def test_moments_equal_row_reference(s, ts):
     n = s.n
     unit = WeightVector(weights=np.full(n, 1.0 / n), kind="multinomial",
                         counts=np.ones(n, dtype=int))
-    grid = _moment_grid(s, ts)
+    grid = _moment_grid(s, _CellTable(s.outcomes, [s.risks], ts))
     assert grid.threshold == ts
     for j, t in enumerate(ts):
         m = moments(s, t)
@@ -86,16 +115,16 @@ def test_thin_rule_matches_row_count(s, ts):
     for t in ts:
         above = int(np.sum(s.risks >= t.z))
         expect.append(min(above, s.n - above) < MIN_SIDE_ROWS)
-    assert _thin_mask(s, ts).tolist() == expect
+    assert _thin_mask(_CellTable(s.outcomes, [s.risks], ts)).tolist() == expect
 
 
 def _cell_draws(s, ts, n_reps, method, seed, extra=()):
     """The cell masses the bootstrap draws for each replicate, (n_reps, K),
     each row's cell and each cell's row count."""
-    tables = [_CellTable(s.outcomes, r, ts) for r in (s.risks, *extra)]
-    _, inverse, counts = _joint_cells(tables)
-    masses = np.concatenate([m for _, m in _mass_blocks(counts, n_reps, method, seed)])
-    return masses, inverse, counts
+    table = _CellTable(s.outcomes, [s.risks, *extra], ts)
+    masses = np.concatenate([m for _, m in _mass_blocks(table.cell_counts, n_reps, method,
+                                                        seed)])
+    return masses, table.row_cell, table.cell_counts
 
 
 def _resample_rows(inverse, cell_counts):

@@ -287,6 +287,50 @@ class TestSimulate:
         assert rec["error"] == "input"
 
 
+    @pytest.mark.parametrize("field, edit", [
+        ("sizes", {"sizes": [80.7, 160]}),
+        ("n_sims", {"n_sims": 2.9}),
+        ("n_reps", {"n_reps": 120.5}),
+        ("seed", {"seed": 1.5}),
+        ("workers", {"workers": 1.5}),
+    ])
+    def test_fractional_integer_field_exits_2_naming_it(self, capsys, tmp_path, field, edit):
+        raw = dict(json.loads(self._config(tmp_path).read_text(encoding="utf-8")), **edit)
+        p = tmp_path / "frac.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run(capsys, ["simulate", "--config", str(p)])
+        assert code == 2 and out == ""
+        rec = json.loads(err.strip().splitlines()[-1])
+        assert rec["error"] == "input" and repr(field) in rec["message"]
+
+    def test_integral_values_spelled_as_floats_run(self, capsys, tmp_path):
+        cfg = self._config(tmp_path)
+        _, expect, _ = run(capsys, ["simulate", "--config", str(cfg)])
+        raw = dict(json.loads(cfg.read_text(encoding="utf-8")),
+                   sizes=[80.0, 1.6e2], n_sims=3.0, n_reps=120.0, seed=13.0, workers=1.0)
+        p = tmp_path / "floats.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, _ = run(capsys, ["simulate", "--config", str(p)])
+        assert code == 0
+        assert out.splitlines()[1:2] + out.splitlines()[3:] == (
+            expect.splitlines()[1:2] + expect.splitlines()[3:])
+
+    def test_subsample_with_risk_and_model_exits_2(self, capsys, tmp_path, dataset):
+        path, _ = dataset
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"intercept": 0.0, "terms": {"p": 1.0}}), encoding="utf-8")
+        cfg = {
+            "kind": "subsample", "data": str(path), "outcome": "y", "risk": "p",
+            "model": str(model), "sizes": [50], "thresholds": [0.2], "n_sims": 1,
+            "methods": ["asymptotic"],
+        }
+        p = tmp_path / "both.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        code, out, err = run(capsys, ["simulate", "--config", str(p)])
+        assert code == 2 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "input"
+
+
 class TestExitCodes:
     def test_missing_file_exits_2_with_json_error(self, capsys):
         code, out, err = run(capsys, [

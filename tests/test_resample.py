@@ -26,7 +26,6 @@ from nbvoi.resample import (
     BLOCK_REPS,
     METHOD_IDS,
     _block_rows,
-    _joint_cells,
     _mass_blocks,
     bootstrap_nb_draws_grid,
     dirichlet_weights,
@@ -153,7 +152,8 @@ class TestBootstrapNbDraws:
         s = _toy_sample()
         t = Threshold(0.25)
         mat = bootstrap_nb_draws(s, t, n_reps=100, method="bayesian", seed=11)
-        _, inverse, counts = _joint_cells([_CellTable(s.outcomes, s.risks, (t,))])
+        table = _CellTable(s.outcomes, [s.risks], (t,))
+        inverse, counts = table.row_cell, table.cell_counts
         ((_, masses),) = _mass_blocks(counts, 100, "bayesian", 11)
         for l in (0, 17, 99):
             w = masses[l][inverse] / counts[inverse]
@@ -207,6 +207,15 @@ class TestBootstrapNbDraws:
                                extra_risks=np.array([1.5] * s.n))
 
 
+    def test_rejects_extra_risks_laid_out_one_row_per_observation(self):
+        """Extra models come one row per model, (M, n); an (n, M) array is
+        not transposed but rejected."""
+        s = _toy_sample()
+        by_row = np.column_stack([s.risks, s.risks])
+        with pytest.raises(InputError, match="one value per observation"):
+            bootstrap_nb_draws_grid(s, (Threshold(0.2),), n_reps=10, extra_risks=by_row)
+
+
 def _cell_sample():
     """44 rows in six (outcome, bin) cells of 23, 9, 2, 5, 1 and 4 rows over
     the grid (0.2, 0.5)."""
@@ -214,7 +223,8 @@ def _cell_sample():
     y = np.concatenate([[y] * k for y, _, k in layout])
     p = np.concatenate([[p] * k for _, p, k in layout])
     ts = make_thresholds([0.2, 0.5])
-    _, inverse, counts = _joint_cells([_CellTable(y, p, ts)])
+    table = _CellTable(y, [p], ts)
+    inverse, counts = table.row_cell, table.cell_counts
     assert counts.tolist() == [23, 9, 2, 5, 1, 4]
     return ValidationSample(y, p), ts, inverse, counts
 
@@ -298,8 +308,7 @@ class TestCellBootstrap:
         s = ValidationSample(rng.integers(0, 2, n), rng.random(n))
         second = rng.random(n)
         ts = make_thresholds(np.arange(1, 198) / 200)
-        tables = [_CellTable(s.outcomes, r, ts) for r in (s.risks, second)]
-        _, _, counts = _joint_cells(tables)
+        counts = _CellTable(s.outcomes, [s.risks, second], ts).cell_counts
         assert counts.size > 0.8 * n and counts.size > BLOCK_CELLS // BLOCK_REPS
         for _, masses in _mass_blocks(counts, 40, "bayesian", 3):
             assert masses.size <= BLOCK_CELLS

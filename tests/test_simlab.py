@@ -239,6 +239,7 @@ class TestSyntheticSweep:
         big = res.row(1600, 0.2, "bayesian_bootstrap")
         assert big.mean_evpi < small.mean_evpi - np.hypot(small.mc_se, big.mc_se)
 
+    @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
     def test_threshold_order_does_not_change_values(self):
         """The bootstrap cells are ordered by label, not by grid position,
         so an unsorted grid gives the same values, bit for bit."""
