@@ -61,11 +61,18 @@ def _parse_thresholds(spec: str | None, max_z: float) -> tuple[Threshold, ...]:
             values = [v for v in values if v <= stop + 1e-12]
         else:
             values = [float(v) for v in spec.split(",") if v.strip()]
-    except ValueError:
+    except (ValueError, OverflowError):
         raise InputError(
             f"cannot parse thresholds {spec!r}; use 'a,b,c' or 'start:stop:step'"
         ) from None
     return make_thresholds(values, max_z=max_z)
+
+
+def _seed(value: int) -> int:
+    """A seed for the random streams, which take non-negative integers."""
+    if value < 0:
+        raise InputError(f"seed must be a non-negative integer, got {value}")
+    return value
 
 
 def _load_sample(data, outcome, risk, model, delimiter=None):
@@ -100,6 +107,7 @@ def _json_text(payload: dict) -> str:
 
 
 def cmd_dca(args) -> int:
+    _seed(args.seed)
     sample = _load_sample(args.data, args.outcome, args.risk, args.model, args.delimiter)
     ts = _parse_thresholds(args.thresholds, args.max_threshold)
     method = _CLI_METHODS[args.method]
@@ -123,6 +131,7 @@ def cmd_evpi(args) -> int:
     methods = ALL_METHODS if args.method == "all" else (_CLI_METHODS[args.method],)
     if args.dump_draws and methods == ("asymptotic",):
         raise InputError("--dump-draws needs a bootstrap method: bayes, ordinary or all")
+    _seed(args.seed)
     sample = _load_sample(args.data, args.outcome, args.risk, args.model, args.delimiter)
     ts = _parse_thresholds(args.thresholds, args.max_threshold)
     out = _evpi_grid(sample, ts, methods, args.n_reps, args.seed)
@@ -141,9 +150,9 @@ def cmd_evpi(args) -> int:
                 }, sort_keys=True) + "\n")
 
     if args.dump_draws:
-        for m, grid in out.draws.items():
+        for m, draws in out.draws.items():
             for i, t in enumerate(ts):
-                matrix = NbDrawMatrix(grid.draws[:, i], method=m, seed=args.seed, threshold=t)
+                matrix = NbDrawMatrix(draws[:, i], method=m, seed=args.seed, threshold=t)
                 dump_draws(matrix, f"{args.dump_draws}_{m}_z{t.z!r}.csv")
 
     if args.out == "json":
@@ -189,7 +198,7 @@ def _sweep_setup(raw: dict, workers: int | None):
         "n_sims": _whole(raw.get("n_sims", 100), "n_sims"),
         "n_reps": _whole(raw.get("n_reps", 1000), "n_reps"),
         "methods": methods,
-        "seed": _whole(raw.get("seed", 0), "seed"),
+        "seed": _seed(_whole(raw.get("seed", 0), "seed")),
         "n_workers": _whole(workers if workers is not None else raw.get("workers", 1),
                             "workers"),
     }

@@ -12,12 +12,14 @@ treated.  All estimators are plain sample means, so they remain
 well-defined for degenerate samples (all events or all non-events).
 
 ``_CellTable`` alone knows how rows fall into cells over a threshold grid.
-Point estimates, moments and thin-side checks read its row-count sums; the
-bootstrap draws masses on its cells and asks it for their sums.
+Each analysis builds one table: point estimates, moments and thin-side
+checks read its row-count sums, and the bootstrap (``resample._table_draws``)
+draws masses on the same table's cells and asks it for their sums.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +42,8 @@ class Threshold:
     max_z: float = field(default=DEFAULT_MAX_THRESHOLD, compare=False)
 
     def __post_init__(self):
+        if math.isnan(self.max_z):
+            raise InputError("the threshold cap max_z must be a number, got nan")
         if not 0.0 < self.z < 1.0:
             raise InputError(f"threshold must lie strictly inside (0, 1), got {self.z}")
         if self.z >= self.max_z:
@@ -55,8 +59,10 @@ class Threshold:
 
 
 def make_thresholds(values, max_z: float = DEFAULT_MAX_THRESHOLD) -> tuple[Threshold, ...]:
-    """Build a strictly increasing tuple of thresholds from raw values."""
-    ts = tuple(Threshold(float(v), max_z=max_z) for v in values)
+    """Build a strictly increasing tuple of thresholds from raw values
+    (a :class:`Threshold` among them is kept as it is)."""
+    ts = tuple(v if isinstance(v, Threshold) else Threshold(float(v), max_z=max_z)
+               for v in values)
     if not ts:
         raise InputError("threshold grid must be non-empty")
     zs = [t.z for t in ts]
@@ -129,7 +135,8 @@ class ValidationSample:
 
 class _CellTable:
     """The occupied cells of a sample over a threshold grid (any order,
-    duplicates allowed), and the per-threshold sums of masses on them.
+    duplicates allowed, or one bare :class:`Threshold`), and the
+    per-threshold sums of masses on them.
 
     Under each of the M risk columns a row's label is its outcome times
     ``width`` (T + 1) plus the number of grid thresholds at or below its
@@ -145,8 +152,8 @@ class _CellTable:
     __slots__ = ("thresholds", "harm_weight", "order", "width", "cell_counts", "row_cell",
                  "cell_labels", "counts")
 
-    def __init__(self, outcomes: np.ndarray, risk_cols, thresholds):
-        self.thresholds = tuple(thresholds)
+    def __init__(self, outcomes: np.ndarray, risk_cols, grid):
+        self.thresholds = (grid,) if isinstance(grid, Threshold) else tuple(grid)
         zs = np.array([t.z for t in self.thresholds])
         self.harm_weight = zs / (1.0 - zs)
         self.order = np.argsort(zs, kind="stable")
@@ -196,7 +203,7 @@ def _net_benefit(tp, fp, harm_weight, total):
 
 def nb_model(sample: ValidationSample, t: Threshold) -> float:
     """Net benefit of treating those with ``risk >= z``."""
-    tp, fp, _, _ = _CellTable(sample.outcomes, [sample.risks], (t,)).counts
+    tp, fp, _, _ = _CellTable(sample.outcomes, [sample.risks], t).counts
     return float(_net_benefit(tp[0], fp[0], t.harm_weight, sample.n))
 
 
@@ -313,22 +320,14 @@ def decision_curve(
     per-threshold CI is the percentile interval of the replicate NBs.
     ``n_boot = 0`` disables the bands entirely.
     """
-    if isinstance(grid, Threshold):
-        grid = (grid,)
-    grid = tuple(grid)
-    if grid and all(isinstance(t, Threshold) for t in grid):
-        ts = grid
-        zs = [t.z for t in ts]
-        if any(b <= a for a, b in zip(zs, zs[1:])):
-            raise InputError("threshold grid must be strictly increasing")
-    else:
-        ts = make_thresholds(grid)
     if not 0.0 < ci_level < 1.0:
         raise InputError("ci_level must lie in (0, 1)")
     if n_boot < 0:
         raise InputError("n_boot must be >= 0")
 
-    table = _CellTable(sample.outcomes, [sample.risks], ts)
+    table = _CellTable(sample.outcomes, [sample.risks],
+                       grid if isinstance(grid, Threshold) else make_thresholds(grid))
+    ts = table.thresholds
     tp, fp, events, non_events = table.counts
     point_model = _net_benefit(tp, fp, table.harm_weight, sample.n)
     point_all = _net_benefit(events, non_events, table.harm_weight, sample.n)
@@ -339,12 +338,11 @@ def decision_curve(
             ci_level=ci_level, n_boot=0,
         )
 
-    from .resample import bootstrap_nb_draws_grid
+    from .resample import _table_draws
 
-    draws = bootstrap_nb_draws_grid(sample, ts, n_reps=n_boot, method=method, seed=seed)
+    draws = _table_draws(table, n_boot, method, seed)  # (n_boot, T, 2): model, treat_all
     lo_q, hi_q = 0.5 * (1.0 - ci_level), 0.5 * (1.0 + ci_level)
-    # draws.draws has shape (n_boot, T, 2): columns (model, treat_all)
-    qs = np.quantile(draws.draws, [lo_q, hi_q], axis=0)
+    qs = np.quantile(draws, [lo_q, hi_q], axis=0)
     model_ci = qs[:, :, 0].T.copy()
     all_ci = qs[:, :, 1].T.copy()
     degenerate = tp + fp == 0

@@ -11,12 +11,14 @@ Two resampling schemes weight the n observations of a validation sample:
 
 ``dirichlet_weights``, ``multinomial_weights`` and
 ``netbenefit.weighted_nb`` apply them row by row; they are the reference.
-``bootstrap_nb_draws_grid`` never draws a row weight.  Over a threshold
-grid, a replicate's net benefits depend on the rows only through the mass
-on each occupied cell of ``netbenefit._CellTable``, which owns the cells
-and turns cell masses into per-threshold sums; this module only draws the
-masses.  Summed flat-Dirichlet weights are exactly Dirichlet(n_1, ..., n_K)
-over the K cells with n_k rows each (the aggregation property of Rubin's
+``_table_draws`` never draws a row weight.  Over a threshold grid, a
+replicate's net benefits depend on the rows only through the mass on each
+occupied cell of a ``netbenefit._CellTable``, which owns the cells and
+turns cell masses into per-threshold sums; ``_table_draws`` only draws the
+masses, on the one table of the analysis (``voi._evpi_grid``,
+``netbenefit.decision_curve``; ``bootstrap_nb_draws_grid`` builds its own).
+Summed flat-Dirichlet weights are exactly Dirichlet(n_1, ..., n_K) over
+the K cells with n_k rows each (the aggregation property of Rubin's
 Bayesian bootstrap), drawn as ``standard_gamma(n_k)`` normalized per
 replicate; summed resample counts are exactly Multinomial(n, n_k / n).  A
 replicate therefore costs O(K), not O(n), and the ordinary draws remain
@@ -180,6 +182,37 @@ def _mass_blocks(counts: np.ndarray, n_reps: int, method: str, seed):
             yield start, rng.multinomial(n, counts / n, size=size[0])
 
 
+def _risk_columns(sample: ValidationSample, extra_risks) -> list[np.ndarray]:
+    """The sample's risks, then each extra model's row of ``extra_risks``."""
+    if extra_risks is None:
+        return [sample.risks]
+    extra = np.atleast_2d(np.asarray(extra_risks, dtype=float))
+    if extra.shape[1] != sample.n:
+        raise InputError("extra model risks must have one value per observation")
+    if not np.isfinite(extra).all() or extra.min() < 0.0 or extra.max() > 1.0:
+        raise InputError("extra model risks must lie in [0, 1]")
+    return [sample.risks, *extra]
+
+
+def _table_draws(table: _CellTable, n_reps: int, method: str, seed) -> np.ndarray:
+    """The ``(n_reps, T, M + 1)`` replicate NBs, columns ``[model_1, ...,
+    model_M, treat_all]``, from one mass draw on the cells of ``table`` per
+    replicate (see the module docstring)."""
+    if n_reps < 1:
+        raise InputError("n_reps must be >= 1")
+    if method not in METHOD_IDS:
+        raise InputError(f"unknown bootstrap method {method!r}; expected 'bayesian' or 'ordinary'")
+    c = table.harm_weight
+    total = 1.0 if method == "bayesian" else int(table.cell_counts.sum())
+    draws = np.empty((n_reps, len(table.thresholds), len(table.cell_labels) + 1))
+    for start, masses in _mass_blocks(table.cell_counts, n_reps, method, seed):
+        tp, fp, events, non_events = table.sums(masses)
+        block = draws[start:start + masses.shape[0]]
+        block[:, :, :-1] = _net_benefit(tp, fp, c, total).transpose(0, 2, 1)
+        block[:, :, -1] = _net_benefit(events[:, None], non_events[:, None], c, total)
+    return draws
+
+
 def bootstrap_nb_draws_grid(
     sample: ValidationSample,
     thresholds,
@@ -194,32 +227,9 @@ def bootstrap_nb_draws_grid(
     the occupied cells in blocks (see the module docstring).  Output is a
     pure function of ``(sample, thresholds, n_reps, method, seed)``.
     """
-    if isinstance(thresholds, Threshold):
-        thresholds = (thresholds,)
-    thresholds = tuple(thresholds)
-    if n_reps < 1:
-        raise InputError("n_reps must be >= 1")
-    if method not in METHOD_IDS:
-        raise InputError(f"unknown bootstrap method {method!r}; expected 'bayesian' or 'ordinary'")
-
-    risk_cols = [sample.risks]
-    if extra_risks is not None:
-        extra = np.atleast_2d(np.asarray(extra_risks, dtype=float))
-        if extra.shape[1] != sample.n:
-            raise InputError("extra model risks must have one value per observation")
-        if not np.isfinite(extra).all() or extra.min() < 0.0 or extra.max() > 1.0:
-            raise InputError("extra model risks must lie in [0, 1]")
-        risk_cols.extend(extra)
-    table = _CellTable(sample.outcomes, risk_cols, thresholds)
-    c = table.harm_weight
-    total = 1.0 if method == "bayesian" else sample.n
-    draws = np.empty((n_reps, len(thresholds), len(risk_cols) + 1))
-    for start, masses in _mass_blocks(table.cell_counts, n_reps, method, seed):
-        tp, fp, events, non_events = table.sums(masses)
-        block = draws[start:start + masses.shape[0]]
-        block[:, :, :-1] = _net_benefit(tp, fp, c, total).transpose(0, 2, 1)
-        block[:, :, -1] = _net_benefit(events[:, None], non_events[:, None], c, total)
-    return GridDraws(draws=draws, thresholds=thresholds, method=method, seed=seed)
+    table = _CellTable(sample.outcomes, _risk_columns(sample, extra_risks), thresholds)
+    return GridDraws(draws=_table_draws(table, n_reps, method, seed),
+                     thresholds=table.thresholds, method=method, seed=seed)
 
 
 def bootstrap_nb_draws(

@@ -40,7 +40,7 @@ import numpy as np
 from .bvn import _check_params, _emax_pfirst, _max
 from .errors import InputError, NumericError, SmallEffectiveSampleWarning
 from .netbenefit import Threshold, ValidationSample, _CellTable, _net_benefit
-from .resample import GridDraws, NbDrawMatrix, bootstrap_nb_draws_grid
+from .resample import NbDrawMatrix, _risk_columns, _table_draws
 
 ALL_METHODS = ("bayesian", "ordinary", "asymptotic")
 
@@ -97,7 +97,7 @@ def moments(sample: ValidationSample, t: Threshold) -> MomentSet:
         var_all   = (1/n) (1/(1-z))^2 P0(1-P0)
         cov       = (1/(n(1-z))) [(1-P0) P_TP + c P0 P_FP]
     """
-    grid = _moment_grid(sample, _CellTable(sample.outcomes, [sample.risks], (t,)))
+    grid = _moment_grid(sample, _CellTable(sample.outcomes, [sample.risks], t))
     return replace(grid, threshold=t, **{
         k: v[0].item() for k, v in vars(grid).items() if isinstance(v, np.ndarray)})
 
@@ -351,13 +351,13 @@ def _thin_mask(table: _CellTable) -> np.ndarray:
 
 class _GridEvpi(NamedTuple):
     """One EVPI evaluation over a grid: the columns of each method in the
-    order requested, the mask of thin thresholds and the bootstrap draws by
-    method."""
+    order requested, the mask of thin thresholds and the ``(N, T, S)``
+    bootstrap draws by method."""
 
     thresholds: tuple[Threshold, ...]
     columns: list[_EvpiColumns]
     thin: np.ndarray
-    draws: dict[str, GridDraws]
+    draws: dict[str, np.ndarray]
 
     def by_threshold(self) -> list[tuple[Threshold, dict]]:
         """``(threshold, VoiResult fields)`` pairs in the order of the grid,
@@ -367,11 +367,8 @@ class _GridEvpi(NamedTuple):
 
 
 def _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks=None) -> _GridEvpi:
-    """The work of :func:`evpi_threshold_sweep`, from one table of counts
-    and one bootstrap per method, without warning."""
-    if isinstance(thresholds, Threshold):
-        thresholds = (thresholds,)
-    thresholds = tuple(thresholds)
+    """The work of :func:`evpi_threshold_sweep`, without warning, from one
+    cell table (``extra_risks`` included) and one bootstrap per method."""
     methods = tuple(methods)
     for m in methods:
         if m not in ALL_METHODS:
@@ -379,19 +376,16 @@ def _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks=None) -> _
     if "asymptotic" in methods and extra_risks is not None:
         raise InputError("the asymptotic method supports exactly one candidate model")
 
-    table = _CellTable(sample.outcomes, [sample.risks], thresholds)
+    table = _CellTable(sample.outcomes, _risk_columns(sample, extra_risks), thresholds)
     columns: list[_EvpiColumns] = []
-    draws: dict[str, GridDraws] = {}
+    draws: dict[str, np.ndarray] = {}
     for m in methods:
         if m == "asymptotic":
             columns.append(_asymptotic_columns(_moment_grid(sample, table)))
         else:
-            draws[m] = bootstrap_nb_draws_grid(
-                sample, thresholds, n_reps=n_reps, method=m, seed=seed,
-                extra_risks=extra_risks,
-            )
-            columns.append(_bootstrap_columns(draws[m].draws, m, seed))
-    return _GridEvpi(thresholds, columns, _thin_mask(table), draws)
+            draws[m] = _table_draws(table, n_reps, m, seed)
+            columns.append(_bootstrap_columns(draws[m], m, seed))
+    return _GridEvpi(table.thresholds, columns, _thin_mask(table), draws)
 
 
 def _warn_thin(names: list[str], stacklevel: int, where: str = "threshold(s)",
@@ -438,8 +432,8 @@ def population_scaled(evpi: float, multiplier: float, t: Threshold) -> tuple[flo
     false positives (true positives times the inverse harm weight
     (1-z)/z).
     """
-    if multiplier <= 0:
-        raise InputError("population multiplier must be positive")
+    if not (math.isfinite(multiplier) and multiplier > 0):
+        raise InputError(f"population multiplier must be positive and finite, got {multiplier}")
     tp = evpi * multiplier
     fp = tp * ((1.0 - t.z) / t.z)
     return tp, fp

@@ -3,6 +3,8 @@
 Samples are small, risks often sit exactly on a threshold, and grids come
 unsorted and with duplicates.  With integer weights every cell sum is an
 exact integer, so the table must reproduce the row-by-row results exactly.
+Each analysis (an EVPI grid, a decision curve, a sweep cell) builds one
+table and reads its counts and bootstrap draws from it.
 """
 
 import numpy as np
@@ -10,10 +12,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbvoi import Threshold, ValidationSample, WeightVector, moments, nb_all, nb_model, weighted_nb
-from nbvoi.netbenefit import _CellTable, _net_benefit
+from nbvoi import (
+    LogisticDgm,
+    SweepConfig,
+    Threshold,
+    ValidationSample,
+    WeightVector,
+    decision_curve,
+    generate_synthetic,
+    make_thresholds,
+    moments,
+    nb_all,
+    nb_model,
+    substream,
+    weighted_nb,
+)
+from nbvoi.netbenefit import _CellTable, _net_benefit, default_grid
 from nbvoi.resample import _mass_blocks, bootstrap_nb_draws_grid
-from nbvoi.voi import MIN_SIDE_ROWS, _moment_grid, _thin_mask
+from nbvoi.simlab import _sweep_cell
+from nbvoi.voi import ALL_METHODS, MIN_SIDE_ROWS, _evpi_grid, _moment_grid, _thin_mask
 
 Z_VALUES = (0.05, 0.1, 0.2, 0.25, 0.5, 0.7)
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -203,3 +220,30 @@ def test_draws_do_not_depend_on_row_order_or_position_in_cell(s, ts, data, metho
     shifted = bootstrap_nb_draws_grid(ValidationSample(s.outcomes, moved), ts, n_reps=5,
                                       method=method, seed=seed).draws
     assert np.array_equal(base, shifted)
+
+
+DGM = LogisticDgm(intercept=-1.55, slopes=(0.77,))
+SWEEP_CFG = SweepConfig(sizes=(120,), thresholds=make_thresholds([0.1, 0.2]), n_sims=1,
+                        n_reps=50, methods=ALL_METHODS, seed=5)
+
+
+@pytest.mark.parametrize("analysis", [
+    lambda s, ts: _evpi_grid(s, ts, ALL_METHODS, 50, 3),
+    lambda s, ts: _evpi_grid(s, ts, ("bayesian", "ordinary"), 50, 3,
+                             extra_risks=[s.risks[::-1], np.sqrt(s.risks)]),
+    lambda s, ts: decision_curve(s, ts, n_boot=50, method="bayesian", seed=3),
+    lambda s, ts: _sweep_cell((0, 0), DGM, None, SWEEP_CFG),
+], ids=["evpi_all_methods", "evpi_extra_models", "decision_curve", "sweep_cell"])
+def test_each_analysis_builds_one_cell_table(monkeypatch, analysis):
+    """Counts, moments, thin mask and every bootstrap method of one analysis
+    read one table."""
+    builds = []
+    init = _CellTable.__init__
+
+    def counting(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_CellTable, "__init__", counting)
+    analysis(generate_synthetic(DGM, 300, substream(4, 2)), default_grid()[::20])
+    assert len(builds) == 1

@@ -14,7 +14,7 @@ import nbvoi
 from nbvoi import LogisticDgm, decision_curve, generate_synthetic, make_thresholds, substream
 from nbvoi.cli import main
 from nbvoi.io import render_csv
-from nbvoi.resample import NbDrawMatrix, bootstrap_nb_draws_grid, dump_draws
+from nbvoi.resample import NbDrawMatrix, _table_draws, bootstrap_nb_draws_grid, dump_draws
 
 
 @pytest.fixture()
@@ -132,18 +132,18 @@ class TestEvpi:
     def test_dump_draws_reuses_the_evpi_bootstrap(self, capsys, dataset, tmp_path, monkeypatch):
         """One bootstrap per method feeds both the EVPI rows and the dumped
         draws, which equal a direct grid call with the same arguments."""
-        import nbvoi.cli as cli_mod
+        import nbvoi.resample as resample_mod
         import nbvoi.voi as voi_mod
 
         path, sample = dataset
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["method"])
-            return bootstrap_nb_draws_grid(*args, **kwargs)
+        def counting(table, n_reps, method, seed):
+            calls.append(method)
+            return _table_draws(table, n_reps, method, seed)
 
-        for mod in (voi_mod, cli_mod):
-            monkeypatch.setattr(mod, "bootstrap_nb_draws_grid", counting, raising=False)
+        for mod in (voi_mod, resample_mod):
+            monkeypatch.setattr(mod, "_table_draws", counting)
         prefix = tmp_path / "draws"
         code, _, _ = run(capsys, [
             "evpi", "--data", str(path), "--outcome", "y", "--risk", "p",
@@ -402,13 +402,18 @@ class TestExitCodes:
         assert rec["error"] == "numeric" and "P(useful)" in rec["message"]
 
 
-def _cli_subprocess(argv, **env) -> bytes:
+def _cli_process(argv, **env) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter, importing this checkout's nbvoi."""
     src = str(Path(nbvoi.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "nbvoi.cli", *argv],
+    return subprocess.run([sys.executable, "-m", "nbvoi.cli", *argv],
                           env=dict(os.environ, PYTHONPATH=path, **env),
-                          capture_output=True, check=True, timeout=300)
+                          capture_output=True, timeout=300)
+
+
+def _cli_subprocess(argv, **env) -> bytes:
+    proc = _cli_process(argv, **env)
+    proc.check_returncode()
     return proc.stdout
 
 
@@ -424,6 +429,47 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
         one, two = (_cli_subprocess(argv, OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k)
                     for k in ("1", "2"))
         assert one and one == two, argv[0]
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["evpi", "--thresholds", "0.1:inf:0.1"], "thresholds",
+                 id="threshold_range_overflows"),
+    pytest.param(["evpi", "--method", "bayes", "--seed", "-1"], "seed", id="evpi_negative_seed"),
+    pytest.param(["evpi", "--method", "asymptotic", "--seed", "-1"], "seed",
+                 id="asymptotic_negative_seed"),
+    pytest.param(["dca", "--seed", "-1"], "seed", id="dca_negative_seed"),
+    pytest.param(["simulate"], "seed", id="simulate_negative_seed"),
+    pytest.param(["evpi", "--population", "nan", "--out", "json"], "population",
+                 id="nan_population_json"),
+    pytest.param(["evpi", "--population", "nan", "--out", "csv"], "population",
+                 id="nan_population_csv"),
+    pytest.param(["evpi", "--population", "inf", "--out", "csv"], "population",
+                 id="inf_population_csv"),
+    pytest.param(["evpi", "--max-threshold", "nan"], "max_z", id="evpi_nan_max_threshold"),
+    pytest.param(["dca", "--max-threshold", "nan"], "max_z", id="dca_nan_max_threshold"),
+])
+def test_malformed_flag_or_config_exits_2_with_one_json_line(tmp_path, dataset, argv, named):
+    """In a fresh interpreter: exit 2, no traceback, and one JSON line on
+    stderr whose message names the bad value."""
+    path, _ = dataset
+    if argv == ["simulate"]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "synthetic", "dgm": {"intercept": -1.55, "slopes": [0.77]},
+            "sizes": [80], "thresholds": [0.2], "n_sims": 1, "n_reps": 20,
+            "methods": ["bayes"], "seed": -1,
+        }), encoding="utf-8")
+        argv = ["simulate", "--config", str(cfg)]
+    else:
+        argv = [argv[0], "--data", str(path), "--outcome", "y", "--risk", "p",
+                "--thresholds", "0.1,0.2", "--n-reps", "50", *argv[1:]]
+    proc = _cli_process(argv)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    rec = json.loads(line)
+    assert rec["error"] == "input" and named in rec["message"]
 
 
 def _patch_parser_default(parser, func):

@@ -90,7 +90,7 @@ def test_bootstrap_columns_equal_one_threshold_calls(s, ts, method, n_reps, extr
     with mock.patch.object(voi, "_COLUMN_BLOCK", block):
         out = _evpi_grid(s, ts, (method,), n_reps, seed, extra_risks)
     (cols,) = out.columns
-    draws = out.draws[method].draws
+    draws = out.draws[method]
     assert draws.shape == (n_reps, len(ts), 3 if extra else 2)
     for i, (t, fields) in enumerate(out.by_threshold()):
         assert t == ts[i]
