@@ -37,6 +37,7 @@ from .resample import DEFAULT_N_REPS, NbDrawMatrix, dump_draws
 from .simlab import (
     LogisticDgm,
     SweepConfig,
+    _whole,
     doubling_sizes,
     subsample_sweep,
     synthetic_sweep,
@@ -44,6 +45,7 @@ from .simlab import (
 from .voi import ALL_METHODS, _evpi_grid, _warn_thin
 
 _CLI_METHODS = {"bayes": "bayesian", "ordinary": "ordinary", "asymptotic": "asymptotic"}
+MAX_RANGE_THRESHOLDS = 100_000  # most thresholds in a 'start:stop:step' range: 500 default grids
 
 
 def _parse_thresholds(spec: str | None, max_z: float) -> tuple[Threshold, ...]:
@@ -57,22 +59,19 @@ def _parse_thresholds(spec: str | None, max_z: float) -> tuple[Threshold, ...]:
             if step <= 0 or stop < start:
                 raise ValueError
             count = int(round((stop - start) / step)) + 1
-            values = [round(start + i * step, 12) for i in range(count)]
-            values = [v for v in values if v <= stop + 1e-12]
         else:
             values = [float(v) for v in spec.split(",") if v.strip()]
     except (ValueError, OverflowError):
         raise InputError(
             f"cannot parse thresholds {spec!r}; use 'a,b,c' or 'start:stop:step'"
         ) from None
+    if ":" in spec:
+        if count > MAX_RANGE_THRESHOLDS:
+            raise InputError(f"threshold range {spec!r} spans {count} thresholds; "
+                             f"at most {MAX_RANGE_THRESHOLDS} are allowed")
+        values = [round(start + i * step, 12) for i in range(count)]
+        values = [v for v in values if v <= stop + 1e-12]
     return make_thresholds(values, max_z=max_z)
-
-
-def _seed(value: int) -> int:
-    """A seed for the random streams, which take non-negative integers."""
-    if value < 0:
-        raise InputError(f"seed must be a non-negative integer, got {value}")
-    return value
 
 
 def _load_sample(data, outcome, risk, model, delimiter=None):
@@ -107,16 +106,10 @@ def _json_text(payload: dict) -> str:
 
 
 def cmd_dca(args) -> int:
-    _seed(args.seed)
     sample = _load_sample(args.data, args.outcome, args.risk, args.model, args.delimiter)
     ts = _parse_thresholds(args.thresholds, args.max_threshold)
-    method = _CLI_METHODS[args.method]
-    if method == "asymptotic":
-        raise InputError("decision-curve bands use a bootstrap method: bayes or ordinary")
-    curve = decision_curve(
-        sample, ts, n_boot=args.n_reps, ci_level=args.ci_level,
-        method=method, seed=args.seed,
-    )
+    curve = decision_curve(sample, ts, n_boot=args.n_reps, ci_level=args.ci_level,
+                           method=_CLI_METHODS[args.method], seed=args.seed)
     if args.out == "json":
         payload = decision_curve_payload(curve)
         payload["n"] = sample.n
@@ -131,10 +124,16 @@ def cmd_evpi(args) -> int:
     methods = ALL_METHODS if args.method == "all" else (_CLI_METHODS[args.method],)
     if args.dump_draws and methods == ("asymptotic",):
         raise InputError("--dump-draws needs a bootstrap method: bayes, ordinary or all")
-    _seed(args.seed)
     sample = _load_sample(args.data, args.outcome, args.risk, args.model, args.delimiter)
     ts = _parse_thresholds(args.thresholds, args.max_threshold)
-    out = _evpi_grid(sample, ts, methods, args.n_reps, args.seed)
+
+    def dump(method, draws):
+        for i, t in enumerate(ts):
+            matrix = NbDrawMatrix(draws[:, i], method=method, seed=args.seed, threshold=t)
+            dump_draws(matrix, f"{args.dump_draws}_{method}_z{t.z!r}.csv")
+
+    out = _evpi_grid(sample, ts, methods, args.n_reps, args.seed,
+                     on_draws=dump if args.dump_draws else None)
     _warn_thin([f"{t.z:g}" for t, thin in zip(ts, out.thin) if thin], stacklevel=1)
     records = [voi_record(t, fields, population=args.population)
                for t, fields in out.by_threshold()]
@@ -148,12 +147,6 @@ def cmd_evpi(args) -> int:
                     "threshold": rec["threshold"], "method": rec["method"],
                     "evpi": evpi, "mc_se": se,
                 }, sort_keys=True) + "\n")
-
-    if args.dump_draws:
-        for m, draws in out.draws.items():
-            for i, t in enumerate(ts):
-                matrix = NbDrawMatrix(draws[:, i], method=m, seed=args.seed, threshold=t)
-                dump_draws(matrix, f"{args.dump_draws}_{m}_z{t.z!r}.csv")
 
     if args.out == "json":
         payload = {
@@ -173,13 +166,6 @@ def _config_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _whole(value, field: str) -> int:
-    """A whole-number config value; a fractional one is an input error."""
-    if isinstance(value, float) and not value.is_integer():
-        raise InputError(f"config field {field!r} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def _sweep_setup(raw: dict, workers: int | None):
     """The sweep a ``simulate`` config asks for: ``(cfg, dgm, dataset)``, with
     ``dgm`` None for a subsample sweep and ``dataset`` None otherwise."""
@@ -188,21 +174,17 @@ def _sweep_setup(raw: dict, workers: int | None):
     kind = raw.get("kind")
     if kind not in ("synthetic", "subsample"):
         raise InputError("config 'kind' must be 'synthetic' or 'subsample'")
-    methods = tuple(_CLI_METHODS.get(m, m) for m in raw.get("methods", list(_CLI_METHODS)))
-    thresholds = make_thresholds(
+    # Keys the config leaves out take SweepConfig's defaults.
+    common = {k: raw[k] for k in ("n_sims", "n_reps", "seed") if k in raw}
+    common["thresholds"] = make_thresholds(
         raw.get("thresholds", [0.1, 0.2, 0.3]),
         max_z=raw.get("max_threshold", DEFAULT_MAX_THRESHOLD),
     )
-    common = {
-        "thresholds": thresholds,
-        "n_sims": _whole(raw.get("n_sims", 100), "n_sims"),
-        "n_reps": _whole(raw.get("n_reps", 1000), "n_reps"),
-        "methods": methods,
-        "seed": _seed(_whole(raw.get("seed", 0), "seed")),
-        "n_workers": _whole(workers if workers is not None else raw.get("workers", 1),
-                            "workers"),
-    }
-    sizes = tuple(_whole(v, "sizes") for v in raw["sizes"]) if "sizes" in raw else None
+    if "methods" in raw:
+        common["methods"] = tuple(_CLI_METHODS.get(m, m) for m in raw["methods"])
+    if workers is not None or "workers" in raw:
+        common["n_workers"] = _whole(raw["workers"] if workers is None else workers, "workers")
+    sizes = raw.get("sizes")
 
     if kind == "synthetic":
         dgm_raw = raw.get("dgm")

@@ -25,8 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+from .rng import _check_seed
 
 DEFAULT_MAX_THRESHOLD = 0.99
+WEIGHT_SUM_TOL = 1e-8  # |sum(weights) - 1| allowed; rounding n weights costs < n * 1.2e-16
 
 
 @dataclass(frozen=True)
@@ -232,8 +234,8 @@ def weighted_nb(sample: ValidationSample, weights, t: Threshold) -> tuple[float,
     if w.min() < 0.0:
         raise InputError("weights must be nonnegative")
     total = float(w.sum())
-    if abs(total - 1.0) > 1e-8:
-        raise InputError(f"weights must sum to 1, got {total!r}")
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise InputError(f"weights must sum to 1 within {WEIGHT_SUM_TOL:g}, got {total!r}")
 
     events = sample.outcomes == 1
     flagged = sample.risks >= t.z
@@ -324,6 +326,7 @@ def decision_curve(
         raise InputError("ci_level must lie in (0, 1)")
     if n_boot < 0:
         raise InputError("n_boot must be >= 0")
+    _check_seed(seed)
 
     table = _CellTable(sample.outcomes, [sample.risks],
                        grid if isinstance(grid, Threshold) else make_thresholds(grid))

@@ -40,12 +40,13 @@ thresholds, though not their distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .netbenefit import Threshold, ValidationSample, _CellTable, _net_benefit
+from .netbenefit import WEIGHT_SUM_TOL, Threshold, ValidationSample, _CellTable, _net_benefit
 from .rng import substream
 
 METHOD_IDS = {"bayesian": 0, "ordinary": 1}
@@ -56,6 +57,7 @@ SWEEP_N_REPS = 1_000          # default inside simulation sweeps
 
 BLOCK_REPS = 256              # replicates per random block
 BLOCK_CELLS = 1 << 18         # most (replicate, cell) masses in one block: 2 MB of floats
+MAX_DRAW_BYTES = 1 << 31      # largest draw array: 64 times a default evpi method's 32 MB
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,8 @@ class WeightVector:
             raise InputError("weights must be a non-empty vector")
         if w.min() < 0.0:
             raise InputError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise InputError("weights must sum to 1 within 1e-12")
+        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
+            raise InputError(f"weights must sum to 1 within {WEIGHT_SUM_TOL:g}")
         if self.counts is not None:
             k = np.asarray(self.counts, dtype=np.int64)
             k.flags.writeable = False
@@ -202,9 +204,13 @@ def _table_draws(table: _CellTable, n_reps: int, method: str, seed) -> np.ndarra
         raise InputError("n_reps must be >= 1")
     if method not in METHOD_IDS:
         raise InputError(f"unknown bootstrap method {method!r}; expected 'bayesian' or 'ordinary'")
+    shape = (n_reps, len(table.thresholds), len(table.cell_labels) + 1)
+    if 8 * math.prod(shape) > MAX_DRAW_BYTES:
+        raise InputError(f"bootstrap draws of shape {shape} take {8 * math.prod(shape)} "
+                         f"bytes, over the {MAX_DRAW_BYTES}-byte limit")
     c = table.harm_weight
     total = 1.0 if method == "bayesian" else int(table.cell_counts.sum())
-    draws = np.empty((n_reps, len(table.thresholds), len(table.cell_labels) + 1))
+    draws = np.empty(shape)
     for start, masses in _mass_blocks(table.cell_counts, n_reps, method, seed):
         tp, fp, events, non_events = table.sums(masses)
         block = draws[start:start + masses.shape[0]]

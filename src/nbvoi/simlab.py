@@ -22,7 +22,7 @@ from scipy.special import expit
 from .errors import InputError
 from .netbenefit import Threshold, ValidationSample
 from .resample import DATA_STREAM_ID, SWEEP_N_REPS
-from .rng import substream
+from .rng import _check_seed, substream
 from .voi import _METHOD_LABELS, ALL_METHODS, _evpi_grid, _warn_thin
 
 
@@ -118,9 +118,16 @@ def doubling_sizes(max_size: int, start: int = 250) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+def _whole(value, field: str) -> int:
+    """A whole-number config value; a fractional one is an input error."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InputError(f"config field {field!r} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Protocol of a sample-size sweep."""
+    """Protocol of a sample-size sweep; integer fields take whole numbers."""
 
     sizes: tuple[int, ...]
     thresholds: tuple[Threshold, ...]
@@ -131,7 +138,10 @@ class SweepConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(_whole(s, "sizes") for s in self.sizes))
+        for name in ("n_sims", "n_reps", "seed", "n_workers"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
+        _check_seed(self.seed)
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.sizes or any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):

@@ -41,6 +41,7 @@ from .bvn import _check_params, _emax_pfirst, _max
 from .errors import InputError, NumericError, SmallEffectiveSampleWarning
 from .netbenefit import Threshold, ValidationSample, _CellTable, _net_benefit
 from .resample import NbDrawMatrix, _risk_columns, _table_draws
+from .rng import _check_seed
 
 ALL_METHODS = ("bayesian", "ordinary", "asymptotic")
 
@@ -351,13 +352,11 @@ def _thin_mask(table: _CellTable) -> np.ndarray:
 
 class _GridEvpi(NamedTuple):
     """One EVPI evaluation over a grid: the columns of each method in the
-    order requested, the mask of thin thresholds and the ``(N, T, S)``
-    bootstrap draws by method."""
+    order requested and the mask of thin thresholds."""
 
     thresholds: tuple[Threshold, ...]
     columns: list[_EvpiColumns]
     thin: np.ndarray
-    draws: dict[str, np.ndarray]
 
     def by_threshold(self) -> list[tuple[Threshold, dict]]:
         """``(threshold, VoiResult fields)`` pairs in the order of the grid,
@@ -366,9 +365,13 @@ class _GridEvpi(NamedTuple):
         return [(t, rows[i]) for i, t in enumerate(self.thresholds) for rows in per_method]
 
 
-def _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks=None) -> _GridEvpi:
+def _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks=None,
+               on_draws=None) -> _GridEvpi:
     """The work of :func:`evpi_threshold_sweep`, without warning, from one
-    cell table (``extra_risks`` included) and one bootstrap per method."""
+    cell table (``extra_risks`` included) and one bootstrap per method.
+    Each method's ``(N, T, S)`` draws go to ``on_draws(method, draws)``, if
+    given, once its columns exist, and are then released."""
+    _check_seed(seed)
     methods = tuple(methods)
     for m in methods:
         if m not in ALL_METHODS:
@@ -378,14 +381,16 @@ def _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks=None) -> _
 
     table = _CellTable(sample.outcomes, _risk_columns(sample, extra_risks), thresholds)
     columns: list[_EvpiColumns] = []
-    draws: dict[str, np.ndarray] = {}
     for m in methods:
         if m == "asymptotic":
             columns.append(_asymptotic_columns(_moment_grid(sample, table)))
         else:
-            draws[m] = _table_draws(table, n_reps, m, seed)
-            columns.append(_bootstrap_columns(draws[m], m, seed))
-    return _GridEvpi(table.thresholds, columns, _thin_mask(table), draws)
+            draws = _table_draws(table, n_reps, m, seed)
+            columns.append(_bootstrap_columns(draws, m, seed))
+            if on_draws is not None:
+                on_draws(m, draws)
+            del draws  # before the next method's draws are made
+    return _GridEvpi(table.thresholds, columns, _thin_mask(table))
 
 
 def _warn_thin(names: list[str], stacklevel: int, where: str = "threshold(s)",

@@ -434,6 +434,8 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["evpi", "--thresholds", "0.1:inf:0.1"], "thresholds",
                  id="threshold_range_overflows"),
+    pytest.param(["evpi", "--thresholds", "0.001:0.9:8e-6", "--method", "asymptotic"],
+                 "112376 thresholds", id="threshold_range_too_long"),
     pytest.param(["evpi", "--method", "bayes", "--seed", "-1"], "seed", id="evpi_negative_seed"),
     pytest.param(["evpi", "--method", "asymptotic", "--seed", "-1"], "seed",
                  id="asymptotic_negative_seed"),
@@ -470,6 +472,25 @@ def test_malformed_flag_or_config_exits_2_with_one_json_line(tmp_path, dataset, 
     (line,) = err.splitlines()
     rec = json.loads(line)
     assert rec["error"] == "input" and named in rec["message"]
+
+
+@pytest.mark.parametrize("command", ["evpi", "dca"])
+def test_draws_past_the_size_bound_exit_2_naming_shape_and_bytes(
+        capsys, dataset, monkeypatch, command):
+    """The bound is checked before the draw array is allocated; a small
+    bound stands in for the real one, so nothing large is ever asked for."""
+    import nbvoi.resample as resample_mod
+
+    path, _ = dataset
+    monkeypatch.setattr(resample_mod, "MAX_DRAW_BYTES", 8 * 50 * 2 * 2 - 1)
+    code, out, err = run(capsys, [
+        command, "--data", str(path), "--outcome", "y", "--risk", "p",
+        "--thresholds", "0.1,0.2", "--n-reps", "50", "--method", "ordinary", "--out", "json",
+    ])
+    assert code == 2 and out == ""
+    rec = json.loads(err.strip().splitlines()[-1])
+    assert rec["error"] == "input"
+    assert "(50, 2, 2)" in rec["message"] and "1600 bytes" in rec["message"]
 
 
 def _patch_parser_default(parser, func):

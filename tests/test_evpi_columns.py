@@ -10,6 +10,7 @@ core, however many thresholds each pass over the draws takes.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -87,10 +88,11 @@ def test_bootstrap_columns_equal_one_threshold_calls(s, ts, method, n_reps, extr
     seed = data.draw(st.integers(0, 2**32 - 1))
     # Also with one or two thresholds per pass of the per-replicate arrays.
     block = data.draw(st.sampled_from((voi._COLUMN_BLOCK, 1, 2 * n_reps)))
+    made = {}
     with mock.patch.object(voi, "_COLUMN_BLOCK", block):
-        out = _evpi_grid(s, ts, (method,), n_reps, seed, extra_risks)
+        out = _evpi_grid(s, ts, (method,), n_reps, seed, extra_risks, on_draws=made.__setitem__)
     (cols,) = out.columns
-    draws = out.draws[method]
+    draws = made[method]
     assert draws.shape == (n_reps, len(ts), 3 if extra else 2)
     for i, (t, fields) in enumerate(out.by_threshold()):
         assert t == ts[i]
@@ -136,3 +138,23 @@ def test_column_checks_are_the_voi_result_checks():
                 {"p_useful": np.array([np.nan, 0.5])}):
         with pytest.raises(NumericError):
             columns(**bad)
+
+
+def test_each_method_releases_its_draws_before_the_next_draws():
+    """Two bootstrap methods never hold two methods' draws at once: each
+    method's draws go once its columns exist."""
+    rng = np.random.default_rng(1)
+    s = ValidationSample(rng.integers(0, 2, 2000), rng.random(2000))
+    ts = tuple(Threshold(z) for z in np.arange(1, 201) / 1000.0)
+    n_reps = 4000
+    one_method = n_reps * len(ts) * 2 * 8
+    seen = []
+    tracemalloc.start()
+    try:
+        _evpi_grid(s, ts, ("bayesian", "ordinary"), n_reps, 0,
+                   on_draws=lambda m, d: seen.append((m, d.nbytes)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen == [("bayesian", one_method), ("ordinary", one_method)]
+    assert peak < 2 * one_method

@@ -209,6 +209,23 @@ class TestWeightedNb:
         with pytest.raises(InputError):
             weighted_nb(s, np.array([0.9, 0.3]), Threshold(0.5))
 
+    @pytest.mark.parametrize("excess, accepted", [(1e-10, True), (-1e-10, True),
+                                                  (1e-7, False), (-1e-7, False)])
+    def test_one_sum_tolerance_for_bare_weights_and_weight_vectors(self, excess, accepted):
+        """A sum between the two tolerances the checks once had (1e-12 and
+        1e-8) is treated alike, and so is one beyond both."""
+        s = ValidationSample(HAND_Y, HAND_P)
+        w = np.full(5, 0.2) * (1.0 + excess)
+        outcomes = []
+        for check in (lambda: WeightVector(weights=w, kind="dirichlet"),
+                      lambda: weighted_nb(s, w, Threshold(0.2))):
+            try:
+                check()
+                outcomes.append(True)
+            except InputError:
+                outcomes.append(False)
+        assert outcomes == [accepted, accepted]
+
 
 def _all_compositions(total, cells):
     if cells == 1:

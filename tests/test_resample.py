@@ -21,6 +21,7 @@ from nbvoi import (
     weighted_nb,
 )
 from nbvoi.netbenefit import _CellTable, default_grid
+from nbvoi import resample
 from nbvoi.resample import (
     BLOCK_CELLS,
     BLOCK_REPS,
@@ -93,6 +94,17 @@ class TestMultinomialWeights:
 def _toy_sample():
     return ValidationSample([1, 0, 1, 0, 0, 1, 0, 1],
                             [0.9, 0.8, 0.1, 0.05, 0.5, 0.45, 0.3, 0.7])
+
+
+class TestDrawSizeBound:
+    def test_draws_up_to_the_bound_run_and_past_it_are_refused(self, monkeypatch):
+        """A small bound stands in for ``MAX_DRAW_BYTES``, so the refused
+        case would ask for almost nothing even if the check were missing."""
+        s, ts = _toy_sample(), make_thresholds([0.1, 0.2])
+        monkeypatch.setattr(resample, "MAX_DRAW_BYTES", 8 * 10 * 2 * 2)
+        assert bootstrap_nb_draws_grid(s, ts, n_reps=10).draws.shape == (10, 2, 2)
+        with pytest.raises(InputError, match=r"shape \(11, 2, 2\) take 352 bytes"):
+            bootstrap_nb_draws_grid(s, ts, n_reps=11)
 
 
 class TestBootstrapNbDraws:

@@ -1,8 +1,18 @@
 """Substream determinism and distribution contracts."""
 
 import numpy as np
+import pytest
 
-from nbvoi import substream
+from nbvoi import (
+    InputError,
+    SweepConfig,
+    ValidationSample,
+    decision_curve,
+    evpi_threshold_sweep,
+    make_thresholds,
+    substream,
+)
+from nbvoi.resample import bootstrap_nb_draws_grid
 
 
 class TestSubstream:
@@ -64,3 +74,33 @@ class TestDistributions:
         assert np.array_equal(g1.standard_exponential(10), g2.standard_exponential(10))
         assert np.array_equal(g1.standard_normal(10), g2.standard_normal(10))
         assert np.array_equal(g1.integers(0, 7, size=10), g2.integers(0, 7, size=10))
+
+
+_S = ValidationSample([1, 0, 1, 0, 0, 1], [0.9, 0.8, 0.1, 0.05, 0.5, 0.3])
+_TS = make_thresholds([0.2, 0.4])
+
+
+@pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda seed: decision_curve(_S, _TS, n_boot=10, seed=seed),
+                 id="decision_curve"),
+    pytest.param(lambda seed: decision_curve(_S, _TS, n_boot=0, seed=seed),
+                 id="decision_curve_no_bands"),
+    pytest.param(lambda seed: evpi_threshold_sweep(_S, _TS, ("bayesian",), 10, seed),
+                 id="evpi_bootstrap"),
+    pytest.param(lambda seed: evpi_threshold_sweep(_S, _TS, ("asymptotic",), 10, seed),
+                 id="evpi_asymptotic_only"),
+    pytest.param(lambda seed: bootstrap_nb_draws_grid(_S, _TS, n_reps=10, seed=seed),
+                 id="bootstrap_nb_draws_grid"),
+    pytest.param(lambda seed: substream(seed, 0), id="substream"),
+    pytest.param(lambda seed: substream((3, seed), 0), id="substream_tuple_component"),
+    pytest.param(lambda seed: SweepConfig(sizes=(50,), thresholds=_TS, seed=seed),
+                 id="sweep_config"),
+])
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_every_entry_rejects_a_bad_seed_naming_it(call, seed):
+    """The seed rule lives in ``rng``: the library rejects a negative or
+    non-integer seed with an InputError naming it, even where nothing is
+    drawn."""
+    with pytest.raises(InputError, match=f"seed.*{seed}"):
+        call(seed)

@@ -201,6 +201,23 @@ class TestSweepConfig:
         with pytest.raises(InputError):
             SweepConfig(sizes=(100,), thresholds=ts, methods=("bogus",))
 
+    @pytest.mark.parametrize("field, value", [
+        ("sizes", (250.7,)), ("n_sims", 2.5), ("n_reps", 2.5), ("seed", 1.5),
+        ("n_workers", 1.5),
+    ])
+    def test_fractional_integer_field_is_an_input_error_naming_it(self, field, value):
+        """Neither truncated nor passed on to fail inside the sweep."""
+        kw = {"sizes": (250,), "thresholds": (Threshold(0.2),), field: value}
+        with pytest.raises(InputError, match=repr(field)):
+            SweepConfig(**kw)
+
+    def test_whole_numbers_spelled_as_floats_become_ints(self):
+        cfg = SweepConfig(sizes=(250.0,), thresholds=(Threshold(0.2),), n_sims=3.0,
+                          n_reps=20.0, seed=7.0, n_workers=1.0)
+        values = (*cfg.sizes, cfg.n_sims, cfg.n_reps, cfg.seed, cfg.n_workers)
+        assert values == (250, 3, 20, 7, 1)
+        assert all(type(v) is int for v in values)
+
 
 def _small_cfg(**kw):
     base = dict(
