@@ -42,7 +42,7 @@ from .simlab import (
     subsample_sweep,
     synthetic_sweep,
 )
-from .voi import ALL_METHODS, _evpi_grid, _warn_thin
+from .voi import ALL_METHODS, evpi_threshold_sweep
 
 _CLI_METHODS = {"bayes": "bayesian", "ordinary": "ordinary", "asymptotic": "asymptotic"}
 MAX_RANGE_THRESHOLDS = 100_000  # most thresholds in a 'start:stop:step' range: 500 default grids
@@ -132,11 +132,9 @@ def cmd_evpi(args) -> int:
             matrix = NbDrawMatrix(draws[:, i], method=method, seed=args.seed, threshold=t)
             dump_draws(matrix, f"{args.dump_draws}_{method}_z{t.z!r}.csv")
 
-    out = _evpi_grid(sample, ts, methods, args.n_reps, args.seed,
-                     on_draws=dump if args.dump_draws else None)
-    _warn_thin([f"{t.z:g}" for t, thin in zip(ts, out.thin) if thin], stacklevel=1)
-    records = [voi_record(t, fields, population=args.population)
-               for t, fields in out.by_threshold()]
+    rows = evpi_threshold_sweep(sample, ts, methods, args.n_reps, args.seed,
+                                on_draws=dump if args.dump_draws else None)
+    records = [voi_record(t, vars(r), population=args.population) for t, r in rows]
 
     if args.strict:
         for rec in records:

@@ -88,10 +88,6 @@ class FeatureTable:
     def n(self) -> int:
         return self.outcomes.shape[0]
 
-    @property
-    def n_events(self) -> int:
-        return int(self.outcomes.sum())
-
 
 def _sniff_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
@@ -227,7 +223,7 @@ def decision_curve_payload(curve: DecisionCurve) -> dict:
 
 def voi_record(t: Threshold, res: dict, population: float | None = None) -> dict:
     """The output record of one EVPI result from the fields of its
-    ``voi.VoiResult`` (``vars(result)``, or one entry of the EVPI columns)."""
+    ``voi.VoiResult`` (``vars(result)``)."""
     rec = {
         "threshold": t.z,
         "method": res["method"],

@@ -135,6 +135,19 @@ class ValidationSample:
         return f"ValidationSample(n={self.n}, events={self.n_events})"
 
 
+def _occupied(key: np.ndarray, n_slots: int):
+    """The values ``key`` takes in ``range(n_slots)``, ascending, with their
+    row counts and each row's rank among them.  A range far wider than the
+    rows (a joint key over several risk columns spans up to n * (T + 1)
+    slots) is ranked by sorting the keys instead of counting every slot."""
+    if n_slots > 4 * key.size:
+        values, rank = np.unique(key, return_inverse=True)
+        return values, np.bincount(rank), rank
+    rows = np.bincount(key, minlength=n_slots)
+    seen = rows > 0
+    return np.flatnonzero(seen), rows[seen], (np.cumsum(seen) - 1)[key]
+
+
 class _CellTable:
     """The occupied cells of a sample over a threshold grid (any order,
     duplicates allowed, or one bare :class:`Threshold`), and the
@@ -161,20 +174,19 @@ class _CellTable:
         self.order = np.argsort(zs, kind="stable")
         self.width = width = zs.size + 1
         edges = zs[self.order]
-        labels = [outcomes * width + np.searchsorted(edges, r, side="right") for r in risk_cols]
+        column_bins = (np.searchsorted(edges, r, side="right") for r in risk_cols)
         # A further column's key ranks the label tuples seen so far and appends
         # the column's bin (the outcome is in the key already), so an occupied
         # key decodes to (tuple rank, bin), and cells stay in label order.
-        key, rows = labels[0], np.bincount(labels[0], minlength=2 * width)
-        self.cell_labels = np.flatnonzero(rows)[None]
-        for more in labels[1:]:
-            key = (np.cumsum(rows > 0) - 1)[key] * width + more % width
-            rows = np.bincount(key, minlength=self.cell_labels.shape[1] * width)
-            prev, bins = np.divmod(np.flatnonzero(rows), width)
+        occupied, self.cell_counts, self.row_cell = _occupied(
+            outcomes * width + next(column_bins), 2 * width)
+        self.cell_labels = occupied[None]
+        for more in column_bins:
+            occupied, self.cell_counts, self.row_cell = _occupied(
+                self.row_cell * width + more, self.cell_labels.shape[1] * width)
+            prev, bins = np.divmod(occupied, width)
             prior = self.cell_labels[:, prev]
             self.cell_labels = np.vstack([prior, prior[0] // width * width + bins])
-        self.cell_counts = rows[rows > 0]
-        self.row_cell = (np.cumsum(rows > 0) - 1)[key]
         tp, fp, events, non_events = self.sums(self.cell_counts)
         self.counts = (tp[0], fp[0], events, non_events)
 
@@ -345,7 +357,7 @@ def decision_curve(
 
     draws = _table_draws(table, n_boot, method, seed)  # (n_boot, T, 2): model, treat_all
     lo_q, hi_q = 0.5 * (1.0 - ci_level), 0.5 * (1.0 + ci_level)
-    qs = np.quantile(draws, [lo_q, hi_q], axis=0)
+    qs = np.quantile(draws, [lo_q, hi_q], axis=0, overwrite_input=True)  # our draws: no copy
     model_ci = qs[:, :, 0].T.copy()
     all_ci = qs[:, :, 1].T.copy()
     degenerate = tp + fp == 0

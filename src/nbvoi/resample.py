@@ -16,7 +16,9 @@ replicate's net benefits depend on the rows only through the mass on each
 occupied cell of a ``netbenefit._CellTable``, which owns the cells and
 turns cell masses into per-threshold sums; ``_table_draws`` only draws the
 masses, on the one table of the analysis (``voi._evpi_grid``,
-``netbenefit.decision_curve``; ``bootstrap_nb_draws_grid`` builds its own).
+``netbenefit.decision_curve``; ``bootstrap_nb_draws_grid`` builds its own and
+returns the bare ``(N, T, M + 1)`` array, which ``bootstrap_nb_draws``
+slices into an :class:`NbDrawMatrix` at one threshold).
 Summed flat-Dirichlet weights are exactly Dirichlet(n_1, ..., n_K) over
 the K cells with n_k rows each (the aggregation property of Rubin's
 Bayesian bootstrap), drawn as ``standard_gamma(n_k)`` normalized per
@@ -139,26 +141,10 @@ class NbDrawMatrix:
         if self.method not in METHOD_IDS:
             raise InputError(f"unknown bootstrap method {self.method!r}")
 
-    @property
-    def n_models(self) -> int:
-        return self.draws.shape[1] - 1
-
     def strategy_names(self) -> list[str]:
-        m = self.n_models
+        m = self.draws.shape[1] - 1
         names = ["model"] if m == 1 else [f"model_{j + 1}" for j in range(m)]
         return names + ["treat_all"]
-
-
-@dataclass(frozen=True)
-class GridDraws:
-    """Replicate NB draws over a threshold grid; replicate l is one
-    re-weighting of the sample, shared by all thresholds.  ``draws`` has
-    shape (N, T, S)."""
-
-    draws: np.ndarray
-    thresholds: tuple[Threshold, ...]
-    method: str
-    seed: int | tuple
 
 
 def _block_rows(n_cells: int) -> int:
@@ -226,16 +212,17 @@ def bootstrap_nb_draws_grid(
     method: str = "bayesian",
     seed: int | tuple = 0,
     extra_risks=None,
-) -> GridDraws:
-    """Draw ``n_reps`` replicate NB vectors at every threshold of a grid.
+) -> np.ndarray:
+    """Draw ``n_reps`` replicate NB vectors at every threshold of a grid:
+    the ``(n_reps, T, M + 1)`` array of :func:`_table_draws`, thresholds in
+    the order given.
 
     One re-weighting per replicate, applied at all thresholds, drawn over
     the occupied cells in blocks (see the module docstring).  Output is a
     pure function of ``(sample, thresholds, n_reps, method, seed)``.
     """
     table = _CellTable(sample.outcomes, _risk_columns(sample, extra_risks), thresholds)
-    return GridDraws(draws=_table_draws(table, n_reps, method, seed),
-                     thresholds=table.thresholds, method=method, seed=seed)
+    return _table_draws(table, n_reps, method, seed)
 
 
 def bootstrap_nb_draws(
@@ -247,10 +234,10 @@ def bootstrap_nb_draws(
     extra_risks=None,
 ) -> NbDrawMatrix:
     """Draw the (n_reps, S) matrix of replicate NBs at a single threshold."""
-    grid = bootstrap_nb_draws_grid(
+    draws = bootstrap_nb_draws_grid(
         sample, (t,), n_reps=n_reps, method=method, seed=seed, extra_risks=extra_risks
     )
-    return NbDrawMatrix(draws=grid.draws[:, 0, :], method=method, seed=seed, threshold=t)
+    return NbDrawMatrix(draws=draws[:, 0, :], method=method, seed=seed, threshold=t)
 
 
 def dump_draws(matrix: NbDrawMatrix, path) -> None:

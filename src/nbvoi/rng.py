@@ -23,8 +23,9 @@ from .errors import InputError
 
 
 def _check_seed(seed):
-    """``seed``, if it is a non-negative integer or a tuple of them."""
-    if not all(isinstance(p, (int, np.integer)) and p >= 0
+    """``seed``, if it is a non-negative integer (not a bool) or a tuple of
+    them."""
+    if not all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 0
                for p in (seed if isinstance(seed, tuple) else (seed,))):
         raise InputError(f"seed must be a non-negative integer or a tuple of them, got {seed!r}")
     return seed

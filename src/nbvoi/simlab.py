@@ -119,8 +119,12 @@ def doubling_sizes(max_size: int, start: int = 250) -> tuple[int, ...]:
 
 
 def _whole(value, field: str) -> int:
-    """A whole-number config value; a fractional one is an input error."""
-    if isinstance(value, float) and not value.is_integer():
+    """A whole-number config value: an int, or an integral float (numpy's
+    included).  A fraction, a bool, a string or any other type is an input
+    error."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, np.integer))
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
         raise InputError(f"config field {field!r} must be a whole number, got {value!r}")
     return int(value)
 

@@ -25,7 +25,8 @@ over the ``(N, T, S)`` bootstrap draws or one array pass over the moments.
 Every operation is elementwise in the threshold, so a threshold's result
 does not depend on the rest of the grid.  The one-threshold functions call
 the same code with a one-threshold grid; they and
-:func:`evpi_threshold_sweep` alone build :class:`VoiResult` rows.
+:func:`evpi_threshold_sweep` alone build :class:`VoiResult` rows, and the
+command line takes its rows from :func:`evpi_threshold_sweep`.
 """
 
 from __future__ import annotations
@@ -162,24 +163,19 @@ class VoiResult:
 
 
 def _relative_evpi(enb_perfect, mean_model, mean_all) -> np.ndarray:
-    """:func:`relative_evpi` elementwise, NaN where it is undefined."""
+    """Relative EVPI (``VoiResult.r_evpi``), elementwise: the ratio of the
+    perfect-information gain over treat-all to the model's
+    current-information gain over treat-all.
+
+    Defined only when the model is the current best strategy with a strictly
+    positive incremental NB; NaN otherwise.  Equals 1 when there is no
+    decision uncertainty.
+    """
     base = _max(0.0, mean_all)
     best = _max(_max(0.0, mean_model), mean_all)
     denom = best - base
     defined = (mean_model == best) & ~(denom <= 0.0)
     return np.where(defined, (enb_perfect - base) / np.where(defined, denom, 1.0), np.nan)
-
-
-def relative_evpi(enb_perfect: float, mean_model: float, mean_all: float) -> float | None:
-    """Ratio of the perfect-information gain over treat-all to the model's
-    current-information gain over treat-all.
-
-    Defined only when the model is the current best strategy with a strictly
-    positive incremental NB; returns None otherwise.  Equals 1 when there is
-    no decision uncertainty.
-    """
-    r = float(_relative_evpi(enb_perfect, mean_model, mean_all))
-    return None if math.isnan(r) else r
 
 
 _STRATEGIES = np.array(["treat_none", "treat_all", "model"])
@@ -230,17 +226,13 @@ class _EvpiColumns:
 
 
 def _p_useful(d: np.ndarray) -> np.ndarray:
-    """:func:`p_useful` at each threshold of ``(N, T, S)`` draws."""
+    """P(useful) at each threshold of ``(N, T, S)`` draws: the fraction of
+    replicates in which a model strategy has the strictly highest NB among
+    {treat-none, treat-all, models}.  For the single-model case this is
+    P(nb_model > max(0, nb_all)).  Ties resolve against the model:
+    treat-none, then treat-all, then the model columns in order."""
     useful = d[..., :-1].max(axis=-1) > np.maximum(d[..., -1], 0.0)
     return np.count_nonzero(useful, axis=0) / d.shape[0]
-
-
-def p_useful(draws: NbDrawMatrix) -> float:
-    """Fraction of draws in which a model strategy has the strictly highest
-    NB among {treat-none, treat-all, models}.  For the single-model case this
-    is P(nb_model > max(0, nb_all)).  Ties resolve against the model:
-    treat-none, then treat-all, then the model columns in order."""
-    return float(_p_useful(draws.draws[:, None, :])[0])
 
 
 def _bootstrap_columns(d: np.ndarray, method: str, seed) -> _EvpiColumns:
@@ -358,12 +350,6 @@ class _GridEvpi(NamedTuple):
     columns: list[_EvpiColumns]
     thin: np.ndarray
 
-    def by_threshold(self) -> list[tuple[Threshold, dict]]:
-        """``(threshold, VoiResult fields)`` pairs in the order of the grid,
-        methods in the order requested."""
-        per_method = [c.fields() for c in self.columns]
-        return [(t, rows[i]) for i, t in enumerate(self.thresholds) for rows in per_method]
-
 
 def _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks=None,
                on_draws=None) -> _GridEvpi:
@@ -414,6 +400,7 @@ def evpi_threshold_sweep(
     n_reps: int = 10_000,
     seed: int | tuple = 0,
     extra_risks=None,
+    on_draws=None,
 ) -> list[tuple[Threshold, VoiResult]]:
     """Per-threshold EVPI for each requested method.
 
@@ -422,11 +409,15 @@ def evpi_threshold_sweep(
     each threshold independently of the others.  Rows come back in the
     order of ``thresholds`` (which may be unsorted), with methods in the
     order requested.  One warning names the thresholds with fewer than
-    ``MIN_SIDE_ROWS`` rows on one side.
+    ``MIN_SIDE_ROWS`` rows on one side.  Each bootstrap method's
+    ``(N, T, S)`` draws go to ``on_draws(method, draws)``, if given; it
+    changes no result.
     """
-    out = _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks)
+    out = _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks, on_draws)
     _warn_thin([f"{t.z:g}" for t, thin in zip(out.thresholds, out.thin) if thin], stacklevel=2)
-    return [(t, VoiResult(**fields)) for t, fields in out.by_threshold()]
+    per_method = [c.fields() for c in out.columns]
+    return [(t, VoiResult(**rows[i])) for i, t in enumerate(out.thresholds)
+            for rows in per_method]
 
 
 def population_scaled(evpi: float, multiplier: float, t: Threshold) -> tuple[float, float]:

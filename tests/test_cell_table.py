@@ -7,6 +7,8 @@ Each analysis (an EVPI grid, a decision curve, a sweep cell) builds one
 table and reads its counts and bootstrap draws from it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,29 @@ def test_cells_equal_unique_reference(s, ts, n_extra, data):
     assert table.cell_labels.tolist() == [l[first].tolist() for l in labels]
 
 
+def test_three_column_key_is_ranked_not_counted_slot_by_slot():
+    """The joint key of two risk columns over the 200-threshold grid spans
+    about n * (T + 1) slots here; the table ranks the occupied keys instead
+    of counting every slot, so it stays within a few row-length arrays, and
+    finds the reference's cells."""
+    rng = substream(8, 1)
+    n = 20_000
+    outcomes = rng.integers(0, 2, n)
+    cols = list(0.25 * rng.random((3, n)))
+    ts = default_grid()
+    tracemalloc.start()
+    try:
+        table = _CellTable(outcomes, cols, ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 8 * n
+    labels, first, inverse, counts = reference_joint_cells(outcomes, cols, ts)
+    assert table.cell_counts.tolist() == counts.tolist()
+    assert table.row_cell.tolist() == inverse.tolist()
+    assert table.cell_labels.tolist() == [l[first].tolist() for l in labels]
+
+
 @SETTINGS
 @given(samples(), grids, st.data())
 def test_table_nb_equals_row_reference_for_counts(s, ts, data):
@@ -156,7 +181,7 @@ def _resample_rows(inverse, cell_counts):
 def test_ordinary_draw_is_nb_of_materialized_resample(s, ts, seed):
     """Replicate l of the ordinary bootstrap is, bit for bit, the NB of the
     resample that takes each cell's drawn count from that cell's rows."""
-    draws = bootstrap_nb_draws_grid(s, ts, n_reps=3, method="ordinary", seed=seed).draws
+    draws = bootstrap_nb_draws_grid(s, ts, n_reps=3, method="ordinary", seed=seed)
     masses, inverse, _ = _cell_draws(s, ts, 3, "ordinary", seed)
     for l in range(3):
         assert masses[l].sum() == s.n
@@ -171,7 +196,7 @@ def test_ordinary_draw_is_nb_of_materialized_resample(s, ts, seed):
 def test_bayesian_draw_matches_row_reference(s, ts, seed):
     """Row weights that split each cell's Dirichlet mass equally give the
     same NBs; only the summation order differs."""
-    draws = bootstrap_nb_draws_grid(s, ts, n_reps=3, method="bayesian", seed=seed).draws
+    draws = bootstrap_nb_draws_grid(s, ts, n_reps=3, method="bayesian", seed=seed)
     masses, inverse, counts = _cell_draws(s, ts, 3, "bayesian", seed)
     for l in range(3):
         w = masses[l][inverse] / counts[inverse]  # each cell's mass split equally
@@ -189,7 +214,7 @@ def test_extra_model_draws_are_nb_of_joint_cell_resample(s, ts, data, seed):
     materialized resample."""
     second = np.array(data.draw(st.lists(risk, min_size=s.n, max_size=s.n)))
     draws = bootstrap_nb_draws_grid(s, ts, n_reps=3, method="ordinary", seed=seed,
-                                    extra_risks=second).draws
+                                    extra_risks=second)
     masses, inverse, _ = _cell_draws(s, ts, 3, "ordinary", seed, extra=(second,))
     for l in range(3):
         rows = _resample_rows(inverse, masses[l])
@@ -207,9 +232,9 @@ def test_draws_do_not_depend_on_row_order_or_position_in_cell(s, ts, data, metho
     """Cells are ordered by label, so a row permutation, or a risk moving
     within its cell, leaves every draw bit-identical."""
     perm = np.array(data.draw(st.permutations(range(s.n))), dtype=np.int64)
-    base = bootstrap_nb_draws_grid(s, ts, n_reps=5, method=method, seed=seed).draws
+    base = bootstrap_nb_draws_grid(s, ts, n_reps=5, method=method, seed=seed)
     permuted = bootstrap_nb_draws_grid(s.subset(perm), ts, n_reps=5, method=method,
-                                       seed=seed).draws
+                                       seed=seed)
     assert np.array_equal(base, permuted)
 
     # Move every risk to the low edge of its cell: the largest grid
@@ -218,7 +243,7 @@ def test_draws_do_not_depend_on_row_order_or_position_in_cell(s, ts, data, metho
     below = np.searchsorted(zs, s.risks, side="right")
     moved = np.where(below > 0, zs[np.maximum(below - 1, 0)], 0.0)
     shifted = bootstrap_nb_draws_grid(ValidationSample(s.outcomes, moved), ts, n_reps=5,
-                                      method=method, seed=seed).draws
+                                      method=method, seed=seed)
     assert np.array_equal(base, shifted)
 
 

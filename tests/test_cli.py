@@ -152,12 +152,12 @@ class TestEvpi:
         ])
         assert code == 0
         assert sorted(calls) == ["bayesian", "ordinary"]
+        ts = make_thresholds([0.1, 0.2])
         for method in ("bayesian", "ordinary"):
-            grid = bootstrap_nb_draws_grid(sample, make_thresholds([0.1, 0.2]), n_reps=50,
-                                           method=method, seed=5)
-            for i, (t, z) in enumerate(zip(grid.thresholds, ("0.1", "0.2"))):
+            draws = bootstrap_nb_draws_grid(sample, ts, n_reps=50, method=method, seed=5)
+            for i, (t, z) in enumerate(zip(ts, ("0.1", "0.2"))):
                 expect = tmp_path / "expect.csv"
-                dump_draws(NbDrawMatrix(grid.draws[:, i], method, 5, t), expect)
+                dump_draws(NbDrawMatrix(draws[:, i], method, 5, t), expect)
                 got = tmp_path / f"draws_{method}_z{z}.csv"
                 assert got.read_text() == expect.read_text()
 
@@ -440,7 +440,8 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     pytest.param(["evpi", "--method", "asymptotic", "--seed", "-1"], "seed",
                  id="asymptotic_negative_seed"),
     pytest.param(["dca", "--seed", "-1"], "seed", id="dca_negative_seed"),
-    pytest.param(["simulate"], "seed", id="simulate_negative_seed"),
+    pytest.param(["simulate", -1], "seed", id="simulate_negative_seed"),
+    pytest.param(["simulate", "7"], "'seed'", id="simulate_string_seed"),
     pytest.param(["evpi", "--population", "nan", "--out", "json"], "population",
                  id="nan_population_json"),
     pytest.param(["evpi", "--population", "nan", "--out", "csv"], "population",
@@ -454,12 +455,12 @@ def test_malformed_flag_or_config_exits_2_with_one_json_line(tmp_path, dataset, 
     """In a fresh interpreter: exit 2, no traceback, and one JSON line on
     stderr whose message names the bad value."""
     path, _ = dataset
-    if argv == ["simulate"]:
+    if argv[0] == "simulate":
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "kind": "synthetic", "dgm": {"intercept": -1.55, "slopes": [0.77]},
             "sizes": [80], "thresholds": [0.2], "n_sims": 1, "n_reps": 20,
-            "methods": ["bayes"], "seed": -1,
+            "methods": ["bayes"], "seed": argv[1],
         }), encoding="utf-8")
         argv = ["simulate", "--config", str(cfg)]
     else:

@@ -1,5 +1,7 @@
 """Net benefit estimators, thresholds, and decision curves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from nbvoi import (
     weighted_nb,
 )
 from nbvoi.netbenefit import default_grid
+from nbvoi.resample import bootstrap_nb_draws_grid
 
 # Shared hand-worked example: flags rows 0, 1, 4 at z = 0.2, giving
 # 1 TP and 2 FP -> nb_model = (1 - 2 * 0.25) / 5 = 0.1, nb_all = 0.25.
@@ -294,6 +297,25 @@ class TestDecisionCurve:
         assert np.array_equal(c1.model_ci, c2.model_ci)
         assert np.array_equal(c1.all_ci, c2.all_ci)
         assert np.array_equal(c1.nb_model, c2.nb_model)
+
+    def test_bands_keep_one_copy_of_the_draws(self):
+        """The percentile bands partition the draws in place: the call peaks
+        below 1.5 times the draws' bytes (a copy for the quantiles made it
+        2), and the bands are still the percentiles of the draws."""
+        s = self._sample(n=500)
+        ts = make_thresholds(np.arange(1, 21) / 100)
+        n_boot = 10_000
+        tracemalloc.start()
+        try:
+            curve = decision_curve(s, ts, n_boot=n_boot, method="bayesian", seed=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        draws = bootstrap_nb_draws_grid(s, ts, n_reps=n_boot, method="bayesian", seed=6)
+        assert peak < 1.5 * draws.nbytes
+        qs = np.quantile(draws, [0.5 * (1 - 0.95), 0.5 * (1 + 0.95)], axis=0)
+        assert np.array_equal(curve.model_ci, qs[:, :, 0].T)
+        assert np.array_equal(curve.all_ci, qs[:, :, 1].T)
 
     def test_bounds_are_ordered(self):
         s = self._sample()

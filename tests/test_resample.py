@@ -102,7 +102,7 @@ class TestDrawSizeBound:
         case would ask for almost nothing even if the check were missing."""
         s, ts = _toy_sample(), make_thresholds([0.1, 0.2])
         monkeypatch.setattr(resample, "MAX_DRAW_BYTES", 8 * 10 * 2 * 2)
-        assert bootstrap_nb_draws_grid(s, ts, n_reps=10).draws.shape == (10, 2, 2)
+        assert bootstrap_nb_draws_grid(s, ts, n_reps=10).shape == (10, 2, 2)
         with pytest.raises(InputError, match=r"shape \(11, 2, 2\) take 352 bytes"):
             bootstrap_nb_draws_grid(s, ts, n_reps=11)
 
@@ -156,7 +156,7 @@ class TestBootstrapNbDraws:
             for n_long, n_short in ((200, 150), (3 * BLOCK_REPS, BLOCK_REPS + 7)):
                 long = bootstrap_nb_draws_grid(s, ts, n_reps=n_long, method=method, seed=5)
                 short = bootstrap_nb_draws_grid(s, ts, n_reps=n_short, method=method, seed=5)
-                assert np.array_equal(long.draws[:n_short], short.draws)
+                assert np.array_equal(long[:n_short], short)
 
     def test_rows_recomputable_from_stored_weights(self):
         """Replicate l's cell masses, split equally among each cell's rows,
@@ -182,8 +182,8 @@ class TestBootstrapNbDraws:
         grid = bootstrap_nb_draws_grid(s, ts, n_reps=400, method="bayesian", seed=13)
         # nb_all = (1+c) * sum(w*y) - c  =>  sum(w*y) is recoverable per threshold
         c0, c1 = ts[0].harm_weight, ts[1].harm_weight
-        wy0 = (grid.draws[:, 0, 1] + c0) / (1 + c0)
-        wy1 = (grid.draws[:, 1, 1] + c1) / (1 + c1)
+        wy0 = (grid[:, 0, 1] + c0) / (1 + c0)
+        wy1 = (grid[:, 1, 1] + c1) / (1 + c1)
         np.testing.assert_allclose(wy0, wy1, rtol=1e-10)
 
     def test_thresholds_splitting_no_cell_leave_draws_unchanged(self):
@@ -193,10 +193,10 @@ class TestBootstrapNbDraws:
         s = _toy_sample()  # risks 0.05 0.1 0.3 0.45 0.5 0.7 0.8 0.9
         ts = make_thresholds([0.2, 0.4])
         for method in ("bayesian", "ordinary"):
-            base = bootstrap_nb_draws_grid(s, ts, n_reps=300, method=method, seed=21).draws
+            base = bootstrap_nb_draws_grid(s, ts, n_reps=300, method=method, seed=21)
             for extra in (0.2, 0.35, 0.95, 0.01):
                 wider = bootstrap_nb_draws_grid(s, ts + (Threshold(extra),), n_reps=300,
-                                                method=method, seed=21).draws
+                                                method=method, seed=21)
                 assert np.array_equal(wider[:, :2], base)
 
     def test_extra_model_columns(self):
@@ -205,7 +205,6 @@ class TestBootstrapNbDraws:
         mat = bootstrap_nb_draws(s, Threshold(0.2), n_reps=50, method="bayesian",
                                  seed=1, extra_risks=second)
         assert mat.draws.shape == (50, 3)
-        assert mat.n_models == 2
         assert mat.strategy_names() == ["model_1", "model_2", "treat_all"]
 
     def test_rejects_bad_inputs(self):
@@ -289,7 +288,7 @@ class TestCellBootstrap:
         for method in ("bayesian", "ordinary"):
             alone = bootstrap_nb_draws(s, grid[99], n_reps=4000, method=method, seed=1).draws
             inside = bootstrap_nb_draws_grid(s, grid, n_reps=4000, method=method,
-                                             seed=2).draws[:, 99]
+                                             seed=2)[:, 99]
             for col in (0, 1):
                 assert ks_2samp(alone[:, col], inside[:, col]).pvalue > 1e-3 / 4
 
@@ -332,7 +331,7 @@ class TestCellBootstrap:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= grid.draws.nbytes + 6 * 8 * BLOCK_CELLS + 200 * n
+        assert peak <= grid.nbytes + 6 * 8 * BLOCK_CELLS + 200 * n
 
 
 class TestCovarianceAgainstMoments:

@@ -97,10 +97,10 @@ _TS = make_thresholds([0.2, 0.4])
     pytest.param(lambda seed: SweepConfig(sizes=(50,), thresholds=_TS, seed=seed),
                  id="sweep_config"),
 ])
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_every_entry_rejects_a_bad_seed_naming_it(call, seed):
-    """The seed rule lives in ``rng``: the library rejects a negative or
-    non-integer seed with an InputError naming it, even where nothing is
-    drawn."""
+    """The seed rule lives in ``rng``: the library rejects a negative,
+    non-integer or bool seed with an InputError naming it, even where
+    nothing is drawn."""
     with pytest.raises(InputError, match=f"seed.*{seed}"):
         call(seed)

@@ -204,9 +204,13 @@ class TestSweepConfig:
     @pytest.mark.parametrize("field, value", [
         ("sizes", (250.7,)), ("n_sims", 2.5), ("n_reps", 2.5), ("seed", 1.5),
         ("n_workers", 1.5),
+        ("sizes", ("50",)), ("sizes", (True,)), ("n_sims", True), ("n_reps", "20"),
+        ("seed", "7"), ("seed", False), ("n_workers", "1"), ("n_workers", None),
     ])
     def test_fractional_integer_field_is_an_input_error_naming_it(self, field, value):
-        """Neither truncated nor passed on to fail inside the sweep."""
+        """Neither truncated nor passed on to fail inside the sweep.  Nor is a
+        string or a bool read as a number, though ``int()`` would read it: in
+        a JSON config it is a mistake."""
         kw = {"sizes": (250,), "thresholds": (Threshold(0.2),), field: value}
         with pytest.raises(InputError, match=repr(field)):
             SweepConfig(**kw)

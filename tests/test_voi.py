@@ -20,7 +20,7 @@ from nbvoi import (
     substream,
 )
 from nbvoi.resample import NbDrawMatrix
-from nbvoi.voi import MomentSet, evpi_asymptotic, evpi_bootstrap, p_useful, relative_evpi
+from nbvoi.voi import MomentSet, _relative_evpi, evpi_asymptotic, evpi_bootstrap
 
 T02 = Threshold(0.2)
 
@@ -105,7 +105,7 @@ class TestEvpiBootstrap:
         winners = np.column_stack([np.zeros(1000), rows[:, 1], rows[:, 0]]).argmax(axis=1)
         p_none = np.mean(winners == 0)
         p_all = np.mean(winners == 1)
-        assert p_useful(m) + p_none + p_all == pytest.approx(1.0, abs=1e-12)
+        assert evpi_bootstrap(m).p_useful + p_none + p_all == pytest.approx(1.0, abs=1e-12)
 
     def test_multi_model_row_max(self):
         rows = np.array([
@@ -118,21 +118,21 @@ class TestEvpiBootstrap:
         r = evpi_bootstrap(m)
         expect_perfect = np.mean([0.10, 0.12, 0.30, 0.0])
         assert r.enb_perfect == pytest.approx(expect_perfect, rel=1e-14)
-        assert p_useful(m) == 0.5  # models win rows 1 and 2
+        assert r.p_useful == 0.5  # models win rows 1 and 2
 
 
 class TestPUseful:
     def test_all_model_wins(self):
-        assert p_useful(mat([[0.1, 0.05]] * 3)) == 1.0
+        assert evpi_bootstrap(mat([[0.1, 0.05]] * 3)).p_useful == 1.0
 
     def test_treat_none_wins_everywhere(self):
-        assert p_useful(mat([[-0.1, -0.2]] * 3)) == 0.0
+        assert evpi_bootstrap(mat([[-0.1, -0.2]] * 3)).p_useful == 0.0
 
     def test_strict_inequality_required(self):
         # model ties treat-all: not useful
-        assert p_useful(mat([[0.1, 0.1]] * 3)) == 0.0
+        assert evpi_bootstrap(mat([[0.1, 0.1]] * 3)).p_useful == 0.0
         # model ties zero with negative treat-all: not useful
-        assert p_useful(mat([[0.0, -0.1]] * 3)) == 0.0
+        assert evpi_bootstrap(mat([[0.0, -0.1]] * 3)).p_useful == 0.0
 
 
 class TestMoments:
@@ -259,15 +259,15 @@ class TestEvpiAsymptotic:
 class TestRelativeEvpi:
     def test_case_study_arithmetic(self):
         """0.0025 / 0.0020 = 1.25, i.e. 25% extra attainable efficiency."""
-        assert relative_evpi(0.0699, 0.0694, 0.0674) == pytest.approx(1.25, rel=1e-9)
+        assert _relative_evpi(0.0699, 0.0694, 0.0674) == pytest.approx(1.25, rel=1e-9)
 
     def test_no_uncertainty_gives_one(self):
-        assert relative_evpi(0.0694, 0.0694, 0.0674) == pytest.approx(1.0, rel=1e-12)
+        assert _relative_evpi(0.0694, 0.0694, 0.0674) == pytest.approx(1.0, rel=1e-12)
 
     def test_undefined_when_model_not_best(self):
-        assert relative_evpi(0.08, 0.05, 0.07) is None
-        assert relative_evpi(0.08, -0.01, -0.02) is None  # treat-none best
-        assert relative_evpi(0.08, 0.05, 0.05) is None    # tie, zero denominator
+        assert np.isnan(_relative_evpi(0.08, 0.05, 0.07))
+        assert np.isnan(_relative_evpi(0.08, -0.01, -0.02))  # treat-none best
+        assert np.isnan(_relative_evpi(0.08, 0.05, 0.05))    # tie, zero denominator
 
 
 class TestEvpiThresholdSweep:
