@@ -208,8 +208,6 @@ def cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"config file not found: {args.config}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"config file is not valid JSON: {exc}") from None
 
@@ -311,15 +309,20 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InputError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": "input", "message": str(exc), "row": exc.row}, sort_keys=True
-        ) + "\n")
-        return 2
+        message, row = str(exc), exc.row
+    except OSError as exc:
+        if exc.filename is None:  # not a file the command line or a config named
+            raise
+        message, row = f"cannot open {exc.filename}: {exc.strerror}", None
     except NumericError as exc:
         sys.stderr.write(json.dumps(
             {"error": "numeric", "message": str(exc)}, sort_keys=True
         ) + "\n")
         return 3
+    sys.stderr.write(json.dumps(
+        {"error": "input", "message": message, "row": row}, sort_keys=True
+    ) + "\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -54,12 +54,11 @@ class ModelSpec:
 
 
 def load_model_spec(path) -> ModelSpec:
-    """Read a ModelSpec from a JSON file."""
+    """Read a ModelSpec from a JSON file (:class:`OSError` if it cannot be
+    opened)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"model file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"model file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict) or "intercept" not in raw:
@@ -131,43 +130,41 @@ def load_dataset(
     ``feature_cols`` (raw features to be scored with a ModelSpec) must be
     given.  Row numbers in error messages are 1-based file line numbers
     (the header is line 1).  A leading UTF-8 byte-order mark is skipped.
+    A file that cannot be opened raises :class:`OSError`.
     """
     if (risk_col is None) == (feature_cols is None):
         raise InputError("provide exactly one of risk_col or feature_cols")
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            first = fh.readline()
-            if not first.strip():
-                raise InputError(f"file {path} is empty")
-            delim = delimiter or _sniff_delimiter(first)
-            header = [h.strip() for h in next(csv.reader([first], delimiter=delim))]
-            wanted = [outcome_col] + ([risk_col] if risk_col else list(feature_cols))
-            for col in wanted:
-                if col not in header:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        first = fh.readline()
+        if not first.strip():
+            raise InputError(f"file {path} is empty")
+        delim = delimiter or _sniff_delimiter(first)
+        header = [h.strip() for h in next(csv.reader([first], delimiter=delim))]
+        wanted = [outcome_col] + ([risk_col] if risk_col else list(feature_cols))
+        for col in wanted:
+            if col not in header:
+                raise InputError(
+                    f"column {col!r} not found in header {header} of {path}"
+                )
+        idx = {col: header.index(col) for col in wanted}
+        outcomes: list[int] = []
+        values: dict[str, list[float]] = {c: [] for c in wanted[1:]}
+        reader = csv.reader(fh, delimiter=delim)
+        for line_no, record in enumerate(reader, start=2):
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            if len(record) < len(header):
+                raise InputError(
+                    f"expected {len(header)} fields, found {len(record)}", row=line_no
+                )
+            outcomes.append(_parse_outcome(record[idx[outcome_col]], line_no))
+            for col in wanted[1:]:
+                v = _parse_float(record[idx[col]], col, line_no)
+                if col == risk_col and not 0.0 <= v <= 1.0:
                     raise InputError(
-                        f"column {col!r} not found in header {header} of {path}"
+                        f"risk {record[idx[col]]!r} outside [0, 1]", row=line_no
                     )
-            idx = {col: header.index(col) for col in wanted}
-            outcomes: list[int] = []
-            values: dict[str, list[float]] = {c: [] for c in wanted[1:]}
-            reader = csv.reader(fh, delimiter=delim)
-            for line_no, record in enumerate(reader, start=2):
-                if not record or (len(record) == 1 and not record[0].strip()):
-                    continue
-                if len(record) < len(header):
-                    raise InputError(
-                        f"expected {len(header)} fields, found {len(record)}", row=line_no
-                    )
-                outcomes.append(_parse_outcome(record[idx[outcome_col]], line_no))
-                for col in wanted[1:]:
-                    v = _parse_float(record[idx[col]], col, line_no)
-                    if col == risk_col and not 0.0 <= v <= 1.0:
-                        raise InputError(
-                            f"risk {record[idx[col]]!r} outside [0, 1]", row=line_no
-                        )
-                    values[col].append(v)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+                values[col].append(v)
     if not outcomes:
         raise InputError(f"file {path} contains a header but no data rows")
 

@@ -135,78 +135,51 @@ class ValidationSample:
         return f"ValidationSample(n={self.n}, events={self.n_events})"
 
 
-def _occupied(key: np.ndarray, n_slots: int):
-    """The values ``key`` takes in ``range(n_slots)``, ascending, with their
-    row counts and each row's rank among them.  A range far wider than the
-    rows (a joint key over several risk columns spans up to n * (T + 1)
-    slots) is ranked by sorting the keys instead of counting every slot."""
-    if n_slots > 4 * key.size:
-        values, rank = np.unique(key, return_inverse=True)
-        return values, np.bincount(rank), rank
-    rows = np.bincount(key, minlength=n_slots)
-    seen = rows > 0
-    return np.flatnonzero(seen), rows[seen], (np.cumsum(seen) - 1)[key]
-
-
 class _CellTable:
     """The occupied cells of a sample over a threshold grid (any order,
     duplicates allowed, or one bare :class:`Threshold`), and the
     per-threshold sums of masses on them.
 
-    Under each of the M risk columns a row's label is its outcome times
-    ``width`` (T + 1) plus the number of grid thresholds at or below its
-    risk; the row is flagged (``risk >= z``) at the j-th smallest threshold
-    exactly when that number exceeds j.  A cell is a label tuple that some
-    row carries; its rows add the same amount to every net benefit on the
-    grid.  Cells are ordered by label tuple, whatever the row order:
-    ``cell_counts`` (K,) holds their row counts, ``cell_labels`` (M, K)
-    their labels and ``row_cell`` each row's cell.  ``counts`` is
-    ``(tp, fp, events, non_events)`` of the row counts, first column only.
+    A row's label is its outcome times ``width`` (T + 1) plus the number of
+    grid thresholds at or below its risk; the row is flagged
+    (``risk >= z``) at the j-th smallest threshold exactly when that number
+    exceeds j.  A cell is a label that some row carries; its rows add the
+    same amount to every net benefit on the grid.  Cells are ordered by
+    label, whatever the row order: ``cell_counts`` (K,) holds their row
+    counts, ``cell_labels`` (K,) their labels and ``row_cell`` each row's
+    cell.  ``counts`` is ``(tp, fp, events, non_events)`` of the row counts.
     """
 
     __slots__ = ("thresholds", "harm_weight", "order", "width", "cell_counts", "row_cell",
                  "cell_labels", "counts")
 
-    def __init__(self, outcomes: np.ndarray, risk_cols, grid):
+    def __init__(self, outcomes: np.ndarray, risks: np.ndarray, grid):
         self.thresholds = (grid,) if isinstance(grid, Threshold) else tuple(grid)
         zs = np.array([t.z for t in self.thresholds])
         self.harm_weight = zs / (1.0 - zs)
         self.order = np.argsort(zs, kind="stable")
-        self.width = width = zs.size + 1
-        edges = zs[self.order]
-        column_bins = (np.searchsorted(edges, r, side="right") for r in risk_cols)
-        # A further column's key ranks the label tuples seen so far and appends
-        # the column's bin (the outcome is in the key already), so an occupied
-        # key decodes to (tuple rank, bin), and cells stay in label order.
-        occupied, self.cell_counts, self.row_cell = _occupied(
-            outcomes * width + next(column_bins), 2 * width)
-        self.cell_labels = occupied[None]
-        for more in column_bins:
-            occupied, self.cell_counts, self.row_cell = _occupied(
-                self.row_cell * width + more, self.cell_labels.shape[1] * width)
-            prev, bins = np.divmod(occupied, width)
-            prior = self.cell_labels[:, prev]
-            self.cell_labels = np.vstack([prior, prior[0] // width * width + bins])
-        tp, fp, events, non_events = self.sums(self.cell_counts)
-        self.counts = (tp[0], fp[0], events, non_events)
+        self.width = zs.size + 1
+        labels = outcomes * self.width + np.searchsorted(zs[self.order], risks, side="right")
+        rows = np.bincount(labels, minlength=2 * self.width)
+        seen = rows > 0
+        self.cell_labels, self.cell_counts = np.flatnonzero(seen), rows[seen]
+        self.row_cell = (np.cumsum(seen) - 1)[labels]
+        self.counts = self.sums(self.cell_counts)
 
     def sums(self, masses: np.ndarray):
         """``(tp, fp, events, non_events)`` from ``masses`` of shape
         ``(..., K)`` on the cells: the flagged-event and flagged-non-event
-        mass under each risk column at each threshold of the grid (shape
-        ``(..., M, T)``) and the total event and non-event mass (shape
-        ``(...)``, added up along the last column's labels).
+        mass at each threshold of the grid (shape ``(..., T)``) and the
+        total event and non-event mass (shape ``(...)``).
         """
-        lead, n_labels = masses.shape[:-1], 2 * self.width
-        reps = masses.size // masses.shape[-1]
-        offsets = np.arange(reps)[:, None] * n_labels
-        tp, fp = np.empty((2,) + lead + (len(self.cell_labels), self.width - 1))
-        for m, labels in enumerate(self.cell_labels):
-            cells = np.bincount((offsets + labels).ravel(), weights=masses.reshape(-1),
-                                minlength=reps * n_labels).reshape(lead + (2, self.width))
-            tail = cells[..., ::-1].cumsum(axis=-1)[..., ::-1]  # tail[..., k]: cells k..T
-            tp[..., m, self.order] = tail[..., 1, 1:]
-            fp[..., m, self.order] = tail[..., 0, 1:]
+        lead = masses.shape[:-1]
+        cells = np.zeros(lead + (2 * self.width,))
+        cells[..., self.cell_labels] = masses  # one cell per label: no sums
+        # tail[..., y, k]: outcome-y cells with bins k..T
+        tail = cells.reshape(lead + (2, self.width))[..., ::-1].cumsum(axis=-1)[..., ::-1]
+        tp, fp = np.empty((2,) + lead + (self.width - 1,))
+        tp[..., self.order] = tail[..., 1, 1:]
+        fp[..., self.order] = tail[..., 0, 1:]
         return tp, fp, tail[..., 1, 0], tail[..., 0, 0]
 
 
@@ -217,7 +190,7 @@ def _net_benefit(tp, fp, harm_weight, total):
 
 def nb_model(sample: ValidationSample, t: Threshold) -> float:
     """Net benefit of treating those with ``risk >= z``."""
-    tp, fp, _, _ = _CellTable(sample.outcomes, [sample.risks], t).counts
+    tp, fp, _, _ = _CellTable(sample.outcomes, sample.risks, t).counts
     return float(_net_benefit(tp[0], fp[0], t.harm_weight, sample.n))
 
 
@@ -340,7 +313,7 @@ def decision_curve(
         raise InputError("n_boot must be >= 0")
     _check_seed(seed)
 
-    table = _CellTable(sample.outcomes, [sample.risks],
+    table = _CellTable(sample.outcomes, sample.risks,
                        grid if isinstance(grid, Threshold) else make_thresholds(grid))
     ts = table.thresholds
     tp, fp, events, non_events = table.counts

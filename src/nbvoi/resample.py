@@ -17,7 +17,7 @@ occupied cell of a ``netbenefit._CellTable``, which owns the cells and
 turns cell masses into per-threshold sums; ``_table_draws`` only draws the
 masses, on the one table of the analysis (``voi._evpi_grid``,
 ``netbenefit.decision_curve``; ``bootstrap_nb_draws_grid`` builds its own and
-returns the bare ``(N, T, M + 1)`` array, which ``bootstrap_nb_draws``
+returns the bare ``(N, T, 2)`` array, which ``bootstrap_nb_draws``
 slices into an :class:`NbDrawMatrix` at one threshold).
 Summed flat-Dirichlet weights are exactly Dirichlet(n_1, ..., n_K) over
 the K cells with n_k rows each (the aggregation property of Rubin's
@@ -28,14 +28,14 @@ integer counts, so replicate l equals, bit for bit, the net benefit of a
 resampled dataset that takes each cell's count from that cell's rows.
 
 Replicates are drawn in blocks of ``_block_rows(K)`` (``BLOCK_REPS``, or
-fewer when K is so large that a block would exceed ``BLOCK_CELLS`` cell
-masses).  Block b of method m uses the substream ``(seed, m, b)`` and
-numpy fills it one replicate at a time, so results depend only on the
-inputs and the seed: a shorter run is a prefix of a longer one, the worker
-and BLAS thread counts play no part (cells are summed with ``bincount``),
-and the table orders its cells by outcome and bins, so permuting the rows
-changes nothing.  One replicate serves every threshold of the grid,
-keeping curves coherent.  The cells do depend on the grid: adding a
+fewer when K, at most 2 (T + 1), is so large that a block would exceed
+``BLOCK_CELLS`` cell masses).  Block b of method m uses the substream
+``(seed, m, b)`` and numpy fills it one replicate at a time, so results
+depend only on the inputs and the seed: a shorter run is a prefix of a
+longer one, the worker and BLAS thread counts play no part (cells are
+summed by ``cumsum`` in label order), and the table orders its cells by
+outcome and bin, so permuting the rows changes nothing.  One replicate
+serves every threshold of the grid, keeping curves coherent.  The cells do depend on the grid: adding a
 threshold that splits an occupied cell changes the draws at the other
 thresholds, though not their distribution.
 """
@@ -170,27 +170,15 @@ def _mass_blocks(counts: np.ndarray, n_reps: int, method: str, seed):
             yield start, rng.multinomial(n, counts / n, size=size[0])
 
 
-def _risk_columns(sample: ValidationSample, extra_risks) -> list[np.ndarray]:
-    """The sample's risks, then each extra model's row of ``extra_risks``."""
-    if extra_risks is None:
-        return [sample.risks]
-    extra = np.atleast_2d(np.asarray(extra_risks, dtype=float))
-    if extra.shape[1] != sample.n:
-        raise InputError("extra model risks must have one value per observation")
-    if not np.isfinite(extra).all() or extra.min() < 0.0 or extra.max() > 1.0:
-        raise InputError("extra model risks must lie in [0, 1]")
-    return [sample.risks, *extra]
-
-
 def _table_draws(table: _CellTable, n_reps: int, method: str, seed) -> np.ndarray:
-    """The ``(n_reps, T, M + 1)`` replicate NBs, columns ``[model_1, ...,
-    model_M, treat_all]``, from one mass draw on the cells of ``table`` per
-    replicate (see the module docstring)."""
+    """The ``(n_reps, T, 2)`` replicate NBs, columns ``[model, treat_all]``,
+    from one mass draw on the cells of ``table`` per replicate (see the
+    module docstring)."""
     if n_reps < 1:
         raise InputError("n_reps must be >= 1")
     if method not in METHOD_IDS:
         raise InputError(f"unknown bootstrap method {method!r}; expected 'bayesian' or 'ordinary'")
-    shape = (n_reps, len(table.thresholds), len(table.cell_labels) + 1)
+    shape = (n_reps, len(table.thresholds), 2)
     if 8 * math.prod(shape) > MAX_DRAW_BYTES:
         raise InputError(f"bootstrap draws of shape {shape} take {8 * math.prod(shape)} "
                          f"bytes, over the {MAX_DRAW_BYTES}-byte limit")
@@ -200,8 +188,8 @@ def _table_draws(table: _CellTable, n_reps: int, method: str, seed) -> np.ndarra
     for start, masses in _mass_blocks(table.cell_counts, n_reps, method, seed):
         tp, fp, events, non_events = table.sums(masses)
         block = draws[start:start + masses.shape[0]]
-        block[:, :, :-1] = _net_benefit(tp, fp, c, total).transpose(0, 2, 1)
-        block[:, :, -1] = _net_benefit(events[:, None], non_events[:, None], c, total)
+        block[:, :, 0] = _net_benefit(tp, fp, c, total)
+        block[:, :, 1] = _net_benefit(events[:, None], non_events[:, None], c, total)
     return draws
 
 
@@ -211,17 +199,16 @@ def bootstrap_nb_draws_grid(
     n_reps: int = DEFAULT_N_REPS,
     method: str = "bayesian",
     seed: int | tuple = 0,
-    extra_risks=None,
 ) -> np.ndarray:
     """Draw ``n_reps`` replicate NB vectors at every threshold of a grid:
-    the ``(n_reps, T, M + 1)`` array of :func:`_table_draws`, thresholds in
-    the order given.
+    the ``(n_reps, T, 2)`` array of :func:`_table_draws`, thresholds in the
+    order given.
 
     One re-weighting per replicate, applied at all thresholds, drawn over
     the occupied cells in blocks (see the module docstring).  Output is a
     pure function of ``(sample, thresholds, n_reps, method, seed)``.
     """
-    table = _CellTable(sample.outcomes, _risk_columns(sample, extra_risks), thresholds)
+    table = _CellTable(sample.outcomes, sample.risks, thresholds)
     return _table_draws(table, n_reps, method, seed)
 
 
@@ -231,12 +218,9 @@ def bootstrap_nb_draws(
     n_reps: int = DEFAULT_N_REPS,
     method: str = "bayesian",
     seed: int | tuple = 0,
-    extra_risks=None,
 ) -> NbDrawMatrix:
-    """Draw the (n_reps, S) matrix of replicate NBs at a single threshold."""
-    draws = bootstrap_nb_draws_grid(
-        sample, (t,), n_reps=n_reps, method=method, seed=seed, extra_risks=extra_risks
-    )
+    """Draw the (n_reps, 2) matrix of replicate NBs at a single threshold."""
+    draws = bootstrap_nb_draws_grid(sample, (t,), n_reps=n_reps, method=method, seed=seed)
     return NbDrawMatrix(draws=draws[:, 0, :], method=method, seed=seed, threshold=t)
 
 

@@ -23,7 +23,7 @@ from .errors import InputError
 from .netbenefit import Threshold, ValidationSample
 from .resample import DATA_STREAM_ID, SWEEP_N_REPS
 from .rng import _check_seed, substream
-from .voi import _METHOD_LABELS, ALL_METHODS, _evpi_grid, _warn_thin
+from .voi import _METHOD_LABELS, ALL_METHODS, _check_methods, _evpi_grid, _warn_thin
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ class SweepConfig:
             object.__setattr__(self, name, _whole(getattr(self, name), name))
         _check_seed(self.seed)
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", _check_methods(self.methods))
         if not self.sizes or any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise InputError("sizes must be a non-empty strictly increasing sequence")
         if self.sizes[0] < 1:
@@ -156,9 +156,6 @@ class SweepConfig:
             raise InputError("at least one threshold is required")
         if self.n_sims < 1 or self.n_reps < 1:
             raise InputError("n_sims and n_reps must be >= 1")
-        for m in self.methods:
-            if m not in ALL_METHODS:
-                raise InputError(f"unknown EVPI method {m!r}")
         if self.n_workers < 1:
             raise InputError("n_workers must be >= 1")
 

@@ -1,7 +1,8 @@
 """Expected value of perfect information (EVPI) for model validation.
 
 The decision at a threshold is between treat-none (NB 0), treat-all, and
-one or more candidate models.  Uncertainty about the true NBs -- expressed
+the candidate model (:func:`evpi_bootstrap` also reduces user-supplied
+draws with more model columns).  Uncertainty about the true NBs -- expressed
 either as bootstrap draws or as an asymptotic bivariate normal -- carries
 an expected cost: the best strategy under current information may not be
 the truly best one.  EVPI quantifies that cost,
@@ -41,7 +42,7 @@ import numpy as np
 from .bvn import _check_params, _emax_pfirst, _max
 from .errors import InputError, NumericError, SmallEffectiveSampleWarning
 from .netbenefit import Threshold, ValidationSample, _CellTable, _net_benefit
-from .resample import NbDrawMatrix, _risk_columns, _table_draws
+from .resample import NbDrawMatrix, _table_draws
 from .rng import _check_seed
 
 ALL_METHODS = ("bayesian", "ordinary", "asymptotic")
@@ -99,19 +100,19 @@ def moments(sample: ValidationSample, t: Threshold) -> MomentSet:
         var_all   = (1/n) (1/(1-z))^2 P0(1-P0)
         cov       = (1/(n(1-z))) [(1-P0) P_TP + c P0 P_FP]
     """
-    grid = _moment_grid(sample, _CellTable(sample.outcomes, [sample.risks], t))
+    grid = _moment_grid(_CellTable(sample.outcomes, sample.risks, t))
     return replace(grid, threshold=t, **{
         k: v[0].item() for k, v in vars(grid).items() if isinstance(v, np.ndarray)})
 
 
-def _moment_grid(sample: ValidationSample, table: _CellTable) -> MomentSet:
-    """:func:`moments` at every threshold of the sample's cell table, as one
-    array-valued :class:`MomentSet` from the table's counts."""
-    if sample.n < 2:
+def _moment_grid(table: _CellTable) -> MomentSet:
+    """:func:`moments` at every threshold of a cell table, as one
+    array-valued :class:`MomentSet` from the table's counts alone."""
+    tp, fp, events, non_events = table.counts
+    n, events = int(events + non_events), int(events)  # exact: counts are whole floats
+    if n < 2:
         raise InputError("moment estimation requires n >= 2")
-    n, events = sample.n, sample.n_events
     p0 = events / n
-    tp, fp, _, _ = table.counts
     z = np.array([t.z for t in table.thresholds])
     c = table.harm_weight
     p_tp, p_fp = tp / n, fp / n
@@ -351,25 +352,30 @@ class _GridEvpi(NamedTuple):
     thin: np.ndarray
 
 
-def _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks=None,
-               on_draws=None) -> _GridEvpi:
-    """The work of :func:`evpi_threshold_sweep`, without warning, from one
-    cell table (``extra_risks`` included) and one bootstrap per method.
-    Each method's ``(N, T, S)`` draws go to ``on_draws(method, draws)``, if
-    given, once its columns exist, and are then released."""
-    _check_seed(seed)
+def _check_methods(methods) -> tuple[str, ...]:
+    """``methods`` as a tuple, refused unless it names at least one method
+    and each of them is in ``ALL_METHODS``."""
     methods = tuple(methods)
+    if not methods:
+        raise InputError(f"no EVPI method given; choose from {', '.join(ALL_METHODS)}")
     for m in methods:
         if m not in ALL_METHODS:
             raise InputError(f"unknown EVPI method {m!r}")
-    if "asymptotic" in methods and extra_risks is not None:
-        raise InputError("the asymptotic method supports exactly one candidate model")
+    return methods
 
-    table = _CellTable(sample.outcomes, _risk_columns(sample, extra_risks), thresholds)
+
+def _evpi_grid(sample, thresholds, methods, n_reps, seed, on_draws=None) -> _GridEvpi:
+    """The work of :func:`evpi_threshold_sweep`, without warning, from one
+    cell table and one bootstrap per method.  Each method's ``(N, T, 2)``
+    draws go to ``on_draws(method, draws)``, if given, once its columns
+    exist, and are then released."""
+    _check_seed(seed)
+    methods = _check_methods(methods)
+    table = _CellTable(sample.outcomes, sample.risks, thresholds)
     columns: list[_EvpiColumns] = []
     for m in methods:
         if m == "asymptotic":
-            columns.append(_asymptotic_columns(_moment_grid(sample, table)))
+            columns.append(_asymptotic_columns(_moment_grid(table)))
         else:
             draws = _table_draws(table, n_reps, m, seed)
             columns.append(_bootstrap_columns(draws, m, seed))
@@ -399,7 +405,6 @@ def evpi_threshold_sweep(
     methods=ALL_METHODS,
     n_reps: int = 10_000,
     seed: int | tuple = 0,
-    extra_risks=None,
     on_draws=None,
 ) -> list[tuple[Threshold, VoiResult]]:
     """Per-threshold EVPI for each requested method.
@@ -410,10 +415,10 @@ def evpi_threshold_sweep(
     order of ``thresholds`` (which may be unsorted), with methods in the
     order requested.  One warning names the thresholds with fewer than
     ``MIN_SIDE_ROWS`` rows on one side.  Each bootstrap method's
-    ``(N, T, S)`` draws go to ``on_draws(method, draws)``, if given; it
+    ``(N, T, 2)`` draws go to ``on_draws(method, draws)``, if given; it
     changes no result.
     """
-    out = _evpi_grid(sample, thresholds, methods, n_reps, seed, extra_risks, on_draws)
+    out = _evpi_grid(sample, thresholds, methods, n_reps, seed, on_draws)
     _warn_thin([f"{t.z:g}" for t, thin in zip(out.thresholds, out.thin) if thin], stacklevel=2)
     per_method = [c.fields() for c in out.columns]
     return [(t, VoiResult(**rows[i])) for i, t in enumerate(out.thresholds)

@@ -7,11 +7,9 @@ Each analysis (an EVPI grid, a decision curve, a sweep cell) builds one
 table and reads its counts and bootstrap draws from it.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbvoi import (
@@ -58,56 +56,46 @@ def resample_counts(draw, n):
     return np.bincount(idx, minlength=n)
 
 
-def reference_joint_cells(outcomes, risk_cols, ts):
-    """The cells as ``np.unique`` found them before the table owned them:
-    each column's row labels, then one row of each cell, each row's cell and
-    each cell's row count, cells ordered by their label tuples."""
+def reference_cells(outcomes, risks, ts):
+    """The cells as ``np.unique`` finds them: their labels, each row's cell
+    and each cell's row count, cells ordered by label."""
     zs = np.sort([t.z for t in ts])
-    width = zs.size + 1
-    labels = [outcomes * width + np.searchsorted(zs, r, side="right") for r in risk_cols]
-    key = labels[0]
-    for more in labels[1:]:
-        _, key = np.unique(key, return_inverse=True)
-        key = key.ravel() * width + more % width
-    _, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True)
-    return labels, first, inverse.ravel(), counts
+    labels = outcomes * (zs.size + 1) + np.searchsorted(zs, risks, side="right")
+    cells, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    return cells, inverse.ravel(), counts
 
 
 @SETTINGS
-@given(samples(), grids, st.integers(0, 2), st.data())
-def test_cells_equal_unique_reference(s, ts, n_extra, data):
-    extra = [np.array(data.draw(st.lists(risk, min_size=s.n, max_size=s.n)))
-             for _ in range(n_extra)]
-    cols = [s.risks, *extra]
-    table = _CellTable(s.outcomes, cols, ts)
-    labels, first, inverse, counts = reference_joint_cells(s.outcomes, cols, ts)
+@given(samples(), grids)
+@example(ValidationSample([1], [0.0005]), default_grid())
+@example(ValidationSample([0, 1, 0], [0.1, 0.2, 1.0]), default_grid())
+def test_cells_equal_unique_reference(s, ts):
+    """Also with a few rows on the 200-threshold grid, where almost every
+    label is unoccupied."""
+    table = _CellTable(s.outcomes, s.risks, ts)
+    cells, inverse, counts = reference_cells(s.outcomes, s.risks, ts)
     assert table.cell_counts.tolist() == counts.tolist()
     assert table.row_cell.tolist() == inverse.tolist()
-    assert table.cell_labels.tolist() == [l[first].tolist() for l in labels]
+    assert table.cell_labels.tolist() == cells.tolist()
 
 
-def test_three_column_key_is_ranked_not_counted_slot_by_slot():
-    """The joint key of two risk columns over the 200-threshold grid spans
-    about n * (T + 1) slots here; the table ranks the occupied keys instead
-    of counting every slot, so it stays within a few row-length arrays, and
-    finds the reference's cells."""
-    rng = substream(8, 1)
-    n = 20_000
-    outcomes = rng.integers(0, 2, n)
-    cols = list(0.25 * rng.random((3, n)))
-    ts = default_grid()
-    tracemalloc.start()
-    try:
-        table = _CellTable(outcomes, cols, ts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 8 * n
-    labels, first, inverse, counts = reference_joint_cells(outcomes, cols, ts)
-    assert table.cell_counts.tolist() == counts.tolist()
-    assert table.row_cell.tolist() == inverse.tolist()
-    assert table.cell_labels.tolist() == [l[first].tolist() for l in labels]
+@SETTINGS
+@given(samples(), grids, st.integers(0, 2**32 - 1))
+def test_sums_equal_label_bincount_reference(s, ts, seed):
+    """Each cell has a label of its own, so placing the masses in their
+    label slots gives, bit for bit, the masses summed by label."""
+    table = _CellTable(s.outcomes, s.risks, ts)
+    masses = substream(seed, 5).dirichlet(table.cell_counts, size=3)
+    n_labels = 2 * (len(ts) + 1)
+    slots = np.array([np.bincount(table.cell_labels, weights=m, minlength=n_labels)
+                      for m in masses]).reshape(3, 2, -1)
+    tail = slots[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    tp, fp, events, non_events = table.sums(masses)
+    order = np.argsort([t.z for t in ts], kind="stable")
+    assert np.array_equal(tp[:, order], tail[:, 1, 1:])
+    assert np.array_equal(fp[:, order], tail[:, 0, 1:])
+    assert np.array_equal(events, tail[:, 1, 0])
+    assert np.array_equal(non_events, tail[:, 0, 0])
 
 
 @SETTINGS
@@ -115,8 +103,8 @@ def test_three_column_key_is_ranked_not_counted_slot_by_slot():
 def test_table_nb_equals_row_reference_for_counts(s, ts, data):
     counts = data.draw(resample_counts(s.n))
     wv = WeightVector(weights=counts / s.n, kind="multinomial", counts=counts)
-    table = _CellTable(s.outcomes, [s.risks], ts)
-    (tp,), (fp,), events, non_events = table.sums(
+    table = _CellTable(s.outcomes, s.risks, ts)
+    tp, fp, events, non_events = table.sums(
         np.bincount(table.row_cell, weights=counts, minlength=table.cell_counts.size))
     unit_tp, unit_fp, _, _ = table.counts
     for j, t in enumerate(ts):
@@ -134,7 +122,7 @@ def test_moments_equal_row_reference(s, ts):
     n = s.n
     unit = WeightVector(weights=np.full(n, 1.0 / n), kind="multinomial",
                         counts=np.ones(n, dtype=int))
-    grid = _moment_grid(s, _CellTable(s.outcomes, [s.risks], ts))
+    grid = _moment_grid(_CellTable(s.outcomes, s.risks, ts))
     assert grid.threshold == ts
     for j, t in enumerate(ts):
         m = moments(s, t)
@@ -157,13 +145,13 @@ def test_thin_rule_matches_row_count(s, ts):
     for t in ts:
         above = int(np.sum(s.risks >= t.z))
         expect.append(min(above, s.n - above) < MIN_SIDE_ROWS)
-    assert _thin_mask(_CellTable(s.outcomes, [s.risks], ts)).tolist() == expect
+    assert _thin_mask(_CellTable(s.outcomes, s.risks, ts)).tolist() == expect
 
 
-def _cell_draws(s, ts, n_reps, method, seed, extra=()):
+def _cell_draws(s, ts, n_reps, method, seed):
     """The cell masses the bootstrap draws for each replicate, (n_reps, K),
     each row's cell and each cell's row count."""
-    table = _CellTable(s.outcomes, [s.risks, *extra], ts)
+    table = _CellTable(s.outcomes, s.risks, ts)
     masses = np.concatenate([m for _, m in _mass_blocks(table.cell_counts, n_reps, method,
                                                         seed)])
     return masses, table.row_cell, table.cell_counts
@@ -207,25 +195,6 @@ def test_bayesian_draw_matches_row_reference(s, ts, seed):
 
 
 @SETTINGS
-@given(samples(), grids, st.data(), st.integers(0, 2**32 - 1))
-def test_extra_model_draws_are_nb_of_joint_cell_resample(s, ts, data, seed):
-    """With a second model the cells are the (outcome, bin, bin) labels;
-    every model column of ordinary draw l is the NB of that replicate's
-    materialized resample."""
-    second = np.array(data.draw(st.lists(risk, min_size=s.n, max_size=s.n)))
-    draws = bootstrap_nb_draws_grid(s, ts, n_reps=3, method="ordinary", seed=seed,
-                                    extra_risks=second)
-    masses, inverse, _ = _cell_draws(s, ts, 3, "ordinary", seed, extra=(second,))
-    for l in range(3):
-        rows = _resample_rows(inverse, masses[l])
-        first, other = s.subset(rows), ValidationSample(s.outcomes[rows], second[rows])
-        for j, t in enumerate(ts):
-            assert draws[l, j, 0] == nb_model(first, t)
-            assert draws[l, j, 1] == nb_model(other, t)
-            assert draws[l, j, 2] == nb_all(first, t)
-
-
-@SETTINGS
 @given(samples(), grids, st.data(), st.sampled_from(["bayesian", "ordinary"]),
        st.integers(0, 2**32 - 1))
 def test_draws_do_not_depend_on_row_order_or_position_in_cell(s, ts, data, method, seed):
@@ -254,11 +223,9 @@ SWEEP_CFG = SweepConfig(sizes=(120,), thresholds=make_thresholds([0.1, 0.2]), n_
 
 @pytest.mark.parametrize("analysis", [
     lambda s, ts: _evpi_grid(s, ts, ALL_METHODS, 50, 3),
-    lambda s, ts: _evpi_grid(s, ts, ("bayesian", "ordinary"), 50, 3,
-                             extra_risks=[s.risks[::-1], np.sqrt(s.risks)]),
     lambda s, ts: decision_curve(s, ts, n_boot=50, method="bayesian", seed=3),
     lambda s, ts: _sweep_cell((0, 0), DGM, None, SWEEP_CFG),
-], ids=["evpi_all_methods", "evpi_extra_models", "decision_curve", "sweep_cell"])
+], ids=["evpi_all_methods", "decision_curve", "sweep_cell"])
 def test_each_analysis_builds_one_cell_table(monkeypatch, analysis):
     """Counts, moments, thin mask and every bootstrap method of one analysis
     read one table."""

@@ -386,6 +386,21 @@ class TestExitCodes:
         rec = json.loads(err.strip().splitlines()[-1])
         assert rec["error"] == "numeric"
 
+    def test_os_error_naming_no_file_is_not_an_input_error(self, monkeypatch, dataset):
+        """Only an error opening a named file is the user's input; any other
+        OSError propagates."""
+        import nbvoi.cli as cli_mod
+
+        path, _ = dataset
+
+        def boom(args):
+            raise OSError(28, "No space left on device")
+
+        parser = cli_mod.build_parser()
+        monkeypatch.setattr(cli_mod, "build_parser",
+                            lambda: _patch_parser_default(parser, boom))
+        with pytest.raises(OSError, match="No space left"):
+            main(["evpi", "--data", str(path), "--outcome", "y", "--risk", "p"])
 
     def test_failed_column_check_exits_3(self, capsys, monkeypatch, dataset):
         """A P(useful) outside [0, 1] fails the EVPI columns' own check."""
@@ -440,8 +455,9 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     pytest.param(["evpi", "--method", "asymptotic", "--seed", "-1"], "seed",
                  id="asymptotic_negative_seed"),
     pytest.param(["dca", "--seed", "-1"], "seed", id="dca_negative_seed"),
-    pytest.param(["simulate", -1], "seed", id="simulate_negative_seed"),
-    pytest.param(["simulate", "7"], "'seed'", id="simulate_string_seed"),
+    pytest.param(["simulate", {"seed": -1}], "seed", id="simulate_negative_seed"),
+    pytest.param(["simulate", {"seed": "7"}], "'seed'", id="simulate_string_seed"),
+    pytest.param(["simulate", {"methods": []}], "no EVPI method", id="simulate_no_methods"),
     pytest.param(["evpi", "--population", "nan", "--out", "json"], "population",
                  id="nan_population_json"),
     pytest.param(["evpi", "--population", "nan", "--out", "csv"], "population",
@@ -450,22 +466,34 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
                  id="inf_population_csv"),
     pytest.param(["evpi", "--max-threshold", "nan"], "max_z", id="evpi_nan_max_threshold"),
     pytest.param(["dca", "--max-threshold", "nan"], "max_z", id="dca_nan_max_threshold"),
+    pytest.param(["evpi", "--output", "{tmp}/absent/out.txt"], "{tmp}/absent/out.txt",
+                 id="unwritable_output"),
+    pytest.param(["evpi", "--method", "bayes", "--dump-draws", "{tmp}/absent/d"],
+                 "{tmp}/absent/d_bayesian", id="unwritable_dump_draws"),
+    pytest.param(["simulate", "--config", "{tmp}"], "{tmp}", id="config_is_a_directory"),
+    pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", "{tmp}"], "{tmp}",
+                 id="model_is_a_directory"),
 ])
 def test_malformed_flag_or_config_exits_2_with_one_json_line(tmp_path, dataset, argv, named):
     """In a fresh interpreter: exit 2, no traceback, and one JSON line on
-    stderr whose message names the bad value."""
+    stderr whose message names the bad value or file.  ``{tmp}`` stands for
+    a fresh directory, ``{data}`` for a good data file."""
     path, _ = dataset
-    if argv[0] == "simulate":
+    if argv[0] == "simulate" and isinstance(argv[1], dict):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "kind": "synthetic", "dgm": {"intercept": -1.55, "slopes": [0.77]},
             "sizes": [80], "thresholds": [0.2], "n_sims": 1, "n_reps": 20,
-            "methods": ["bayes"], "seed": argv[1],
+            "methods": ["bayes"], "seed": 0, **argv[1],
         }), encoding="utf-8")
         argv = ["simulate", "--config", str(cfg)]
-    else:
+    elif argv[0] in ("evpi", "dca"):
         argv = [argv[0], "--data", str(path), "--outcome", "y", "--risk", "p",
                 "--thresholds", "0.1,0.2", "--n-reps", "50", *argv[1:]]
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    argv = [a.format(tmp=tmp, data=path) for a in argv]
+    named = named.format(tmp=tmp)
     proc = _cli_process(argv)
     err = proc.stderr.decode()
     assert proc.returncode == 2, err

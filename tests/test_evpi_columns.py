@@ -79,20 +79,17 @@ def reference_row(d: np.ndarray) -> dict:
 
 @SETTINGS
 @given(samples(), grids, st.sampled_from(("bayesian", "ordinary")),
-       st.sampled_from((2, 9, 130, 300)), st.booleans(), st.data())
-def test_bootstrap_columns_equal_one_threshold_calls(s, ts, method, n_reps, extra, data):
-    extra_risks = None
-    if extra:
-        extra_risks = np.array(data.draw(st.lists(risk, min_size=s.n, max_size=s.n)))
+       st.sampled_from((2, 9, 130, 300)), st.data())
+def test_bootstrap_columns_equal_one_threshold_calls(s, ts, method, n_reps, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     # Also with one or two thresholds per pass of the per-replicate arrays.
     block = data.draw(st.sampled_from((voi._COLUMN_BLOCK, 1, 2 * n_reps)))
     made = {}
     with mock.patch.object(voi, "_COLUMN_BLOCK", block):
-        out = _evpi_grid(s, ts, (method,), n_reps, seed, extra_risks, on_draws=made.__setitem__)
+        out = _evpi_grid(s, ts, (method,), n_reps, seed, on_draws=made.__setitem__)
     (cols,) = out.columns
     draws = made[method]
-    assert draws.shape == (n_reps, len(ts), 3 if extra else 2)
+    assert draws.shape == (n_reps, len(ts), 2)
     for i, (t, fields) in enumerate(zip(out.thresholds, cols.fields())):
         assert t == ts[i]
         matrix = NbDrawMatrix(draws[:, i], method=method, seed=seed, threshold=t)

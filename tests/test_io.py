@@ -79,7 +79,8 @@ class TestLoadDataset:
             load_dataset(p, outcome_col="y", risk_col="p")
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(InputError):
+        """The command line turns it into an input error naming the file."""
+        with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope.csv", outcome_col="y", risk_col="p")
 
     def test_feature_columns(self, tmp_path):

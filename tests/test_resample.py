@@ -164,7 +164,7 @@ class TestBootstrapNbDraws:
         s = _toy_sample()
         t = Threshold(0.25)
         mat = bootstrap_nb_draws(s, t, n_reps=100, method="bayesian", seed=11)
-        table = _CellTable(s.outcomes, [s.risks], (t,))
+        table = _CellTable(s.outcomes, s.risks, (t,))
         inverse, counts = table.row_cell, table.cell_counts
         ((_, masses),) = _mass_blocks(counts, 100, "bayesian", 11)
         for l in (0, 17, 99):
@@ -199,32 +199,12 @@ class TestBootstrapNbDraws:
                                                 method=method, seed=21)
                 assert np.array_equal(wider[:, :2], base)
 
-    def test_extra_model_columns(self):
-        s = _toy_sample()
-        second = np.clip(s.risks * 0.8 + 0.05, 0, 1)
-        mat = bootstrap_nb_draws(s, Threshold(0.2), n_reps=50, method="bayesian",
-                                 seed=1, extra_risks=second)
-        assert mat.draws.shape == (50, 3)
-        assert mat.strategy_names() == ["model_1", "model_2", "treat_all"]
-
     def test_rejects_bad_inputs(self):
         s = _toy_sample()
         with pytest.raises(InputError):
             bootstrap_nb_draws(s, Threshold(0.2), n_reps=0, seed=0)
         with pytest.raises(InputError):
             bootstrap_nb_draws(s, Threshold(0.2), n_reps=10, method="jackknife", seed=0)
-        with pytest.raises(InputError):
-            bootstrap_nb_draws(s, Threshold(0.2), n_reps=10, seed=0,
-                               extra_risks=np.array([1.5] * s.n))
-
-
-    def test_rejects_extra_risks_laid_out_one_row_per_observation(self):
-        """Extra models come one row per model, (M, n); an (n, M) array is
-        not transposed but rejected."""
-        s = _toy_sample()
-        by_row = np.column_stack([s.risks, s.risks])
-        with pytest.raises(InputError, match="one value per observation"):
-            bootstrap_nb_draws_grid(s, (Threshold(0.2),), n_reps=10, extra_risks=by_row)
 
 
 def _cell_sample():
@@ -234,7 +214,7 @@ def _cell_sample():
     y = np.concatenate([[y] * k for y, _, k in layout])
     p = np.concatenate([[p] * k for _, p, k in layout])
     ts = make_thresholds([0.2, 0.5])
-    table = _CellTable(y, [p], ts)
+    table = _CellTable(y, p, ts)
     inverse, counts = table.row_cell, table.cell_counts
     assert counts.tolist() == [23, 9, 2, 5, 1, 4]
     return ValidationSample(y, p), ts, inverse, counts
@@ -310,24 +290,23 @@ class TestCellBootstrap:
         assert _block_rows(10 * BLOCK_CELLS) == 1
 
     def test_block_memory_is_capped_when_cells_approach_rows(self):
-        """Two continuous models over a 197-point grid put 20,000 rows in
-        about as many cells.  Each block then holds at most BLOCK_CELLS
+        """A 1,979-point grid puts 20,000 continuous risks in nearly all of
+        its 2 (T + 1) cells.  Each block then holds at most BLOCK_CELLS
         masses, and a whole call allocates no more than the draws, six
         block-sized arrays of 8-byte entries and 200 bytes per row."""
         rng = substream(45, 9)
         n = 20_000
         s = ValidationSample(rng.integers(0, 2, n), rng.random(n))
-        second = rng.random(n)
-        ts = make_thresholds(np.arange(1, 198) / 200)
-        counts = _CellTable(s.outcomes, [s.risks, second], ts).cell_counts
-        assert counts.size > 0.8 * n and counts.size > BLOCK_CELLS // BLOCK_REPS
+        ts = make_thresholds(np.arange(1, 1980) / 2000)
+        counts = _CellTable(s.outcomes, s.risks, ts).cell_counts
+        assert counts.size > 0.9 * 2 * (len(ts) + 1) > BLOCK_CELLS // BLOCK_REPS
         for _, masses in _mass_blocks(counts, 40, "bayesian", 3):
             assert masses.size <= BLOCK_CELLS
 
         n_reps = 100
         tracemalloc.start()
         try:
-            grid = bootstrap_nb_draws_grid(s, ts, n_reps=n_reps, seed=3, extra_risks=second)
+            grid = bootstrap_nb_draws_grid(s, ts, n_reps=n_reps, seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -200,6 +200,8 @@ class TestSweepConfig:
             SweepConfig(sizes=(100,), thresholds=ts, n_sims=0)
         with pytest.raises(InputError):
             SweepConfig(sizes=(100,), thresholds=ts, methods=("bogus",))
+        with pytest.raises(InputError, match="no EVPI method"):
+            SweepConfig(sizes=(100,), thresholds=ts, methods=())
 
     @pytest.mark.parametrize("field, value", [
         ("sizes", (250.7,)), ("n_sims", 2.5), ("n_reps", 2.5), ("seed", 1.5),

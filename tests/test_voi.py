@@ -351,12 +351,8 @@ class TestEvpiThresholdSweep:
         s = self._sample(n=100)
         with pytest.raises(InputError):
             evpi_threshold_sweep(s, (T02,), methods=("jackknife",), seed=0)
-
-    def test_asymptotic_rejects_extra_models(self):
-        s = self._sample(n=100)
-        with pytest.raises(InputError):
-            evpi_threshold_sweep(s, (T02,), methods=("asymptotic",), seed=0,
-                                 extra_risks=s.risks * 0.5)
+        with pytest.raises(InputError, match="no EVPI method"):
+            evpi_threshold_sweep(s, (T02,), methods=(), seed=0)
 
     @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
     def test_evpi_nonnegative_on_randomized_small_samples(self):
