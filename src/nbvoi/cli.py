@@ -129,8 +129,8 @@ def cmd_evpi(args) -> int:
 
     def dump(method, draws):
         for i, t in enumerate(ts):
-            matrix = NbDrawMatrix(draws[:, i], method=method, seed=args.seed, threshold=t)
-            dump_draws(matrix, f"{args.dump_draws}_{method}_z{t.z!r}.csv")
+            dump_draws(NbDrawMatrix(draws[:, i], method=method, seed=args.seed),
+                       f"{args.dump_draws}_{method}_z{t.z!r}.csv")
 
     rows = evpi_threshold_sweep(sample, ts, methods, args.n_reps, args.seed,
                                 on_draws=dump if args.dump_draws else None)

@@ -92,28 +92,26 @@ def _sniff_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
-def _parse_outcome(value: str, row: int) -> int:
+def _parse_outcome(value: str) -> int:
     v = value.strip()
     if v == "0" or v == "1":
         return int(v)
     try:
         f = float(v)
     except ValueError:
-        raise InputError(f"outcome value {value!r} is not binary 0/1", row=row) from None
+        raise InputError(f"outcome value {value!r} is not binary 0/1") from None
     if f == 0.0 or f == 1.0:
         return int(f)
-    raise InputError(f"outcome value {value!r} is not binary 0/1", row=row)
+    raise InputError(f"outcome value {value!r} is not binary 0/1")
 
 
-def _parse_float(value: str, column: str, row: int) -> float:
+def _parse_float(value: str, column: str) -> float:
     try:
         v = float(value)
     except ValueError:
-        raise InputError(
-            f"non-numeric value {value!r} in column {column!r}", row=row
-        ) from None
+        raise InputError(f"non-numeric value {value!r} in column {column!r}") from None
     if not math.isfinite(v):
-        raise InputError(f"non-finite value {value!r} in column {column!r}", row=row)
+        raise InputError(f"non-finite value {value!r} in column {column!r}")
     return v
 
 
@@ -129,42 +127,48 @@ def load_dataset(
     Exactly one of ``risk_col`` (pre-computed predicted risks) or
     ``feature_cols`` (raw features to be scored with a ModelSpec) must be
     given.  Row numbers in error messages are 1-based file line numbers
-    (the header is line 1).  A leading UTF-8 byte-order mark is skipped.
-    A file that cannot be opened raises :class:`OSError`.
+    (the header is line 1; a record spanning lines has its last).  A leading
+    UTF-8 byte-order mark is skipped, and the first line that is not UTF-8
+    is an error.  A file that cannot be opened raises :class:`OSError`.
     """
     if (risk_col is None) == (feature_cols is None):
         raise InputError("provide exactly one of risk_col or feature_cols")
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise InputError(f"file {path} is empty")
-        delim = delimiter or _sniff_delimiter(first)
-        header = [h.strip() for h in next(csv.reader([first], delimiter=delim))]
-        wanted = [outcome_col] + ([risk_col] if risk_col else list(feature_cols))
-        for col in wanted:
-            if col not in header:
-                raise InputError(
-                    f"column {col!r} not found in header {header} of {path}"
-                )
-        idx = {col: header.index(col) for col in wanted}
-        outcomes: list[int] = []
-        values: dict[str, list[float]] = {c: [] for c in wanted[1:]}
-        reader = csv.reader(fh, delimiter=delim)
-        for line_no, record in enumerate(reader, start=2):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if len(record) < len(header):
-                raise InputError(
-                    f"expected {len(header)} fields, found {len(record)}", row=line_no
-                )
-            outcomes.append(_parse_outcome(record[idx[outcome_col]], line_no))
-            for col in wanted[1:]:
-                v = _parse_float(record[idx[col]], col, line_no)
-                if col == risk_col and not 0.0 <= v <= 1.0:
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            first = fh.readline()
+            if not first.strip():
+                raise InputError(f"file {path} is empty")
+            delim = delimiter or _sniff_delimiter(first)
+            header = [h.strip() for h in next(csv.reader([first], delimiter=delim))]
+            wanted = [outcome_col] + ([risk_col] if risk_col else list(feature_cols))
+            for col in wanted:
+                if col not in header:
                     raise InputError(
-                        f"risk {record[idx[col]]!r} outside [0, 1]", row=line_no
+                        f"column {col!r} not found in header {header} of {path}"
                     )
-                values[col].append(v)
+            idx = {col: header.index(col) for col in wanted}
+            outcomes: list[int] = []
+            values: dict[str, list[float]] = {c: [] for c in wanted[1:]}
+            reader = csv.reader(fh, delimiter=delim)
+            try:
+                for record in reader:
+                    if not record or (len(record) == 1 and not record[0].strip()):
+                        continue
+                    if len(record) < len(header):
+                        raise InputError(f"expected {len(header)} fields, found {len(record)}")
+                    outcomes.append(_parse_outcome(record[idx[outcome_col]]))
+                    for col in wanted[1:]:
+                        v = _parse_float(record[idx[col]], col)
+                        if col == risk_col and not 0.0 <= v <= 1.0:
+                            raise InputError(f"risk {record[idx[col]]!r} outside [0, 1]")
+                        values[col].append(v)
+            except InputError as exc:  # line_num counts the lines after the header
+                raise InputError(str(exc), row=reader.line_num + 1) from None
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:  # no UTF-8 sequence holds a newline byte
+            row = next((i for i, line in enumerate(fh, start=1)
+                        if line.decode("utf-8", "ignore").encode("utf-8") != line), None)
+        raise InputError(f"file {path} is not UTF-8 text", row=row) from None
     if not outcomes:
         raise InputError(f"file {path} contains a header but no data rows")
 

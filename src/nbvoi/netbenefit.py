@@ -136,30 +136,29 @@ class ValidationSample:
 
 
 class _CellTable:
-    """The occupied cells of a sample over a threshold grid (any order,
-    duplicates allowed, or one bare :class:`Threshold`), and the
-    per-threshold sums of masses on them.
+    """The occupied cells of a sample over a threshold grid (as
+    :func:`make_thresholds` takes it, or one bare :class:`Threshold`), and
+    the per-threshold sums of masses on them.
 
     A row's label is its outcome times ``width`` (T + 1) plus the number of
     grid thresholds at or below its risk; the row is flagged
-    (``risk >= z``) at the j-th smallest threshold exactly when that number
-    exceeds j.  A cell is a label that some row carries; its rows add the
+    (``risk >= z``) at the j-th threshold exactly when that number exceeds
+    j.  A cell is a label that some row carries; its rows add the
     same amount to every net benefit on the grid.  Cells are ordered by
     label, whatever the row order: ``cell_counts`` (K,) holds their row
     counts, ``cell_labels`` (K,) their labels and ``row_cell`` each row's
     cell.  ``counts`` is ``(tp, fp, events, non_events)`` of the row counts.
     """
 
-    __slots__ = ("thresholds", "harm_weight", "order", "width", "cell_counts", "row_cell",
+    __slots__ = ("thresholds", "harm_weight", "width", "cell_counts", "row_cell",
                  "cell_labels", "counts")
 
     def __init__(self, outcomes: np.ndarray, risks: np.ndarray, grid):
-        self.thresholds = (grid,) if isinstance(grid, Threshold) else tuple(grid)
+        self.thresholds = make_thresholds((grid,) if isinstance(grid, Threshold) else grid)
         zs = np.array([t.z for t in self.thresholds])
         self.harm_weight = zs / (1.0 - zs)
-        self.order = np.argsort(zs, kind="stable")
         self.width = zs.size + 1
-        labels = outcomes * self.width + np.searchsorted(zs[self.order], risks, side="right")
+        labels = outcomes * self.width + np.searchsorted(zs, risks, side="right")
         rows = np.bincount(labels, minlength=2 * self.width)
         seen = rows > 0
         self.cell_labels, self.cell_counts = np.flatnonzero(seen), rows[seen]
@@ -170,17 +169,15 @@ class _CellTable:
         """``(tp, fp, events, non_events)`` from ``masses`` of shape
         ``(..., K)`` on the cells: the flagged-event and flagged-non-event
         mass at each threshold of the grid (shape ``(..., T)``) and the
-        total event and non-event mass (shape ``(...)``).
+        total event and non-event mass (shape ``(...)``).  ``tp`` and ``fp``
+        are views of one cumulative sum, not copies.
         """
         lead = masses.shape[:-1]
         cells = np.zeros(lead + (2 * self.width,))
         cells[..., self.cell_labels] = masses  # one cell per label: no sums
         # tail[..., y, k]: outcome-y cells with bins k..T
         tail = cells.reshape(lead + (2, self.width))[..., ::-1].cumsum(axis=-1)[..., ::-1]
-        tp, fp = np.empty((2,) + lead + (self.width - 1,))
-        tp[..., self.order] = tail[..., 1, 1:]
-        fp[..., self.order] = tail[..., 0, 1:]
-        return tp, fp, tail[..., 1, 0], tail[..., 0, 0]
+        return tail[..., 1, 1:], tail[..., 0, 1:], tail[..., 1, 0], tail[..., 0, 0]
 
 
 def _net_benefit(tp, fp, harm_weight, total):
@@ -256,16 +253,10 @@ class DecisionCurve:
     degenerate: np.ndarray | None = None
 
     def __post_init__(self):
-        zs = [t.z for t in self.thresholds]
-        if any(b <= a for a, b in zip(zs, zs[1:])):
-            raise InputError("decision curve grid must be strictly increasing")
+        object.__setattr__(self, "thresholds", make_thresholds(self.thresholds))
         for ci in (self.model_ci, self.all_ci):
             if ci is not None and np.any(ci[:, 0] > ci[:, 1]):
                 raise InputError("confidence bounds must satisfy lower <= upper")
-
-    @property
-    def nb_none(self) -> np.ndarray:
-        return np.zeros(len(self.thresholds))
 
     @property
     def has_ci(self) -> bool:
@@ -313,8 +304,7 @@ def decision_curve(
         raise InputError("n_boot must be >= 0")
     _check_seed(seed)
 
-    table = _CellTable(sample.outcomes, sample.risks,
-                       grid if isinstance(grid, Threshold) else make_thresholds(grid))
+    table = _CellTable(sample.outcomes, sample.risks, grid)
     ts = table.thresholds
     tp, fp, events, non_events = table.counts
     point_model = _net_benefit(tp, fp, table.harm_weight, sample.n)

@@ -35,9 +35,10 @@ depend only on the inputs and the seed: a shorter run is a prefix of a
 longer one, the worker and BLAS thread counts play no part (cells are
 summed by ``cumsum`` in label order), and the table orders its cells by
 outcome and bin, so permuting the rows changes nothing.  One replicate
-serves every threshold of the grid, keeping curves coherent.  The cells do depend on the grid: adding a
-threshold that splits an occupied cell changes the draws at the other
-thresholds, though not their distribution.
+serves every threshold of the grid, keeping curves coherent.  The grid is
+strictly increasing, as ``make_thresholds`` requires, and the cells depend
+on it: adding a threshold that splits an occupied cell changes the draws at
+the other thresholds, though not their distribution.
 """
 
 from __future__ import annotations
@@ -128,7 +129,6 @@ class NbDrawMatrix:
     draws: np.ndarray
     method: str
     seed: int | tuple
-    threshold: Threshold
 
     def __post_init__(self):
         d = np.asarray(self.draws, dtype=float)
@@ -200,9 +200,9 @@ def bootstrap_nb_draws_grid(
     method: str = "bayesian",
     seed: int | tuple = 0,
 ) -> np.ndarray:
-    """Draw ``n_reps`` replicate NB vectors at every threshold of a grid:
-    the ``(n_reps, T, 2)`` array of :func:`_table_draws`, thresholds in the
-    order given.
+    """Draw ``n_reps`` replicate NB vectors at every threshold of a grid
+    (as :func:`~nbvoi.netbenefit.make_thresholds` takes it): the
+    ``(n_reps, T, 2)`` array of :func:`_table_draws`.
 
     One re-weighting per replicate, applied at all thresholds, drawn over
     the occupied cells in blocks (see the module docstring).  Output is a
@@ -221,7 +221,7 @@ def bootstrap_nb_draws(
 ) -> NbDrawMatrix:
     """Draw the (n_reps, 2) matrix of replicate NBs at a single threshold."""
     draws = bootstrap_nb_draws_grid(sample, (t,), n_reps=n_reps, method=method, seed=seed)
-    return NbDrawMatrix(draws=draws[:, 0, :], method=method, seed=seed, threshold=t)
+    return NbDrawMatrix(draws=draws[:, 0, :], method=method, seed=seed)
 
 
 def dump_draws(matrix: NbDrawMatrix, path) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InputError
-from .netbenefit import Threshold, ValidationSample
+from .netbenefit import Threshold, ValidationSample, make_thresholds
 from .resample import DATA_STREAM_ID, SWEEP_N_REPS
 from .rng import _check_seed, substream
 from .voi import _METHOD_LABELS, ALL_METHODS, _check_methods, _evpi_grid, _warn_thin
@@ -131,7 +131,8 @@ def _whole(value, field: str) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Protocol of a sample-size sweep; integer fields take whole numbers."""
+    """Protocol of a sample-size sweep; integer fields take whole numbers,
+    and ``thresholds`` a grid as :func:`make_thresholds` takes it."""
 
     sizes: tuple[int, ...]
     thresholds: tuple[Threshold, ...]
@@ -146,14 +147,12 @@ class SweepConfig:
         for name in ("n_sims", "n_reps", "seed", "n_workers"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
         _check_seed(self.seed)
-        object.__setattr__(self, "thresholds", tuple(self.thresholds))
+        object.__setattr__(self, "thresholds", make_thresholds(self.thresholds))
         object.__setattr__(self, "methods", _check_methods(self.methods))
         if not self.sizes or any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise InputError("sizes must be a non-empty strictly increasing sequence")
         if self.sizes[0] < 1:
             raise InputError("sizes must be positive")
-        if not self.thresholds:
-            raise InputError("at least one threshold is required")
         if self.n_sims < 1 or self.n_reps < 1:
             raise InputError("n_sims and n_reps must be >= 1")
         if self.n_workers < 1:
@@ -179,7 +178,6 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-    config: SweepConfig
 
     def row(self, size: int, threshold: float, method: str) -> SweepRow:
         for r in self.rows:
@@ -236,7 +234,7 @@ def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
                          for t, m in zip(cfg.thresholds, thin[si].tolist()) if m})
     _warn_thin([f"({size}, {z:g})" for size, z in thin_cells], stacklevel=3,
                where="the threshold in at least one simulation, at (size, threshold)", note="")
-    return SweepResult(rows=rows, config=cfg)
+    return SweepResult(rows=rows)
 
 
 def synthetic_sweep(dgm: LogisticDgm, cfg: SweepConfig) -> SweepResult:

@@ -411,10 +411,11 @@ def evpi_threshold_sweep(
 
     Bootstrap methods share each replicate across the whole grid; the
     asymptotic route is evaluated over the whole grid in one array pass,
-    each threshold independently of the others.  Rows come back in the
-    order of ``thresholds`` (which may be unsorted), with methods in the
-    order requested.  One warning names the thresholds with fewer than
-    ``MIN_SIDE_ROWS`` rows on one side.  Each bootstrap method's
+    each threshold independently of the others.  ``thresholds`` is a grid
+    as :func:`~nbvoi.netbenefit.make_thresholds` takes it; rows come back
+    threshold by threshold, with methods in the order requested.  One
+    warning names the thresholds with fewer than ``MIN_SIDE_ROWS`` rows on
+    one side.  Each bootstrap method's
     ``(N, T, 2)`` draws go to ``on_draws(method, draws)``, if given; it
     changes no result.
     """

@@ -1,10 +1,11 @@
 """Properties of the asymptotic EVPI route over a threshold grid.
 
 Samples are small and include all-event and no-event samples and samples
-whose risks all lie below every threshold; grids come unsorted and with
-duplicates.  Each threshold's row is computed elementwise, so it must equal
-the one-threshold call exactly, and the moments come from integer counts,
-so a row permutation of the sample must change nothing.
+whose risks all lie below every threshold; grids are strictly increasing,
+as ``make_thresholds`` requires.  Each threshold's row is computed
+elementwise, so it must equal the one-threshold call exactly, and the
+moments come from integer counts, so a row permutation of the sample must
+change nothing.
 """
 
 import numpy as np
@@ -21,8 +22,8 @@ SETTINGS = settings(max_examples=150, deadline=None)
 pytestmark = pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
 
 risk = st.one_of(st.sampled_from(Z_VALUES + (0.0, 1.0)), st.floats(0.0, 1.0))
-grids = st.lists(st.sampled_from(Z_VALUES), min_size=1, max_size=8).map(
-    lambda zs: tuple(Threshold(z) for z in zs)
+grids = st.lists(st.sampled_from(Z_VALUES), min_size=1, max_size=8, unique=True).map(
+    lambda zs: tuple(Threshold(z) for z in sorted(zs))
 )
 
 
@@ -67,8 +68,7 @@ def test_row_permutation_changes_nothing(s, ts, data):
     perm = np.array(data.draw(st.permutations(range(s.n))))
     shuffled = s.subset(perm)
     assert asymptotic_rows(shuffled, ts) == asymptotic_rows(s, ts)
-    curve_grid = tuple(Threshold(z) for z in sorted({t.z for t in ts}))
-    a = decision_curve(s, curve_grid, n_boot=0)
-    b = decision_curve(shuffled, curve_grid, n_boot=0)
+    a = decision_curve(s, ts, n_boot=0)
+    b = decision_curve(shuffled, ts, n_boot=0)
     assert a.nb_model.tobytes() == b.nb_model.tobytes()
     assert a.nb_all.tobytes() == b.nb_all.tobytes()

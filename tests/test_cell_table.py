@@ -1,8 +1,9 @@
 """The per-threshold cell table against the per-row reference.
 
-Samples are small, risks often sit exactly on a threshold, and grids come
-unsorted and with duplicates.  With integer weights every cell sum is an
-exact integer, so the table must reproduce the row-by-row results exactly.
+Samples are small, risks often sit exactly on a threshold, and grids are
+strictly increasing, as ``make_thresholds`` requires.  With integer weights
+every cell sum is an exact integer, so the table must reproduce the
+row-by-row results exactly.
 Each analysis (an EVPI grid, a decision curve, a sweep cell) builds one
 table and reads its counts and bootstrap draws from it.
 """
@@ -36,8 +37,8 @@ Z_VALUES = (0.05, 0.1, 0.2, 0.25, 0.5, 0.7)
 SETTINGS = settings(max_examples=150, deadline=None)
 
 risk = st.one_of(st.sampled_from(Z_VALUES + (0.0, 1.0)), st.floats(0.0, 1.0))
-grids = st.lists(st.sampled_from(Z_VALUES), min_size=1, max_size=6).map(
-    lambda zs: tuple(Threshold(z) for z in zs)
+grids = st.lists(st.sampled_from(Z_VALUES), min_size=1, max_size=6, unique=True).map(
+    lambda zs: tuple(Threshold(z) for z in sorted(zs))
 )
 
 
@@ -59,7 +60,7 @@ def resample_counts(draw, n):
 def reference_cells(outcomes, risks, ts):
     """The cells as ``np.unique`` finds them: their labels, each row's cell
     and each cell's row count, cells ordered by label."""
-    zs = np.sort([t.z for t in ts])
+    zs = np.array([t.z for t in ts])
     labels = outcomes * (zs.size + 1) + np.searchsorted(zs, risks, side="right")
     cells, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     return cells, inverse.ravel(), counts
@@ -91,9 +92,8 @@ def test_sums_equal_label_bincount_reference(s, ts, seed):
                       for m in masses]).reshape(3, 2, -1)
     tail = slots[..., ::-1].cumsum(axis=-1)[..., ::-1]
     tp, fp, events, non_events = table.sums(masses)
-    order = np.argsort([t.z for t in ts], kind="stable")
-    assert np.array_equal(tp[:, order], tail[:, 1, 1:])
-    assert np.array_equal(fp[:, order], tail[:, 0, 1:])
+    assert np.array_equal(tp, tail[:, 1, 1:])
+    assert np.array_equal(fp, tail[:, 0, 1:])
     assert np.array_equal(events, tail[:, 1, 0])
     assert np.array_equal(non_events, tail[:, 0, 0])
 
@@ -208,7 +208,7 @@ def test_draws_do_not_depend_on_row_order_or_position_in_cell(s, ts, data, metho
 
     # Move every risk to the low edge of its cell: the largest grid
     # threshold at or below it, or 0 below the grid.
-    zs = np.sort([t.z for t in ts])
+    zs = np.array([t.z for t in ts])
     below = np.searchsorted(zs, s.risks, side="right")
     moved = np.where(below > 0, zs[np.maximum(below - 1, 0)], 0.0)
     shifted = bootstrap_nb_draws_grid(ValidationSample(s.outcomes, moved), ts, n_reps=5,

@@ -155,9 +155,9 @@ class TestEvpi:
         ts = make_thresholds([0.1, 0.2])
         for method in ("bayesian", "ordinary"):
             draws = bootstrap_nb_draws_grid(sample, ts, n_reps=50, method=method, seed=5)
-            for i, (t, z) in enumerate(zip(ts, ("0.1", "0.2"))):
+            for i, z in enumerate(("0.1", "0.2")):
                 expect = tmp_path / "expect.csv"
-                dump_draws(NbDrawMatrix(draws[:, i], method, 5, t), expect)
+                dump_draws(NbDrawMatrix(draws[:, i], method, 5), expect)
                 got = tmp_path / f"draws_{method}_z{z}.csv"
                 assert got.read_text() == expect.read_text()
 
@@ -340,15 +340,22 @@ class TestExitCodes:
         rec = json.loads(err.strip().splitlines()[-1])
         assert rec["error"] == "input"
 
-    def test_bad_row_reports_row_number(self, capsys, tmp_path):
+    @pytest.mark.parametrize("content, row", [
+        (b"y,p\n1,0.5\n1,1.7\n", 3),
+        (b"y,p\n1,0.5\n0,0.\xff3\n1,0.2\n", 3),
+        (b'y,p,note\n1,0.5,"two\nlines"\n0,abc,x\n', 4),
+    ], ids=["risk_out_of_range", "not_utf8", "after_two_line_field"])
+    def test_bad_row_reports_row_number(self, capsys, tmp_path, content, row):
+        """The file line of the bad record, also at a byte that is not UTF-8
+        and past a quoted field that spans two lines."""
         p = tmp_path / "bad.csv"
-        p.write_text("y,p\n1,0.5\n1,1.7\n", encoding="utf-8")
+        p.write_bytes(content)
         code, out, err = run(capsys, [
             "dca", "--data", str(p), "--outcome", "y", "--risk", "p",
         ])
         assert code == 2
         rec = json.loads(err.strip().splitlines()[-1])
-        assert rec["row"] == 3
+        assert rec["error"] == "input" and rec["row"] == row
 
     def test_non_finite_feature_reports_row_number(self, capsys, tmp_path):
         data = tmp_path / "feat.csv"

@@ -34,8 +34,8 @@ SETTINGS = settings(max_examples=100, deadline=None)
 pytestmark = pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
 
 risk = st.one_of(st.sampled_from(Z_VALUES + (0.0, 1.0)), st.floats(0.0, 1.0))
-grids = st.lists(st.sampled_from(Z_VALUES), min_size=1, max_size=6).map(
-    lambda zs: tuple(Threshold(z) for z in zs)
+grids = st.lists(st.sampled_from(Z_VALUES), min_size=1, max_size=6, unique=True).map(
+    lambda zs: tuple(Threshold(z) for z in sorted(zs))
 )
 
 
@@ -92,7 +92,7 @@ def test_bootstrap_columns_equal_one_threshold_calls(s, ts, method, n_reps, data
     assert draws.shape == (n_reps, len(ts), 2)
     for i, (t, fields) in enumerate(zip(out.thresholds, cols.fields())):
         assert t == ts[i]
-        matrix = NbDrawMatrix(draws[:, i], method=method, seed=seed, threshold=t)
+        matrix = NbDrawMatrix(draws[:, i], method=method, seed=seed)
         one = evpi_bootstrap(matrix)
         ref = reference_row(matrix.draws)
         for f in _VOI_ARRAYS:

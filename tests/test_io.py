@@ -56,6 +56,14 @@ class TestLoadDataset:
         s = load_dataset(p, outcome_col="y", risk_col="p")
         assert s.outcomes.tolist() == [1, 0]
 
+    def test_non_utf8_byte_names_file_and_line_past_the_first_read(self, tmp_path):
+        """The text layer decodes in chunks; the line comes from a rescan."""
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbfy,p\n" + b"1,0.25\n" * 5000 + b"0,0.\xff3\n1,0.5\n")
+        with pytest.raises(InputError, match="not UTF-8") as exc:
+            load_dataset(p, outcome_col="y", risk_col="p")
+        assert exc.value.row == 5002 and str(p) in str(exc.value)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_non_finite_feature_names_row_and_column(self, tmp_path, value):
         p = write(tmp_path, "d.csv", f"y,age\n1,63\n0,{value}\n")

@@ -187,17 +187,19 @@ class TestBootstrapNbDraws:
         np.testing.assert_allclose(wy0, wy1, rtol=1e-10)
 
     def test_thresholds_splitting_no_cell_leave_draws_unchanged(self):
-        """A duplicate threshold, or one with no risk between it and its
-        neighbours, leaves the occupied cells as they were, so every draw
-        at the other thresholds is bit-identical."""
+        """A threshold with no risk between it and its neighbours, inserted
+        in its sorted place, leaves the occupied cells as they were, so every
+        draw at the other thresholds is bit-identical."""
         s = _toy_sample()  # risks 0.05 0.1 0.3 0.45 0.5 0.7 0.8 0.9
-        ts = make_thresholds([0.2, 0.4])
+        zs = [0.2, 0.4]
         for method in ("bayesian", "ordinary"):
-            base = bootstrap_nb_draws_grid(s, ts, n_reps=300, method=method, seed=21)
-            for extra in (0.2, 0.35, 0.95, 0.01):
-                wider = bootstrap_nb_draws_grid(s, ts + (Threshold(extra),), n_reps=300,
-                                                method=method, seed=21)
-                assert np.array_equal(wider[:, :2], base)
+            base = bootstrap_nb_draws_grid(s, zs, n_reps=300, method=method, seed=21)
+            for extra in (0.35, 0.95, 0.01):
+                wider_zs = sorted(zs + [extra])
+                wider = bootstrap_nb_draws_grid(s, wider_zs, n_reps=300, method=method,
+                                                seed=21)
+                kept = [wider_zs.index(z) for z in zs]
+                assert np.array_equal(wider[:, kept], base)
 
     def test_rejects_bad_inputs(self):
         s = _toy_sample()
@@ -289,17 +291,19 @@ class TestCellBootstrap:
             assert 1 <= _block_rows(k) < BLOCK_REPS and _block_rows(k) * k <= BLOCK_CELLS
         assert _block_rows(10 * BLOCK_CELLS) == 1
 
-    def test_block_memory_is_capped_when_cells_approach_rows(self):
-        """A 1,979-point grid puts 20,000 continuous risks in nearly all of
-        its 2 (T + 1) cells.  Each block then holds at most BLOCK_CELLS
-        masses, and a whole call allocates no more than the draws, six
-        block-sized arrays of 8-byte entries and 200 bytes per row."""
+    @pytest.mark.parametrize("n, occupied", [(20_000, 0.9), (4_000, 0.6)])
+    def test_block_memory_is_capped_when_cells_approach_rows(self, n, occupied):
+        """A 1,979-point grid puts n continuous risks in nearly all of its
+        2 (T + 1) cells (20,000 rows) or in about two thirds of them (4,000
+        rows, where a block's per-threshold sums outnumber its masses).  Each
+        block then holds at most BLOCK_CELLS masses, and a whole call
+        allocates no more than the draws, six block-sized arrays of 8-byte
+        entries and 200 bytes per row."""
         rng = substream(45, 9)
-        n = 20_000
         s = ValidationSample(rng.integers(0, 2, n), rng.random(n))
         ts = make_thresholds(np.arange(1, 1980) / 2000)
         counts = _CellTable(s.outcomes, s.risks, ts).cell_counts
-        assert counts.size > 0.9 * 2 * (len(ts) + 1) > BLOCK_CELLS // BLOCK_REPS
+        assert counts.size > occupied * 2 * (len(ts) + 1) > BLOCK_CELLS // BLOCK_REPS
         for _, masses in _mass_blocks(counts, 40, "bayesian", 3):
             assert masses.size <= BLOCK_CELLS
 

@@ -262,17 +262,6 @@ class TestSyntheticSweep:
         big = res.row(1600, 0.2, "bayesian_bootstrap")
         assert big.mean_evpi < small.mean_evpi - np.hypot(small.mc_se, big.mc_se)
 
-    @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
-    def test_threshold_order_does_not_change_values(self):
-        """The bootstrap cells are ordered by label, not by grid position,
-        so an unsorted grid gives the same values, bit for bit."""
-        base = dict(sizes=(150,), n_sims=2, n_reps=150, methods=("ordinary",), seed=9)
-        fwd = synthetic_sweep(DGM, SweepConfig(thresholds=make_thresholds([0.1, 0.3]), **base))
-        rev = synthetic_sweep(DGM, SweepConfig(thresholds=(Threshold(0.3), Threshold(0.1)),
-                                               **base))
-        for z in (0.1, 0.3):
-            assert fwd.row(150, z, "ordinary_bootstrap") == rev.row(150, z, "ordinary_bootstrap")
-
     def test_parallel_workers_identical(self):
         cfg1 = _small_cfg(n_workers=1)
         cfg4 = _small_cfg(n_workers=4)

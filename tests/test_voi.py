@@ -10,24 +10,26 @@ from nbvoi import (
     InputError,
     LogisticDgm,
     SmallEffectiveSampleWarning,
+    SweepConfig,
     Threshold,
     ValidationSample,
+    decision_curve,
     evpi_threshold_sweep,
     generate_synthetic,
     make_thresholds,
     moments,
     population_scaled,
     substream,
+    synthetic_sweep,
 )
-from nbvoi.resample import NbDrawMatrix
+from nbvoi.resample import NbDrawMatrix, bootstrap_nb_draws_grid
 from nbvoi.voi import MomentSet, _relative_evpi, evpi_asymptotic, evpi_bootstrap
 
 T02 = Threshold(0.2)
 
 
-def mat(rows, method="bayesian", seed=0, t=T02):
-    return NbDrawMatrix(draws=np.asarray(rows, dtype=float), method=method,
-                        seed=seed, threshold=t)
+def mat(rows, method="bayesian", seed=0):
+    return NbDrawMatrix(draws=np.asarray(rows, dtype=float), method=method, seed=seed)
 
 
 class TestEvpiBootstrap:
@@ -315,21 +317,6 @@ class TestEvpiThresholdSweep:
         assert [(t.z, r.method, r.evpi, r.p_useful) for t, r in r1] == \
                [(t.z, r.method, r.evpi, r.p_useful) for t, r in r2]
 
-    def test_rows_follow_grid_order(self):
-        """An unsorted grid with a duplicate gives the rows in the order
-        given, with the values of the sorted grid (exact for the ordinary
-        bootstrap, whose cell sums are integer counts)."""
-        s = self._sample(n=300, seed=2)
-        methods = ("ordinary", "asymptotic")
-        given = evpi_threshold_sweep(s, make_thresholds([0.3]) + make_thresholds([0.1, 0.3]),
-                                     methods=methods, n_reps=200, seed=4)
-        base = evpi_threshold_sweep(s, make_thresholds([0.1, 0.3]), methods=methods,
-                                    n_reps=200, seed=4)
-        assert [t.z for t, _ in given] == [0.3, 0.3, 0.1, 0.1, 0.3, 0.3]
-        by_z = {(t.z, r.method): r for t, r in base}
-        for t, r in given:
-            assert r == by_z[(t.z, r.method)]
-
     def test_warns_on_thin_threshold_side(self):
         s = ValidationSample([1, 0] * 15, [0.5] * 30)
         with pytest.warns(SmallEffectiveSampleWarning):
@@ -381,3 +368,26 @@ class TestPopulationScaled:
     def test_rejects_nonpositive_multiplier(self):
         with pytest.raises(InputError):
             population_scaled(0.001, 0, T02)
+
+
+DGM = LogisticDgm(intercept=-1.55, slopes=(0.77,))
+
+
+@pytest.mark.parametrize("analysis", [
+    lambda s, grid: evpi_threshold_sweep(s, grid, methods=("ordinary", "asymptotic"),
+                                         n_reps=50, seed=4),
+    lambda s, grid: bootstrap_nb_draws_grid(s, grid, n_reps=50, method="ordinary",
+                                            seed=4).tolist(),
+    lambda s, grid: decision_curve(s, grid, n_boot=50, seed=4).to_records(),
+    lambda s, grid: synthetic_sweep(DGM, SweepConfig(sizes=(200,), thresholds=grid, n_sims=1,
+                                                     n_reps=50, seed=4)).rows,
+], ids=["evpi_threshold_sweep", "bootstrap_nb_draws_grid", "decision_curve", "SweepConfig"])
+def test_every_grid_entry_point_takes_the_grid_of_make_thresholds(analysis):
+    """An unsorted, duplicate or empty grid is refused, of floats or of
+    thresholds alike, and a float grid gives the rows of its threshold twin."""
+    s = generate_synthetic(DGM, 300, substream(2, 2))
+    for bad in ([0.3, 0.1], [0.1, 0.3, 0.3], []):
+        for grid in (bad, [Threshold(z) for z in bad]):
+            with pytest.raises(InputError, match="threshold grid must be"):
+                analysis(s, grid)
+    assert analysis(s, [0.1, 0.3]) == analysis(s, make_thresholds([0.1, 0.3]))
