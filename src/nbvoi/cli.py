@@ -33,7 +33,7 @@ from .netbenefit import (
     default_grid,
     make_thresholds,
 )
-from .resample import DEFAULT_N_REPS, NbDrawMatrix, dump_draws
+from .resample import DEFAULT_N_REPS, dump_draws
 from .simlab import (
     LogisticDgm,
     SweepConfig,
@@ -129,8 +129,7 @@ def cmd_evpi(args) -> int:
 
     def dump(method, draws):
         for i, t in enumerate(ts):
-            dump_draws(NbDrawMatrix(draws[:, i], method=method, seed=args.seed),
-                       f"{args.dump_draws}_{method}_z{t.z!r}.csv")
+            dump_draws(draws[:, i], f"{args.dump_draws}_{method}_z{t.z!r}.csv")
 
     rows = evpi_threshold_sweep(sample, ts, methods, args.n_reps, args.seed,
                                 on_draws=dump if args.dump_draws else None)
@@ -190,7 +189,7 @@ def _sweep_setup(raw: dict, workers: int | None):
             raise InputError("synthetic config requires a 'dgm' object")
         dgm = LogisticDgm(
             intercept=float(dgm_raw.get("intercept", 0.0)),
-            slopes=tuple(dgm_raw.get("slopes", ())),
+            slopes=dgm_raw.get("slopes", ()),
         )
         if sizes is None:
             raise InputError("synthetic config requires 'sizes'")

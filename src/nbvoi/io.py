@@ -64,11 +64,9 @@ def load_model_spec(path) -> ModelSpec:
     if not isinstance(raw, dict) or "intercept" not in raw:
         raise InputError("model file must be a JSON object with an 'intercept' key")
     terms = raw.get("terms", {})
-    if isinstance(terms, dict):
-        pairs = list(terms.items())
-    elif isinstance(terms, list):
-        pairs = [(p[0], p[1]) for p in terms]
-    else:
+    pairs = list(terms.items()) if isinstance(terms, dict) else terms
+    if not (isinstance(pairs, list)
+            and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)):
         raise InputError("'terms' must be an object or a list of [name, coefficient] pairs")
     try:
         return ModelSpec(intercept=float(raw["intercept"]), terms=tuple(pairs))
@@ -162,7 +160,7 @@ def load_dataset(
                         if col == risk_col and not 0.0 <= v <= 1.0:
                             raise InputError(f"risk {record[idx[col]]!r} outside [0, 1]")
                         values[col].append(v)
-            except InputError as exc:  # line_num counts the lines after the header
+            except (InputError, csv.Error) as exc:  # line_num counts the lines after the header
                 raise InputError(str(exc), row=reader.line_num + 1) from None
     except UnicodeDecodeError:
         with open(path, "rb") as fh:  # no UTF-8 sequence holds a newline byte

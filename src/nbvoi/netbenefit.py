@@ -146,12 +146,11 @@ class _CellTable:
     j.  A cell is a label that some row carries; its rows add the
     same amount to every net benefit on the grid.  Cells are ordered by
     label, whatever the row order: ``cell_counts`` (K,) holds their row
-    counts, ``cell_labels`` (K,) their labels and ``row_cell`` each row's
-    cell.  ``counts`` is ``(tp, fp, events, non_events)`` of the row counts.
+    counts and ``cell_labels`` (K,) their labels.  ``counts`` is
+    ``(tp, fp, events, non_events)`` of the row counts.
     """
 
-    __slots__ = ("thresholds", "harm_weight", "width", "cell_counts", "row_cell",
-                 "cell_labels", "counts")
+    __slots__ = ("thresholds", "harm_weight", "width", "cell_counts", "cell_labels", "counts")
 
     def __init__(self, outcomes: np.ndarray, risks: np.ndarray, grid):
         self.thresholds = make_thresholds((grid,) if isinstance(grid, Threshold) else grid)
@@ -162,7 +161,6 @@ class _CellTable:
         rows = np.bincount(labels, minlength=2 * self.width)
         seen = rows > 0
         self.cell_labels, self.cell_counts = np.flatnonzero(seen), rows[seen]
-        self.row_cell = (np.cumsum(seen) - 1)[labels]
         self.counts = self.sums(self.cell_counts)
 
     def sums(self, masses: np.ndarray):

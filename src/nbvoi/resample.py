@@ -120,10 +120,10 @@ def multinomial_weights(n: int, rng: np.random.Generator) -> WeightVector:
 class NbDrawMatrix:
     """Per-replicate net benefit draws at one threshold.
 
-    ``draws`` has shape (N, S) with columns ordered
-    ``[model_1, ..., model_M, treat_all]``; treat-none is the implicit zero
-    column and is handled analytically downstream.  Under the Bayesian
-    reading each row is a posterior draw of the true strategy NBs.
+    ``draws`` has shape (N, 2) with columns ``[model, treat_all]``;
+    treat-none is the implicit zero column and is handled analytically
+    downstream.  Under the Bayesian reading each row is a posterior draw of
+    the true strategy NBs.
     """
 
     draws: np.ndarray
@@ -134,17 +134,12 @@ class NbDrawMatrix:
         d = np.asarray(self.draws, dtype=float)
         d.flags.writeable = False
         object.__setattr__(self, "draws", d)
-        if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 2:
-            raise InputError("draw matrix must be N x S with N >= 1, S >= 2")
+        if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] != 2:
+            raise InputError(f"draw matrix must be N x 2 with N >= 1, got shape {d.shape}")
         if not np.isfinite(d).all():
             raise InputError("draw matrix entries must be finite")
         if self.method not in METHOD_IDS:
             raise InputError(f"unknown bootstrap method {self.method!r}")
-
-    def strategy_names(self) -> list[str]:
-        m = self.draws.shape[1] - 1
-        names = ["model"] if m == 1 else [f"model_{j + 1}" for j in range(m)]
-        return names + ["treat_all"]
 
 
 def _block_rows(n_cells: int) -> int:
@@ -224,10 +219,10 @@ def bootstrap_nb_draws(
     return NbDrawMatrix(draws=draws[:, 0, :], method=method, seed=seed)
 
 
-def dump_draws(matrix: NbDrawMatrix, path) -> None:
-    """Write one replicate per line as comma-separated full-precision text."""
-    names = matrix.strategy_names()
+def dump_draws(draws: np.ndarray, path) -> None:
+    """Write the ``(N, 2)`` draws ``[model, treat_all]`` one replicate per
+    line, as comma-separated full-precision text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["nb_" + n for n in names]) + "\n")
-        for row in matrix.draws:
+        fh.write("nb_model,nb_treat_all\n")
+        for row in draws:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")

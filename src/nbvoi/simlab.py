@@ -35,6 +35,8 @@ class LogisticDgm:
     slopes: tuple[float, ...]
 
     def __post_init__(self):
+        if isinstance(self.slopes, str):
+            raise InputError(f"slopes must be a sequence of numbers, not {self.slopes!r}")
         object.__setattr__(self, "slopes", tuple(float(s) for s in self.slopes))
         if len(self.slopes) == 0:
             raise InputError("at least one slope is required")

@@ -1,8 +1,7 @@
 """Expected value of perfect information (EVPI) for model validation.
 
 The decision at a threshold is between treat-none (NB 0), treat-all, and
-the candidate model (:func:`evpi_bootstrap` also reduces user-supplied
-draws with more model columns).  Uncertainty about the true NBs -- expressed
+the candidate model.  Uncertainty about the true NBs -- expressed
 either as bootstrap draws or as an asymptotic bivariate normal -- carries
 an expected cost: the best strategy under current information may not be
 the truly best one.  EVPI quantifies that cost,
@@ -22,7 +21,7 @@ routes are implemented:
 
 Both routes work on whole grids: ``_evpi_grid`` returns, per method, the
 :class:`VoiResult` fields as arrays over the thresholds, from one reduction
-over the ``(N, T, S)`` bootstrap draws or one array pass over the moments.
+over the ``(N, T, 2)`` bootstrap draws or one array pass over the moments.
 Every operation is elementwise in the threshold, so a threshold's result
 does not depend on the rest of the grid.  The one-threshold functions call
 the same code with a one-threshold grid; they and
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,23 +60,14 @@ MIN_SIDE_ROWS = 20  # fewer rows than this on one side of a threshold is "thin"
 @dataclass(frozen=True)
 class MomentSet:
     """Plug-in mean/covariance of ``(NB_model, NB_all)``: floats at one
-    threshold, or arrays with one entry per threshold of a grid (then
-    ``threshold`` holds the grid).  The checks run elementwise.
-
-    ``p_tp`` and ``p_fp`` are the sample fractions of flagged events and
-    flagged non-events; ``p0`` is the event rate.
-    """
+    threshold, or arrays with one entry per threshold of a grid.  The checks
+    run elementwise."""
 
     mean_model: float | np.ndarray
     mean_all: float | np.ndarray
     var_model: float | np.ndarray
     var_all: float | np.ndarray
     cov: float | np.ndarray
-    n: int
-    p0: float
-    p_tp: float | np.ndarray
-    p_fp: float | np.ndarray
-    threshold: Threshold | tuple[Threshold, ...]
 
     def __post_init__(self):
         if np.any(np.less(self.var_model, 0)) or np.any(np.less(self.var_all, 0)):
@@ -85,9 +75,6 @@ class MomentSet:
         bound = np.sqrt(np.multiply(self.var_model, self.var_all))
         if np.any(np.abs(self.cov) > bound + 1e-12):
             raise InputError("covariance violates the Cauchy-Schwarz bound")
-        if (np.any(np.add(self.p_tp, self.p_fp) > 1.0 + 1e-12)
-                or np.any(np.greater(self.p_tp, self.p0 + 1e-12))):
-            raise InputError("inconsistent classification probabilities")
 
 
 def moments(sample: ValidationSample, t: Threshold) -> MomentSet:
@@ -101,8 +88,7 @@ def moments(sample: ValidationSample, t: Threshold) -> MomentSet:
         cov       = (1/(n(1-z))) [(1-P0) P_TP + c P0 P_FP]
     """
     grid = _moment_grid(_CellTable(sample.outcomes, sample.risks, t))
-    return replace(grid, threshold=t, **{
-        k: v[0].item() for k, v in vars(grid).items() if isinstance(v, np.ndarray)})
+    return MomentSet(**{k: v[0].item() for k, v in vars(grid).items()})
 
 
 def _moment_grid(table: _CellTable) -> MomentSet:
@@ -122,7 +108,6 @@ def _moment_grid(table: _CellTable) -> MomentSet:
         var_model=(p_tp * (1 - p_tp) + c * c * p_fp * (1 - p_fp) + 2 * c * p_tp * p_fp) / n,
         var_all=p0 * (1 - p0) / (n * (1 - z) ** 2),
         cov=((1 - p0) * p_tp + c * p0 * p_fp) / (n * (1 - z)),
-        n=n, p0=p0, p_tp=p_tp, p_fp=p_fp, threshold=table.thresholds,
     )
 
 
@@ -182,13 +167,13 @@ def _relative_evpi(enb_perfect, mean_model, mean_all) -> np.ndarray:
 _STRATEGIES = np.array(["treat_none", "treat_all", "model"])
 
 
-def _best_by_means(mean_models: np.ndarray, mean_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Current best strategy per row from expected NBs (``mean_models`` is
-    (T, M), ``mean_all`` (T,)): the labels and their expected NBs.  Ties
-    resolve against the model (treat-none, then treat-all, then models)."""
-    candidates = np.column_stack([np.zeros(len(mean_all)), mean_all, mean_models])
+def _best_by_means(mean_model: np.ndarray, mean_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Current best strategy per threshold from the expected NBs (two (T,)
+    arrays): the labels and their expected NBs.  Ties resolve against the
+    model (treat-none, then treat-all, then the model)."""
+    candidates = np.column_stack([np.zeros(len(mean_all)), mean_all, mean_model])
     idx = np.argmax(candidates, axis=1)
-    return _STRATEGIES[np.minimum(idx, 2)], candidates[np.arange(len(idx)), idx]
+    return _STRATEGIES[idx], candidates[np.arange(len(idx)), idx]
 
 
 _VOI_ARRAYS = ("evpi", "enb_current", "enb_perfect", "p_useful", "best_strategy", "r_evpi",
@@ -227,17 +212,15 @@ class _EvpiColumns:
 
 
 def _p_useful(d: np.ndarray) -> np.ndarray:
-    """P(useful) at each threshold of ``(N, T, S)`` draws: the fraction of
-    replicates in which a model strategy has the strictly highest NB among
-    {treat-none, treat-all, models}.  For the single-model case this is
-    P(nb_model > max(0, nb_all)).  Ties resolve against the model:
-    treat-none, then treat-all, then the model columns in order."""
-    useful = d[..., :-1].max(axis=-1) > np.maximum(d[..., -1], 0.0)
+    """P(useful) at each threshold of ``(N, T, 2)`` draws: the fraction of
+    replicates in which the model has the strictly highest NB,
+    P(nb_model > max(0, nb_all)).  Ties resolve against the model."""
+    useful = d[..., 0] > np.maximum(d[..., 1], 0.0)
     return np.count_nonzero(useful, axis=0) / d.shape[0]
 
 
 def _bootstrap_columns(d: np.ndarray, method: str, seed) -> _EvpiColumns:
-    """:func:`evpi_bootstrap` at each threshold of ``(N, T, S)`` draws.
+    """:func:`evpi_bootstrap` at each threshold of ``(N, T, 2)`` draws.
 
     Every reduction runs along the replicate axis, so a threshold's entries
     depend only on its own draws.  The column means add the replicates in
@@ -249,7 +232,7 @@ def _bootstrap_columns(d: np.ndarray, method: str, seed) -> _EvpiColumns:
     if n_reps < 2:
         raise InputError("EVPI from draws requires at least 2 replicates")
     means = d.mean(axis=0)
-    mean_models, mean_all = means[:, :-1], means[:, -1]
+    mean_model, mean_all = means[:, 0], means[:, 1]
     useful, enb_perfect, mc_se = np.empty(n_t), np.empty(n_t), np.empty(n_t)
     step = max(1, _COLUMN_BLOCK // n_reps)
     for j in range(0, n_t, step):
@@ -258,11 +241,11 @@ def _bootstrap_columns(d: np.ndarray, method: str, seed) -> _EvpiColumns:
         row_max = np.maximum(d[:, block].max(axis=2).T, 0.0, order="C")
         enb_perfect[block] = row_max.mean(axis=1)
         mc_se[block] = row_max.std(axis=1, ddof=1) / math.sqrt(n_reps)
-    best, enb_current = _best_by_means(mean_models, mean_all)
+    best, enb_current = _best_by_means(mean_model, mean_all)
     return _EvpiColumns(
         evpi=_max(0.0, enb_perfect - enb_current), enb_current=enb_current,
         enb_perfect=enb_perfect, p_useful=useful, best_strategy=best,
-        r_evpi=_relative_evpi(enb_perfect, mean_models.max(axis=1), mean_all),
+        r_evpi=_relative_evpi(enb_perfect, mean_model, mean_all),
         mc_se=mc_se, method=_METHOD_LABELS[method], seed=seed, n_reps=n_reps,
     )
 
@@ -315,7 +298,7 @@ def _asymptotic_columns(m: MomentSet) -> _EvpiColumns:
     rho[i] = np.clip(cv[i] / (s1[i] * s2[i]), -1.0, 1.0)
     _check_params(mean_model, mean_all, s1, s2, rho)
     enb_perfect, p_model = _emax_pfirst(mean_model, mean_all, s1, s2, rho)
-    best, enb_current = _best_by_means(mean_model[:, None], mean_all)
+    best, enb_current = _best_by_means(mean_model, mean_all)
     return _EvpiColumns(
         evpi=_max(0.0, enb_perfect - enb_current), enb_current=enb_current,
         enb_perfect=enb_perfect, p_useful=p_model, best_strategy=best,

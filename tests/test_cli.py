@@ -14,7 +14,7 @@ import nbvoi
 from nbvoi import LogisticDgm, decision_curve, generate_synthetic, make_thresholds, substream
 from nbvoi.cli import main
 from nbvoi.io import render_csv
-from nbvoi.resample import NbDrawMatrix, _table_draws, bootstrap_nb_draws_grid, dump_draws
+from nbvoi.resample import _table_draws, bootstrap_nb_draws_grid, dump_draws
 
 
 @pytest.fixture()
@@ -125,9 +125,9 @@ class TestEvpi:
             "--method", "bayes", "--dump-draws", str(prefix),
         ])
         assert code == 0
-        dump = tmp_path / "draws_bayesian_z0.2.csv"
-        assert dump.exists()
-        assert len(dump.read_text().splitlines()) == 51
+        lines = (tmp_path / "draws_bayesian_z0.2.csv").read_text().splitlines()
+        assert lines[0] == "nb_model,nb_treat_all"
+        assert len(lines) == 51
 
     def test_dump_draws_reuses_the_evpi_bootstrap(self, capsys, dataset, tmp_path, monkeypatch):
         """One bootstrap per method feeds both the EVPI rows and the dumped
@@ -157,7 +157,7 @@ class TestEvpi:
             draws = bootstrap_nb_draws_grid(sample, ts, n_reps=50, method=method, seed=5)
             for i, z in enumerate(("0.1", "0.2")):
                 expect = tmp_path / "expect.csv"
-                dump_draws(NbDrawMatrix(draws[:, i], method, 5), expect)
+                dump_draws(draws[:, i], expect)
                 got = tmp_path / f"draws_{method}_z{z}.csv"
                 assert got.read_text() == expect.read_text()
 
@@ -344,10 +344,12 @@ class TestExitCodes:
         (b"y,p\n1,0.5\n1,1.7\n", 3),
         (b"y,p\n1,0.5\n0,0.\xff3\n1,0.2\n", 3),
         (b'y,p,note\n1,0.5,"two\nlines"\n0,abc,x\n', 4),
-    ], ids=["risk_out_of_range", "not_utf8", "after_two_line_field"])
+        (b"y,p\n1,0.5\n0," + b"1" * 200_000 + b"\n1,0.2\n", 3),
+    ], ids=["risk_out_of_range", "not_utf8", "after_two_line_field", "field_too_large"])
     def test_bad_row_reports_row_number(self, capsys, tmp_path, content, row):
-        """The file line of the bad record, also at a byte that is not UTF-8
-        and past a quoted field that spans two lines."""
+        """The file line of the bad record, also at a byte that is not UTF-8,
+        past a quoted field that spans two lines, and at a field longer than
+        the csv module's limit."""
         p = tmp_path / "bad.csv"
         p.write_bytes(content)
         code, out, err = run(capsys, [
@@ -478,13 +480,22 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     pytest.param(["evpi", "--method", "bayes", "--dump-draws", "{tmp}/absent/d"],
                  "{tmp}/absent/d_bayesian", id="unwritable_dump_draws"),
     pytest.param(["simulate", "--config", "{tmp}"], "{tmp}", id="config_is_a_directory"),
+    pytest.param(["simulate", {"dgm": {"intercept": -1.55, "slopes": "12"}}], "slopes",
+                 id="simulate_string_slopes"),
     pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", "{tmp}"], "{tmp}",
                  id="model_is_a_directory"),
+    pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", [["p"]]], "'terms'",
+                 id="model_term_without_coefficient"),
+    pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", [5]], "'terms'",
+                 id="model_term_not_a_pair"),
+    pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", [["p", 1, 2]]],
+                 "'terms'", id="model_term_with_extra_item"),
 ])
 def test_malformed_flag_or_config_exits_2_with_one_json_line(tmp_path, dataset, argv, named):
     """In a fresh interpreter: exit 2, no traceback, and one JSON line on
     stderr whose message names the bad value or file.  ``{tmp}`` stands for
-    a fresh directory, ``{data}`` for a good data file."""
+    a fresh directory, ``{data}`` for a good data file, and a list for a
+    model file with those ``terms``."""
     path, _ = dataset
     if argv[0] == "simulate" and isinstance(argv[1], dict):
         cfg = tmp_path / "cfg.json"
@@ -497,6 +508,10 @@ def test_malformed_flag_or_config_exits_2_with_one_json_line(tmp_path, dataset, 
     elif argv[0] in ("evpi", "dca"):
         argv = [argv[0], "--data", str(path), "--outcome", "y", "--risk", "p",
                 "--thresholds", "0.1,0.2", "--n-reps", "50", *argv[1:]]
+    elif isinstance(argv[-1], list):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"intercept": 0.0, "terms": argv[-1]}), encoding="utf-8")
+        argv = [*argv[:-1], str(model)]
     tmp = tmp_path / "tmp"
     tmp.mkdir()
     argv = [a.format(tmp=tmp, data=path) for a in argv]

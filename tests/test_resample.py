@@ -165,7 +165,8 @@ class TestBootstrapNbDraws:
         t = Threshold(0.25)
         mat = bootstrap_nb_draws(s, t, n_reps=100, method="bayesian", seed=11)
         table = _CellTable(s.outcomes, s.risks, (t,))
-        inverse, counts = table.row_cell, table.cell_counts
+        counts = table.cell_counts
+        inverse = np.searchsorted(table.cell_labels, 2 * s.outcomes + (s.risks >= t.z))
         ((_, masses),) = _mass_blocks(counts, 100, "bayesian", 11)
         for l in (0, 17, 99):
             w = masses[l][inverse] / counts[inverse]
@@ -216,9 +217,9 @@ def _cell_sample():
     y = np.concatenate([[y] * k for y, _, k in layout])
     p = np.concatenate([[p] * k for _, p, k in layout])
     ts = make_thresholds([0.2, 0.5])
-    table = _CellTable(y, p, ts)
-    inverse, counts = table.row_cell, table.cell_counts
+    counts = _CellTable(y, p, ts).cell_counts
     assert counts.tolist() == [23, 9, 2, 5, 1, 4]
+    inverse = np.repeat(np.arange(counts.size), counts)  # the rows are in cell order
     return ValidationSample(y, p), ts, inverse, counts
 
 
@@ -337,7 +338,7 @@ class TestDumpDraws:
         s = _toy_sample()
         mat = bootstrap_nb_draws(s, Threshold(0.2), n_reps=25, method="bayesian", seed=9)
         path = tmp_path / "draws.csv"
-        dump_draws(mat, path)
+        dump_draws(mat.draws, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "nb_model,nb_treat_all"
         assert len(lines) == 26

@@ -109,18 +109,11 @@ class TestEvpiBootstrap:
         p_all = np.mean(winners == 1)
         assert evpi_bootstrap(m).p_useful + p_none + p_all == pytest.approx(1.0, abs=1e-12)
 
-    def test_multi_model_row_max(self):
-        rows = np.array([
-            [0.10, 0.02, 0.05],   # model_1 wins
-            [0.01, 0.12, 0.05],   # model_2 wins
-            [0.01, 0.02, 0.30],   # treat_all wins
-            [-0.1, -0.2, -0.3],   # treat_none wins
-        ])
-        m = mat(rows)
-        r = evpi_bootstrap(m)
-        expect_perfect = np.mean([0.10, 0.12, 0.30, 0.0])
-        assert r.enb_perfect == pytest.approx(expect_perfect, rel=1e-14)
-        assert r.p_useful == 0.5  # models win rows 1 and 2
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_draws_without_exactly_two_columns_are_refused(self, columns):
+        """The columns are ``[model, treat_all]``, nothing else."""
+        with pytest.raises(InputError, match="N x 2"):
+            mat(np.full((4, columns), 0.05))
 
 
 class TestPUseful:
@@ -137,15 +130,21 @@ class TestPUseful:
         assert evpi_bootstrap(mat([[0.0, -0.1]] * 3)).p_useful == 0.0
 
 
+def _fractions(s, t):
+    """P_TP, P_FP and P0 of a sample: the fractions of flagged events,
+    flagged non-events and events."""
+    flagged, events = s.risks >= t.z, s.outcomes == 1
+    return (np.count_nonzero(flagged & events) / s.n, np.count_nonzero(flagged & ~events) / s.n,
+            np.count_nonzero(events) / s.n)
+
+
 class TestMoments:
     def test_hand_example_exact(self):
         """P_TP = 0.2, P_FP = 0.4, P0 = 0.4 at z = 0.2 gives
         var_model = 0.215/5, var_all = 0.075, cov = 0.04."""
         s = ValidationSample([1, 0, 1, 0, 0], [0.9, 0.8, 0.1, 0.05, 0.5])
+        assert _fractions(s, T02) == (0.2, 0.4, 0.4)
         m = moments(s, T02)
-        assert m.p_tp == pytest.approx(0.2, rel=1e-15)
-        assert m.p_fp == pytest.approx(0.4, rel=1e-15)
-        assert m.p0 == pytest.approx(0.4, rel=1e-15)
         assert m.var_model == pytest.approx(0.043, rel=1e-12)
         assert m.var_all == pytest.approx(0.075, rel=1e-12)
         assert m.cov == pytest.approx(0.04, rel=1e-12)
@@ -157,9 +156,9 @@ class TestMoments:
         variance of the true-positive fraction."""
         s = ValidationSample([1, 1, 0, 0, 1, 0], [0.9, 0.8, 0.1, 0.05, 0.7, 0.2])
         t = Threshold(0.6)
-        m = moments(s, t)
-        assert m.p_fp == 0.0
-        assert m.var_model == pytest.approx(m.p_tp * (1 - m.p_tp) / s.n, rel=1e-12)
+        p_tp, p_fp, _ = _fractions(s, t)
+        assert p_fp == 0.0
+        assert moments(s, t).var_model == pytest.approx(p_tp * (1 - p_tp) / s.n, rel=1e-12)
 
     def test_requires_two_observations(self):
         with pytest.raises(InputError):
@@ -167,14 +166,12 @@ class TestMoments:
 
     def test_cauchy_schwarz_enforced(self):
         with pytest.raises(InputError):
-            MomentSet(mean_model=0.1, mean_all=0.1, var_model=1e-4, var_all=1e-4,
-                      cov=2e-4, n=10, p0=0.5, p_tp=0.3, p_fp=0.2, threshold=T02)
+            MomentSet(mean_model=0.1, mean_all=0.1, var_model=1e-4, var_all=1e-4, cov=2e-4)
 
 
 class TestEvpiAsymptotic:
     def test_zero_variance_means_zero_evpi(self):
-        m = MomentSet(mean_model=0.08, mean_all=0.05, var_model=0.0, var_all=0.0,
-                      cov=0.0, n=100, p0=0.2, p_tp=0.1, p_fp=0.1, threshold=T02)
+        m = MomentSet(mean_model=0.08, mean_all=0.05, var_model=0.0, var_all=0.0, cov=0.0)
         r = evpi_asymptotic(m)
         assert r.evpi == 0.0
         assert r.best_strategy == "model"
@@ -185,8 +182,7 @@ class TestEvpiAsymptotic:
         comparison carries no uncertainty and EVPI reduces to E[(-NB)+] of
         the shared margin."""
         mu, var = 0.04, 9e-4
-        m = MomentSet(mean_model=mu, mean_all=mu, var_model=var, var_all=var,
-                      cov=var, n=50, p0=0.5, p_tp=0.4, p_fp=0.2, threshold=T02)
+        m = MomentSet(mean_model=mu, mean_all=mu, var_model=var, var_all=var, cov=var)
         r = evpi_asymptotic(m)
         s = math.sqrt(var)
         expect = s * math.exp(-0.5 * (mu / s) ** 2) / math.sqrt(2 * math.pi) \
@@ -194,8 +190,7 @@ class TestEvpiAsymptotic:
         assert r.evpi == pytest.approx(expect, rel=1e-9)
 
     def test_against_monte_carlo(self):
-        m = MomentSet(mean_model=0.05, mean_all=0.04, var_model=1e-4, var_all=1e-4,
-                      cov=5e-5, n=100, p0=0.2, p_tp=0.1, p_fp=0.05, threshold=T02)
+        m = MomentSet(mean_model=0.05, mean_all=0.04, var_model=1e-4, var_all=1e-4, cov=5e-5)
         r = evpi_asymptotic(m)
         rng = np.random.default_rng(77)
         n = 10_000_000
@@ -215,8 +210,7 @@ class TestEvpiAsymptotic:
     def test_psd_repair_within_tolerance(self):
         v = 1e-4
         eps = 1e-12  # breaches Cauchy-Schwarz by less than the repair floor
-        m = MomentSet(mean_model=0.05, mean_all=0.04, var_model=v, var_all=v,
-                      cov=v + eps, n=100, p0=0.2, p_tp=0.1, p_fp=0.05, threshold=T02)
+        m = MomentSet(mean_model=0.05, mean_all=0.04, var_model=v, var_all=v, cov=v + eps)
         r = evpi_asymptotic(m)
         assert r.evpi >= 0.0
 
@@ -252,8 +246,7 @@ class TestEvpiAsymptotic:
             v1, v2 = rng.uniform(0, 1e-3, 2)
             rho = float(rng.uniform(-1, 1))
             cov = rho * math.sqrt(v1 * v2)
-            m = MomentSet(mean_model=mm, mean_all=ma, var_model=v1, var_all=v2,
-                          cov=cov, n=200, p0=0.3, p_tp=0.2, p_fp=0.2, threshold=T02)
+            m = MomentSet(mean_model=mm, mean_all=ma, var_model=v1, var_all=v2, cov=cov)
             r = evpi_asymptotic(m)
             assert r.enb_perfect - r.enb_current >= -1e-10
 
