@@ -133,7 +133,7 @@ def cmd_evpi(args) -> int:
 
     rows = evpi_threshold_sweep(sample, ts, methods, args.n_reps, args.seed,
                                 on_draws=dump if args.dump_draws else None)
-    records = [voi_record(t, vars(r), population=args.population) for t, r in rows]
+    records = [voi_record(t, r, population=args.population) for t, r in rows]
 
     if args.strict:
         for rec in records:
@@ -187,10 +187,8 @@ def _sweep_setup(raw: dict, workers: int | None):
         dgm_raw = raw.get("dgm")
         if not isinstance(dgm_raw, dict):
             raise InputError("synthetic config requires a 'dgm' object")
-        dgm = LogisticDgm(
-            intercept=float(dgm_raw.get("intercept", 0.0)),
-            slopes=dgm_raw.get("slopes", ()),
-        )
+        dgm = LogisticDgm(intercept=dgm_raw.get("intercept", 0.0),
+                          slopes=dgm_raw.get("slopes", ()))
         if sizes is None:
             raise InputError("synthetic config requires 'sizes'")
         return SweepConfig(sizes=sizes, **common), dgm, None

@@ -220,26 +220,14 @@ def decision_curve_payload(curve: DecisionCurve) -> dict:
     }
 
 
-def voi_record(t: Threshold, res: dict, population: float | None = None) -> dict:
-    """The output record of one EVPI result from the fields of its
-    ``voi.VoiResult`` (``vars(result)``)."""
-    rec = {
-        "threshold": t.z,
-        "method": res["method"],
-        "evpi": res["evpi"],
-        "enb_current": res["enb_current"],
-        "enb_perfect": res["enb_perfect"],
-        "p_useful": res["p_useful"],
-        "best_strategy": res["best_strategy"],
-        "r_evpi": res["r_evpi"],
-        "mc_se": res["mc_se"],
-        "seed": res["seed"],
-        "n_reps": res["n_reps"],
-    }
+def voi_record(t: Threshold, result, population: float | None = None) -> dict:
+    """The output record of one ``voi.VoiResult``: its threshold, then the
+    result's fields in their declared order, then the population-scaled TP
+    and FP equivalents when ``population`` is given."""
+    rec = {"threshold": t.z, **vars(result)}
     if population is not None:
-        tp, fp = population_scaled(rec["evpi"], population, t)
-        rec["tp_equivalents"] = tp
-        rec["fp_equivalents"] = fp
+        rec["tp_equivalents"], rec["fp_equivalents"] = population_scaled(
+            rec["evpi"], population, t)
     return rec
 
 

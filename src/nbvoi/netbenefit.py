@@ -128,9 +128,6 @@ class ValidationSample:
     def prevalence(self) -> float:
         return self.n_events / self.n
 
-    def subset(self, indices) -> "ValidationSample":
-        return ValidationSample(self.outcomes[indices], self.risks[indices])
-
     def __repr__(self):
         return f"ValidationSample(n={self.n}, events={self.n_events})"
 

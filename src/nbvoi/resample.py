@@ -15,9 +15,9 @@ Two resampling schemes weight the n observations of a validation sample:
 replicate's net benefits depend on the rows only through the mass on each
 occupied cell of a ``netbenefit._CellTable``, which owns the cells and
 turns cell masses into per-threshold sums; ``_table_draws`` only draws the
-masses, on the one table of the analysis (``voi._evpi_grid``,
-``netbenefit.decision_curve``; ``bootstrap_nb_draws_grid`` builds its own and
-returns the bare ``(N, T, 2)`` array, which ``bootstrap_nb_draws``
+masses, on the one table of the analysis (``voi._evpi_grid`` gets it from
+``evpi_threshold_sweep`` or a sweep cell; ``bootstrap_nb_draws_grid`` builds
+its own and returns the bare ``(N, T, 2)`` array, which ``bootstrap_nb_draws``
 slices into an :class:`NbDrawMatrix` at one threshold).
 Summed flat-Dirichlet weights are exactly Dirichlet(n_1, ..., n_K) over
 the K cells with n_k rows each (the aggregation property of Rubin's

@@ -10,9 +10,9 @@ results reproducible across serial, chunked, and multi-process execution.
 
 A seed is a non-negative integer or a tuple of them.  :func:`_check_seed`
 holds that rule for the whole package, command line included: ``substream``
-applies it, and so do the analyses that take a seed (``voi._evpi_grid``,
-``netbenefit.decision_curve``, ``simlab.SweepConfig``) on entry, so a run
-that draws nothing rejects a bad seed too.
+applies it, and so do the entries that take a seed
+(``voi.evpi_threshold_sweep``, ``netbenefit.decision_curve``,
+``simlab.SweepConfig``), so a run that draws nothing rejects a bad seed too.
 """
 
 from __future__ import annotations

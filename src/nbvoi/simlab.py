@@ -20,28 +20,37 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InputError
-from .netbenefit import Threshold, ValidationSample, make_thresholds
+from .netbenefit import Threshold, ValidationSample, _CellTable, make_thresholds
 from .resample import DATA_STREAM_ID, SWEEP_N_REPS
 from .rng import _check_seed, substream
-from .voi import _METHOD_LABELS, ALL_METHODS, _check_methods, _evpi_grid, _warn_thin
+from .voi import _METHOD_LABELS, ALL_METHODS, _check_methods, _evpi_grid, _thin_mask, _warn_thin
+
+
+def _real(value, field: str) -> float:
+    """A dgm coefficient: an int or a float, numpy's included, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InputError(f"dgm field {field!r} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
 class LogisticDgm:
     """Logistic outcome model over i.i.d. standard normal covariates:
-    logit P(Y=1 | X) = intercept + slopes . X."""
+    logit P(Y=1 | X) = intercept + slopes . X.  ``slopes`` is a list, tuple
+    or 1-D array; each coefficient is an int or a float, not a bool."""
 
     intercept: float
     slopes: tuple[float, ...]
 
     def __post_init__(self):
-        if isinstance(self.slopes, str):
-            raise InputError(f"slopes must be a sequence of numbers, not {self.slopes!r}")
-        object.__setattr__(self, "slopes", tuple(float(s) for s in self.slopes))
+        if not isinstance(self.slopes, (list, tuple, np.ndarray)):
+            raise InputError(f"dgm field 'slopes' must be a sequence of numbers, "
+                             f"got {self.slopes!r}")
+        object.__setattr__(self, "intercept", _real(self.intercept, "intercept"))
+        object.__setattr__(self, "slopes", tuple(_real(s, "slopes") for s in self.slopes))
         if len(self.slopes) == 0:
             raise InputError("at least one slope is required")
-        vals = (self.intercept, *self.slopes)
-        if not all(np.isfinite(v) for v in vals):
+        if not np.isfinite((self.intercept, *self.slopes)).all():
             raise InputError("coefficients must be finite")
 
     def risks(self, x: np.ndarray) -> np.ndarray:
@@ -194,15 +203,11 @@ def _sweep_cell(cell, dgm, dataset, cfg: SweepConfig):
     si, sim = cell
     size = cfg.sizes[si]
     data_rng = substream((cfg.seed, si, sim), DATA_STREAM_ID)
-    if dgm is not None:
-        sample = generate_synthetic(dgm, size, data_rng)
-    elif size == dataset.n:
-        sample = dataset
-    else:
-        idx = data_rng.choice(dataset.n, size=size, replace=False)
-        sample = dataset.subset(idx)
-    out = _evpi_grid(sample, cfg.thresholds, cfg.methods, cfg.n_reps, (cfg.seed, si, sim))
-    return np.array([c.evpi for c in out.columns]), out.thin
+    sample = generate_synthetic(dgm, size, data_rng) if dgm is not None else dataset
+    rows = slice(None) if size == sample.n else data_rng.choice(sample.n, size, replace=False)
+    table = _CellTable(sample.outcomes[rows], sample.risks[rows], cfg.thresholds)
+    columns = _evpi_grid(table, cfg.methods, cfg.n_reps, (cfg.seed, si, sim))
+    return np.array([c.evpi for c in columns]), _thin_mask(table)
 
 
 def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:

@@ -19,14 +19,14 @@ routes are implemented:
   plug-in moments, and the perfect-information term becomes a closed-form
   zero-floored bivariate normal expectation.
 
-Both routes work on whole grids: ``_evpi_grid`` returns, per method, the
-:class:`VoiResult` fields as arrays over the thresholds, from one reduction
-over the ``(N, T, 2)`` bootstrap draws or one array pass over the moments.
-Every operation is elementwise in the threshold, so a threshold's result
-does not depend on the rest of the grid.  The one-threshold functions call
-the same code with a one-threshold grid; they and
-:func:`evpi_threshold_sweep` alone build :class:`VoiResult` rows, and the
-command line takes its rows from :func:`evpi_threshold_sweep`.
+Table in, columns out: ``_evpi_grid`` takes the cell table its caller
+built and returns, per method, the :class:`VoiResult` fields as arrays over
+the thresholds, from one reduction over the ``(N, T, 2)`` draws or one
+array pass over the moments; ``_columns`` defines EVPI for both routes.
+Every operation is elementwise in the threshold.  :func:`evpi_threshold_sweep`
+returns one ``(threshold, VoiResult)`` row per threshold and method, methods
+in the order requested, and the one-threshold functions run the same code
+on a one-threshold grid.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -128,15 +127,16 @@ class VoiResult:
     information; ``evpi`` their difference floored at zero.  ``r_evpi`` is
     present only when the model is the current best strategy.  ``mc_se`` is
     the Monte Carlo standard error of ``enb_perfect`` (bootstrap methods
-    only).
+    only).  The fields are declared in the order of the ``evpi`` output
+    columns, which ``io.voi_record`` takes from them.
     """
 
+    method: str
     evpi: float
     enb_current: float
     enb_perfect: float
     p_useful: float
     best_strategy: str
-    method: str
     r_evpi: float | None = None
     mc_se: float | None = None
     seed: int | tuple | None = None
@@ -211,6 +211,19 @@ class _EvpiColumns:
         return rows
 
 
+def _columns(mean_model, mean_all, enb_perfect, p_useful, mc_se, method, seed=None,
+             n_reps=None) -> _EvpiColumns:
+    """One method's columns from its (T,) expected and perfect-information
+    NBs: EVPI, the current best strategy and rEVPI, for every route."""
+    best, enb_current = _best_by_means(mean_model, mean_all)
+    return _EvpiColumns(
+        evpi=_max(0.0, enb_perfect - enb_current), enb_current=enb_current,
+        enb_perfect=enb_perfect, p_useful=p_useful, best_strategy=best,
+        r_evpi=_relative_evpi(enb_perfect, mean_model, mean_all),
+        mc_se=mc_se, method=method, seed=seed, n_reps=n_reps,
+    )
+
+
 def _p_useful(d: np.ndarray) -> np.ndarray:
     """P(useful) at each threshold of ``(N, T, 2)`` draws: the fraction of
     replicates in which the model has the strictly highest NB,
@@ -232,7 +245,6 @@ def _bootstrap_columns(d: np.ndarray, method: str, seed) -> _EvpiColumns:
     if n_reps < 2:
         raise InputError("EVPI from draws requires at least 2 replicates")
     means = d.mean(axis=0)
-    mean_model, mean_all = means[:, 0], means[:, 1]
     useful, enb_perfect, mc_se = np.empty(n_t), np.empty(n_t), np.empty(n_t)
     step = max(1, _COLUMN_BLOCK // n_reps)
     for j in range(0, n_t, step):
@@ -241,13 +253,8 @@ def _bootstrap_columns(d: np.ndarray, method: str, seed) -> _EvpiColumns:
         row_max = np.maximum(d[:, block].max(axis=2).T, 0.0, order="C")
         enb_perfect[block] = row_max.mean(axis=1)
         mc_se[block] = row_max.std(axis=1, ddof=1) / math.sqrt(n_reps)
-    best, enb_current = _best_by_means(mean_model, mean_all)
-    return _EvpiColumns(
-        evpi=_max(0.0, enb_perfect - enb_current), enb_current=enb_current,
-        enb_perfect=enb_perfect, p_useful=useful, best_strategy=best,
-        r_evpi=_relative_evpi(enb_perfect, mean_model, mean_all),
-        mc_se=mc_se, method=_METHOD_LABELS[method], seed=seed, n_reps=n_reps,
-    )
+    return _columns(means[:, 0], means[:, 1], enb_perfect, useful, mc_se,
+                    _METHOD_LABELS[method], seed, n_reps)
 
 
 def evpi_bootstrap(draws: NbDrawMatrix) -> VoiResult:
@@ -298,13 +305,8 @@ def _asymptotic_columns(m: MomentSet) -> _EvpiColumns:
     rho[i] = np.clip(cv[i] / (s1[i] * s2[i]), -1.0, 1.0)
     _check_params(mean_model, mean_all, s1, s2, rho)
     enb_perfect, p_model = _emax_pfirst(mean_model, mean_all, s1, s2, rho)
-    best, enb_current = _best_by_means(mean_model, mean_all)
-    return _EvpiColumns(
-        evpi=_max(0.0, enb_perfect - enb_current), enb_current=enb_current,
-        enb_perfect=enb_perfect, p_useful=p_model, best_strategy=best,
-        r_evpi=_relative_evpi(enb_perfect, mean_model, mean_all),
-        mc_se=np.full(mean_model.shape, np.nan), method="asymptotic",
-    )
+    return _columns(mean_model, mean_all, enb_perfect, p_model,
+                    np.full(mean_model.shape, np.nan), "asymptotic")
 
 
 def evpi_asymptotic(m: MomentSet) -> VoiResult:
@@ -326,15 +328,6 @@ def _thin_mask(table: _CellTable) -> np.ndarray:
     return np.minimum(flagged, events + non_events - flagged) < MIN_SIDE_ROWS
 
 
-class _GridEvpi(NamedTuple):
-    """One EVPI evaluation over a grid: the columns of each method in the
-    order requested and the mask of thin thresholds."""
-
-    thresholds: tuple[Threshold, ...]
-    columns: list[_EvpiColumns]
-    thin: np.ndarray
-
-
 def _check_methods(methods) -> tuple[str, ...]:
     """``methods`` as a tuple, refused unless it names at least one method
     and each of them is in ``ALL_METHODS``."""
@@ -347,14 +340,11 @@ def _check_methods(methods) -> tuple[str, ...]:
     return methods
 
 
-def _evpi_grid(sample, thresholds, methods, n_reps, seed, on_draws=None) -> _GridEvpi:
-    """The work of :func:`evpi_threshold_sweep`, without warning, from one
-    cell table and one bootstrap per method.  Each method's ``(N, T, 2)``
+def _evpi_grid(table: _CellTable, methods, n_reps, seed, on_draws=None) -> list[_EvpiColumns]:
+    """The columns of each of ``methods`` over the grid of ``table``; the
+    caller checks ``methods`` and ``seed``.  Each method's ``(N, T, 2)``
     draws go to ``on_draws(method, draws)``, if given, once its columns
     exist, and are then released."""
-    _check_seed(seed)
-    methods = _check_methods(methods)
-    table = _CellTable(sample.outcomes, sample.risks, thresholds)
     columns: list[_EvpiColumns] = []
     for m in methods:
         if m == "asymptotic":
@@ -365,7 +355,7 @@ def _evpi_grid(sample, thresholds, methods, n_reps, seed, on_draws=None) -> _Gri
             if on_draws is not None:
                 on_draws(m, draws)
             del draws  # before the next method's draws are made
-    return _GridEvpi(table.thresholds, columns, _thin_mask(table))
+    return columns
 
 
 def _warn_thin(names: list[str], stacklevel: int, where: str = "threshold(s)",
@@ -402,11 +392,13 @@ def evpi_threshold_sweep(
     ``(N, T, 2)`` draws go to ``on_draws(method, draws)``, if given; it
     changes no result.
     """
-    out = _evpi_grid(sample, thresholds, methods, n_reps, seed, on_draws)
-    _warn_thin([f"{t.z:g}" for t, thin in zip(out.thresholds, out.thin) if thin], stacklevel=2)
-    per_method = [c.fields() for c in out.columns]
-    return [(t, VoiResult(**rows[i])) for i, t in enumerate(out.thresholds)
-            for rows in per_method]
+    _check_seed(seed)
+    methods = _check_methods(methods)
+    table = _CellTable(sample.outcomes, sample.risks, thresholds)
+    per_method = [c.fields() for c in _evpi_grid(table, methods, n_reps, seed, on_draws)]
+    ts = table.thresholds
+    _warn_thin([f"{t.z:g}" for t, thin in zip(ts, _thin_mask(table)) if thin], stacklevel=2)
+    return [(t, VoiResult(**rows[i])) for i, t in enumerate(ts) for rows in per_method]
 
 
 def population_scaled(evpi: float, multiplier: float, t: Threshold) -> tuple[float, float]:

@@ -20,6 +20,7 @@ from nbvoi import (
     ValidationSample,
     WeightVector,
     decision_curve,
+    evpi_threshold_sweep,
     generate_synthetic,
     make_thresholds,
     moments,
@@ -31,7 +32,7 @@ from nbvoi import (
 from nbvoi.netbenefit import _CellTable, _net_benefit, default_grid
 from nbvoi.resample import _mass_blocks, bootstrap_nb_draws_grid
 from nbvoi.simlab import _sweep_cell
-from nbvoi.voi import ALL_METHODS, MIN_SIDE_ROWS, _evpi_grid, _moment_grid, _thin_mask
+from nbvoi.voi import ALL_METHODS, MIN_SIDE_ROWS, _moment_grid, _thin_mask
 
 Z_VALUES = (0.05, 0.1, 0.2, 0.25, 0.5, 0.7)
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -175,7 +176,8 @@ def test_ordinary_draw_is_nb_of_materialized_resample(s, ts, seed):
     masses, inverse, _ = _cell_draws(s, ts, 3, "ordinary", seed)
     for l in range(3):
         assert masses[l].sum() == s.n
-        resample = s.subset(_resample_rows(inverse, masses[l]))
+        rows = _resample_rows(inverse, masses[l])
+        resample = ValidationSample(s.outcomes[rows], s.risks[rows])
         for j, t in enumerate(ts):
             assert draws[l, j, 0] == nb_model(resample, t)
             assert draws[l, j, 1] == nb_all(resample, t)
@@ -204,8 +206,8 @@ def test_draws_do_not_depend_on_row_order_or_position_in_cell(s, ts, data, metho
     within its cell, leaves every draw bit-identical."""
     perm = np.array(data.draw(st.permutations(range(s.n))), dtype=np.int64)
     base = bootstrap_nb_draws_grid(s, ts, n_reps=5, method=method, seed=seed)
-    permuted = bootstrap_nb_draws_grid(s.subset(perm), ts, n_reps=5, method=method,
-                                       seed=seed)
+    permuted = bootstrap_nb_draws_grid(ValidationSample(s.outcomes[perm], s.risks[perm]), ts,
+                                       n_reps=5, method=method, seed=seed)
     assert np.array_equal(base, permuted)
 
     # Move every risk to the low edge of its cell: the largest grid
@@ -224,10 +226,11 @@ SWEEP_CFG = SweepConfig(sizes=(120,), thresholds=make_thresholds([0.1, 0.2]), n_
 
 
 @pytest.mark.parametrize("analysis", [
-    lambda s, ts: _evpi_grid(s, ts, ALL_METHODS, 50, 3),
+    lambda s, ts: evpi_threshold_sweep(s, ts, ALL_METHODS, 50, 3),
     lambda s, ts: decision_curve(s, ts, n_boot=50, method="bayesian", seed=3),
     lambda s, ts: _sweep_cell((0, 0), DGM, None, SWEEP_CFG),
 ], ids=["evpi_all_methods", "decision_curve", "sweep_cell"])
+@pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
 def test_each_analysis_builds_one_cell_table(monkeypatch, analysis):
     """Counts, moments, thin mask and every bootstrap method of one analysis
     read one table."""

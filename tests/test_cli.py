@@ -482,6 +482,18 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     pytest.param(["simulate", "--config", "{tmp}"], "{tmp}", id="config_is_a_directory"),
     pytest.param(["simulate", {"dgm": {"intercept": -1.55, "slopes": "12"}}], "slopes",
                  id="simulate_string_slopes"),
+    pytest.param(["simulate", {"dgm": {"intercept": -1.55, "slopes": [True]}}], "'slopes'",
+                 id="simulate_bool_slope"),
+    pytest.param(["simulate", {"dgm": {"intercept": -1.55, "slopes": ["12"]}}], "'slopes'",
+                 id="simulate_string_slope"),
+    pytest.param(["simulate", {"dgm": {"intercept": True, "slopes": [0.77]}}], "'intercept'",
+                 id="simulate_bool_intercept"),
+    pytest.param(["simulate", {"dgm": {"intercept": -1.55, "slopes": 5}}], "'slopes'",
+                 id="simulate_number_slopes"),
+    pytest.param(["simulate", {"dgm": {"intercept": None, "slopes": [0.77]}}], "'intercept'",
+                 id="simulate_null_intercept"),
+    pytest.param(["simulate", {"dgm": {"intercept": -1.55, "slopes": {"a": 1}}}], "'slopes'",
+                 id="simulate_object_slopes"),
     pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", "{tmp}"], "{tmp}",
                  id="model_is_a_directory"),
     pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", [["p"]]], "'terms'",

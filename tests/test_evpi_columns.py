@@ -1,8 +1,8 @@
 """The grid-shaped EVPI core against one-threshold calls.
 
-``voi._evpi_grid`` computes each method's EVPI columns for a whole grid in
-one reduction over the bootstrap draws (or one array pass over the
-moments).  Every operation is elementwise in the threshold, so each entry
+``voi._evpi_grid`` computes each method's EVPI columns over the grid of a
+cell table in one reduction over the bootstrap draws (or one array pass
+over the table's moments).  Every operation is elementwise in the threshold, so each entry
 must equal, bit for bit, the one-threshold call on that threshold's draws
 or moments, and the per-threshold reference below, which reduces one
 threshold's ``(N, S)`` draws the way EVPI was computed before the columnar
@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbvoi import NumericError, Threshold, ValidationSample, moments, voi
+from nbvoi.netbenefit import _CellTable
 from nbvoi.resample import NbDrawMatrix
 from nbvoi.voi import (
     _VOI_ARRAYS,
@@ -85,12 +86,12 @@ def test_bootstrap_columns_equal_one_threshold_calls(s, ts, method, n_reps, data
     # Also with one or two thresholds per pass of the per-replicate arrays.
     block = data.draw(st.sampled_from((voi._COLUMN_BLOCK, 1, 2 * n_reps)))
     made = {}
+    table = _CellTable(s.outcomes, s.risks, ts)
     with mock.patch.object(voi, "_COLUMN_BLOCK", block):
-        out = _evpi_grid(s, ts, (method,), n_reps, seed, on_draws=made.__setitem__)
-    (cols,) = out.columns
+        (cols,) = _evpi_grid(table, (method,), n_reps, seed, on_draws=made.__setitem__)
     draws = made[method]
     assert draws.shape == (n_reps, len(ts), 2)
-    for i, (t, fields) in enumerate(zip(out.thresholds, cols.fields())):
+    for i, (t, fields) in enumerate(zip(table.thresholds, cols.fields())):
         assert t == ts[i]
         matrix = NbDrawMatrix(draws[:, i], method=method, seed=seed)
         one = evpi_bootstrap(matrix)
@@ -106,7 +107,7 @@ def test_bootstrap_columns_equal_one_threshold_calls(s, ts, method, n_reps, data
 @SETTINGS
 @given(samples(), grids)
 def test_asymptotic_columns_equal_one_threshold_calls(s, ts):
-    (cols,) = _evpi_grid(s, ts, ("asymptotic",), 1, 0).columns
+    (cols,) = _evpi_grid(_CellTable(s.outcomes, s.risks, ts), ("asymptotic",), 1, 0)
     assert np.isnan(cols.mc_se).all()
     for i, t in enumerate(ts):
         one = evpi_asymptotic(moments(s, t))
@@ -146,7 +147,7 @@ def test_each_method_releases_its_draws_before_the_next_draws():
     seen = []
     tracemalloc.start()
     try:
-        _evpi_grid(s, ts, ("bayesian", "ordinary"), n_reps, 0,
+        _evpi_grid(_CellTable(s.outcomes, s.risks, ts), ("bayesian", "ordinary"), n_reps, 0,
                    on_draws=lambda m, d: seen.append((m, d.nbytes)))
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -1,5 +1,6 @@
 """Net benefit estimators, thresholds, and decision curves."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,16 @@ class TestValidationSample:
             s.risks[0] = 0.3
         with pytest.raises(AttributeError):
             s.risks = np.array([0.1])
+
+    def test_pickle_round_trip_keeps_arrays_read_only(self):
+        """Process-pool sweeps send the dataset to their workers by pickle."""
+        s = ValidationSample(HAND_Y, HAND_P)
+        back = pickle.loads(pickle.dumps(s))
+        assert np.array_equal(back.outcomes, s.outcomes) and back.outcomes.dtype == np.int64
+        assert back.risks.tobytes() == s.risks.tobytes()
+        assert not back.outcomes.flags.writeable and not back.risks.flags.writeable
+        with pytest.raises(ValueError):
+            back.risks[0] = 0.3
 
     def test_degenerate_single_class_is_legal(self):
         all0 = ValidationSample([0, 0, 0], [0.1, 0.5, 0.9])

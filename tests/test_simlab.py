@@ -25,7 +25,9 @@ from nbvoi import (
     synthetic_sweep,
     true_nb_of_dgm,
 )
+from nbvoi.io import render_csv, sweep_records
 from nbvoi.simlab import doubling_sizes, subsample_sweep
+from nbvoi.voi import ALL_METHODS
 
 DGM = LogisticDgm(intercept=-1.55, slopes=(0.77,))
 
@@ -293,6 +295,16 @@ class TestSubsampleSweep:
         )
         assert res.rows[0].mean_evpi == direct[0][1].evpi
         assert res.rows[0].mc_se == 0.0
+
+    @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
+    def test_parallel_workers_identical(self):
+        """Two workers receive the dataset by pickle and give the bytes of one."""
+        data = self._dataset(600)
+        runs = [subsample_sweep(data, SweepConfig(
+            sizes=(150, 300, 600), thresholds=make_thresholds([0.1, 0.2]), n_sims=3,
+            n_reps=100, methods=ALL_METHODS, seed=8, n_workers=w)) for w in (1, 2)]
+        one, two = (render_csv(sweep_records(r)) for r in runs)
+        assert one == two
 
     def test_rejects_oversized_request(self):
         data = self._dataset(300)
