@@ -131,6 +131,8 @@ def load_dataset(
     """
     if (risk_col is None) == (feature_cols is None):
         raise InputError("provide exactly one of risk_col or feature_cols")
+    if delimiter and len(delimiter) != 1:
+        raise InputError(f"delimiter must be one character, got {delimiter!r}")
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             first = fh.readline()
@@ -221,9 +223,9 @@ def decision_curve_payload(curve: DecisionCurve) -> dict:
 
 
 def voi_record(t: Threshold, result, population: float | None = None) -> dict:
-    """The output record of one ``voi.VoiResult``: its threshold, then the
-    result's fields in their declared order, then the population-scaled TP
-    and FP equivalents when ``population`` is given."""
+    """The output record of a one-threshold ``voi.VoiResult``: its threshold,
+    then the result's fields in their declared order, then the
+    population-scaled TP and FP equivalents when ``population`` is given."""
     rec = {"threshold": t.z, **vars(result)}
     if population is not None:
         rec["tp_equivalents"], rec["fp_equivalents"] = population_scaled(

@@ -31,9 +31,18 @@ DEFAULT_MAX_THRESHOLD = 0.99
 WEIGHT_SUM_TOL = 1e-8  # |sum(weights) - 1| allowed; rounding n weights costs < n * 1.2e-16
 
 
+def _real(value, what: str) -> float:
+    """A number as a Python float: an int or a float, numpy's included, not
+    a bool or a string; ``what`` names the value in the error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Threshold:
-    """A decision threshold ``z`` strictly inside (0, 1).
+    """A decision threshold ``z`` strictly inside (0, 1), kept as a Python
+    float, like ``max_z``; both must be ints or floats, not bools.
 
     Thresholds at or above ``max_z`` (default 0.99) are rejected because the
     false-positive weight z/(1-z) blows up; pass a larger ``max_z`` to
@@ -44,6 +53,8 @@ class Threshold:
     max_z: float = field(default=DEFAULT_MAX_THRESHOLD, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "z", _real(self.z, "threshold"))
+        object.__setattr__(self, "max_z", _real(self.max_z, "the threshold cap max_z"))
         if math.isnan(self.max_z):
             raise InputError("the threshold cap max_z must be a number, got nan")
         if not 0.0 < self.z < 1.0:
@@ -61,10 +72,11 @@ class Threshold:
 
 
 def make_thresholds(values, max_z: float = DEFAULT_MAX_THRESHOLD) -> tuple[Threshold, ...]:
-    """Build a strictly increasing tuple of thresholds from raw values
-    (a :class:`Threshold` among them is kept as it is)."""
-    ts = tuple(v if isinstance(v, Threshold) else Threshold(float(v), max_z=max_z)
-               for v in values)
+    """Build a strictly increasing tuple of thresholds from an iterable of
+    numbers, not a string (a :class:`Threshold` among them is kept as is)."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise InputError(f"a threshold grid must be a sequence of numbers, got {values!r}")
+    ts = tuple(v if isinstance(v, Threshold) else Threshold(v, max_z=max_z) for v in values)
     if not ts:
         raise InputError("threshold grid must be non-empty")
     zs = [t.z for t in ts]

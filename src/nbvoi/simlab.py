@@ -20,17 +20,10 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InputError
-from .netbenefit import Threshold, ValidationSample, _CellTable, make_thresholds
+from .netbenefit import Threshold, ValidationSample, _CellTable, _real, make_thresholds
 from .resample import DATA_STREAM_ID, SWEEP_N_REPS
 from .rng import _check_seed, substream
 from .voi import _METHOD_LABELS, ALL_METHODS, _check_methods, _evpi_grid, _thin_mask, _warn_thin
-
-
-def _real(value, field: str) -> float:
-    """A dgm coefficient: an int or a float, numpy's included, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise InputError(f"dgm field {field!r} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -46,8 +39,9 @@ class LogisticDgm:
         if not isinstance(self.slopes, (list, tuple, np.ndarray)):
             raise InputError(f"dgm field 'slopes' must be a sequence of numbers, "
                              f"got {self.slopes!r}")
-        object.__setattr__(self, "intercept", _real(self.intercept, "intercept"))
-        object.__setattr__(self, "slopes", tuple(_real(s, "slopes") for s in self.slopes))
+        object.__setattr__(self, "intercept", _real(self.intercept, "dgm field 'intercept'"))
+        object.__setattr__(self, "slopes", tuple(_real(s, "dgm field 'slopes'")
+                                                 for s in self.slopes))
         if len(self.slopes) == 0:
             raise InputError("at least one slope is required")
         if not np.isfinite((self.intercept, *self.slopes)).all():

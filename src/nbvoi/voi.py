@@ -20,13 +20,14 @@ routes are implemented:
   zero-floored bivariate normal expectation.
 
 Table in, columns out: ``_evpi_grid`` takes the cell table its caller
-built and returns, per method, the :class:`VoiResult` fields as arrays over
-the thresholds, from one reduction over the ``(N, T, 2)`` draws or one
-array pass over the moments; ``_columns`` defines EVPI for both routes.
-Every operation is elementwise in the threshold.  :func:`evpi_threshold_sweep`
-returns one ``(threshold, VoiResult)`` row per threshold and method, methods
-in the order requested, and the one-threshold functions run the same code
-on a one-threshold grid.
+built and returns one array-valued :class:`VoiResult` per method, from one
+reduction over the ``(N, T, 2)`` draws or one array pass over the moments;
+``_columns`` defines EVPI for both routes.  Every operation is elementwise
+in the threshold.  :meth:`VoiResult.rows` splits a grid's result into
+one-threshold results: :func:`evpi_threshold_sweep` returns one
+``(threshold, VoiResult)`` row per threshold and method, methods in the
+order requested, and the one-threshold functions run the same code on a
+one-threshold grid.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .bvn import _check_params, _emax_pfirst, _max
 from .errors import InputError, NumericError, SmallEffectiveSampleWarning
 from .netbenefit import Threshold, ValidationSample, _CellTable, _net_benefit
-from .resample import NbDrawMatrix, _table_draws
+from .resample import DEFAULT_N_REPS, NbDrawMatrix, _table_draws
 from .rng import _check_seed
 
 ALL_METHODS = ("bayesian", "ordinary", "asymptotic")
@@ -110,17 +111,16 @@ def _moment_grid(table: _CellTable) -> MomentSet:
     )
 
 
-def _check_voi(evpi, p_useful) -> None:
-    """The checks of :class:`VoiResult`, over scalars or per-threshold arrays."""
-    if np.any(np.less(evpi, 0)):
-        raise NumericError("EVPI must be nonnegative after clamping")
-    if not np.all(np.greater_equal(p_useful, 0.0) & np.less_equal(p_useful, 1.0)):
-        raise NumericError("P(useful) must lie in [0, 1]")
+_STRATEGIES = np.array(["treat_none", "treat_all", "model"])
+_VOI_ARRAYS = ("evpi", "enb_current", "enb_perfect", "p_useful", "best_strategy", "r_evpi",
+               "mc_se")
 
 
 @dataclass(frozen=True)
 class VoiResult:
-    """EVPI and companions for one threshold and one computation method.
+    """EVPI and companions of one computation method: floats at one
+    threshold, or the ``_VOI_ARRAYS`` over a grid, NaN where a row holds
+    None.  The checks run elementwise; :meth:`rows` gives the floats.
 
     ``enb_current`` is max{0, expected strategy NBs} under current
     information; ``enb_perfect`` is the expected best NB with perfect
@@ -128,24 +128,36 @@ class VoiResult:
     present only when the model is the current best strategy.  ``mc_se`` is
     the Monte Carlo standard error of ``enb_perfect`` (bootstrap methods
     only).  The fields are declared in the order of the ``evpi`` output
-    columns, which ``io.voi_record`` takes from them.
+    columns, which ``io.voi_record`` takes from a row.
     """
 
     method: str
-    evpi: float
-    enb_current: float
-    enb_perfect: float
-    p_useful: float
-    best_strategy: str
-    r_evpi: float | None = None
-    mc_se: float | None = None
+    evpi: float | np.ndarray
+    enb_current: float | np.ndarray
+    enb_perfect: float | np.ndarray
+    p_useful: float | np.ndarray
+    best_strategy: str | np.ndarray
+    r_evpi: float | np.ndarray | None = None
+    mc_se: float | np.ndarray | None = None
     seed: int | tuple | None = None
     n_reps: int | None = None
 
     def __post_init__(self):
-        _check_voi(self.evpi, self.p_useful)
-        if self.best_strategy not in ("model", "treat_all", "treat_none"):
-            raise InputError(f"unknown strategy label {self.best_strategy!r}")
+        if np.any(np.less(self.evpi, 0)):
+            raise NumericError("EVPI must be nonnegative after clamping")
+        if not np.all(np.greater_equal(self.p_useful, 0.0) & np.less_equal(self.p_useful, 1.0)):
+            raise NumericError("P(useful) must lie in [0, 1]")
+        if not set(np.ravel(self.best_strategy).tolist()) <= set(_STRATEGIES.tolist()):
+            raise InputError(f"unknown strategy label in {self.best_strategy!r}")
+
+    def rows(self) -> list[VoiResult]:
+        """The one-threshold results, in grid order, as Python values: None
+        where ``r_evpi`` or ``mc_se`` is NaN."""
+        columns = [np.ravel(getattr(self, f)).tolist() for f in _VOI_ARRAYS]
+        return [VoiResult(self.method, *values[:5],
+                          *(None if v is None or math.isnan(v) else v for v in values[5:]),
+                          self.seed, self.n_reps)
+                for values in zip(*columns)]
 
 
 def _relative_evpi(enb_perfect, mean_model, mean_all) -> np.ndarray:
@@ -164,9 +176,6 @@ def _relative_evpi(enb_perfect, mean_model, mean_all) -> np.ndarray:
     return np.where(defined, (enb_perfect - base) / np.where(defined, denom, 1.0), np.nan)
 
 
-_STRATEGIES = np.array(["treat_none", "treat_all", "model"])
-
-
 def _best_by_means(mean_model: np.ndarray, mean_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Current best strategy per threshold from the expected NBs (two (T,)
     arrays): the labels and their expected NBs.  Ties resolve against the
@@ -176,47 +185,12 @@ def _best_by_means(mean_model: np.ndarray, mean_all: np.ndarray) -> tuple[np.nda
     return _STRATEGIES[idx], candidates[np.arange(len(idx)), idx]
 
 
-_VOI_ARRAYS = ("evpi", "enb_current", "enb_perfect", "p_useful", "best_strategy", "r_evpi",
-               "mc_se")
-
-
-@dataclass(frozen=True)
-class _EvpiColumns:
-    """The :class:`VoiResult` fields of one method over a threshold grid:
-    the ``_VOI_ARRAYS`` hold one entry per threshold, NaN where a row holds
-    None (``r_evpi`` where undefined, ``mc_se`` on the asymptotic route).
-    The :class:`VoiResult` checks run elementwise."""
-
-    evpi: np.ndarray
-    enb_current: np.ndarray
-    enb_perfect: np.ndarray
-    p_useful: np.ndarray
-    best_strategy: np.ndarray
-    r_evpi: np.ndarray
-    mc_se: np.ndarray
-    method: str
-    seed: int | tuple | None = None
-    n_reps: int | None = None
-
-    def __post_init__(self):
-        _check_voi(self.evpi, self.p_useful)
-
-    def fields(self) -> list[dict]:
-        """The :class:`VoiResult` fields at each threshold, as Python values."""
-        common = {"method": self.method, "seed": self.seed, "n_reps": self.n_reps}
-        rows = [dict(zip(_VOI_ARRAYS, values), **common)
-                for values in zip(*(getattr(self, f).tolist() for f in _VOI_ARRAYS))]
-        for row in rows:
-            row.update({f: None for f in ("r_evpi", "mc_se") if math.isnan(row[f])})
-        return rows
-
-
 def _columns(mean_model, mean_all, enb_perfect, p_useful, mc_se, method, seed=None,
-             n_reps=None) -> _EvpiColumns:
+             n_reps=None) -> VoiResult:
     """One method's columns from its (T,) expected and perfect-information
     NBs: EVPI, the current best strategy and rEVPI, for every route."""
     best, enb_current = _best_by_means(mean_model, mean_all)
-    return _EvpiColumns(
+    return VoiResult(
         evpi=_max(0.0, enb_perfect - enb_current), enb_current=enb_current,
         enb_perfect=enb_perfect, p_useful=p_useful, best_strategy=best,
         r_evpi=_relative_evpi(enb_perfect, mean_model, mean_all),
@@ -232,7 +206,7 @@ def _p_useful(d: np.ndarray) -> np.ndarray:
     return np.count_nonzero(useful, axis=0) / d.shape[0]
 
 
-def _bootstrap_columns(d: np.ndarray, method: str, seed) -> _EvpiColumns:
+def _bootstrap_columns(d: np.ndarray, method: str, seed) -> VoiResult:
     """:func:`evpi_bootstrap` at each threshold of ``(N, T, 2)`` draws.
 
     Every reduction runs along the replicate axis, so a threshold's entries
@@ -264,8 +238,7 @@ def evpi_bootstrap(draws: NbDrawMatrix) -> VoiResult:
     ``enb_current`` is max{0, column means}.  Requires at least two
     replicates.
     """
-    (row,) = _bootstrap_columns(draws.draws[:, None, :], draws.method, draws.seed).fields()
-    return VoiResult(**row)
+    return _bootstrap_columns(draws.draws[:, None, :], draws.method, draws.seed).rows()[0]
 
 
 def _repair_psd(var_model, var_all, cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,7 +266,7 @@ def _repair_psd(var_model, var_all, cov) -> tuple[np.ndarray, np.ndarray, np.nda
     return v1, v2, cv
 
 
-def _asymptotic_columns(m: MomentSet) -> _EvpiColumns:
+def _asymptotic_columns(m: MomentSet) -> VoiResult:
     """:func:`evpi_asymptotic` elementwise over the moments of a
     :class:`MomentSet`, one entry per threshold."""
     mean_model, mean_all = (np.atleast_1d(np.asarray(v, dtype=float))
@@ -316,8 +289,7 @@ def evpi_asymptotic(m: MomentSet) -> VoiResult:
     the zero-floored bivariate normal expectation and P(useful) the
     probability that the model component is the strict positive maximum.
     """
-    (row,) = _asymptotic_columns(m).fields()
-    return VoiResult(**row)
+    return _asymptotic_columns(m).rows()[0]
 
 
 def _thin_mask(table: _CellTable) -> np.ndarray:
@@ -329,8 +301,11 @@ def _thin_mask(table: _CellTable) -> np.ndarray:
 
 
 def _check_methods(methods) -> tuple[str, ...]:
-    """``methods`` as a tuple, refused unless it names at least one method
-    and each of them is in ``ALL_METHODS``."""
+    """``methods`` as a tuple, refused unless it is a sequence (not a
+    string) that names at least one method and each of them is in
+    ``ALL_METHODS``."""
+    if isinstance(methods, str):
+        raise InputError(f"'methods' must be a list of method names, not the string {methods!r}")
     methods = tuple(methods)
     if not methods:
         raise InputError(f"no EVPI method given; choose from {', '.join(ALL_METHODS)}")
@@ -340,12 +315,12 @@ def _check_methods(methods) -> tuple[str, ...]:
     return methods
 
 
-def _evpi_grid(table: _CellTable, methods, n_reps, seed, on_draws=None) -> list[_EvpiColumns]:
-    """The columns of each of ``methods`` over the grid of ``table``; the
-    caller checks ``methods`` and ``seed``.  Each method's ``(N, T, 2)``
-    draws go to ``on_draws(method, draws)``, if given, once its columns
-    exist, and are then released."""
-    columns: list[_EvpiColumns] = []
+def _evpi_grid(table: _CellTable, methods, n_reps, seed, on_draws=None) -> list[VoiResult]:
+    """The array-valued result of each of ``methods`` over the grid of
+    ``table``; the caller checks ``methods`` and ``seed``.  Each method's
+    ``(N, T, 2)`` draws go to ``on_draws(method, draws)``, if given, once its
+    result exists, and are then released."""
+    columns: list[VoiResult] = []
     for m in methods:
         if m == "asymptotic":
             columns.append(_asymptotic_columns(_moment_grid(table)))
@@ -376,7 +351,7 @@ def evpi_threshold_sweep(
     sample: ValidationSample,
     thresholds,
     methods=ALL_METHODS,
-    n_reps: int = 10_000,
+    n_reps: int = DEFAULT_N_REPS,
     seed: int | tuple = 0,
     on_draws=None,
 ) -> list[tuple[Threshold, VoiResult]]:
@@ -395,10 +370,10 @@ def evpi_threshold_sweep(
     _check_seed(seed)
     methods = _check_methods(methods)
     table = _CellTable(sample.outcomes, sample.risks, thresholds)
-    per_method = [c.fields() for c in _evpi_grid(table, methods, n_reps, seed, on_draws)]
+    per_method = [c.rows() for c in _evpi_grid(table, methods, n_reps, seed, on_draws)]
     ts = table.thresholds
     _warn_thin([f"{t.z:g}" for t, thin in zip(ts, _thin_mask(table)) if thin], stacklevel=2)
-    return [(t, VoiResult(**rows[i])) for i, t in enumerate(ts) for rows in per_method]
+    return [(t, rows[i]) for i, t in enumerate(ts) for rows in per_method]
 
 
 def population_scaled(evpi: float, multiplier: float, t: Threshold) -> tuple[float, float]:

@@ -467,6 +467,18 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     pytest.param(["simulate", {"seed": -1}], "seed", id="simulate_negative_seed"),
     pytest.param(["simulate", {"seed": "7"}], "'seed'", id="simulate_string_seed"),
     pytest.param(["simulate", {"methods": []}], "no EVPI method", id="simulate_no_methods"),
+    pytest.param(["simulate", {"methods": "asymptotic"}], "'methods'",
+                 id="simulate_string_methods"),
+    pytest.param(["simulate", {"thresholds": ["0.1", 0.2]}], "threshold must be a number",
+                 id="simulate_string_threshold"),
+    pytest.param(["simulate", {"thresholds": 0.2}], "threshold grid",
+                 id="simulate_number_thresholds"),
+    pytest.param(["simulate", {"max_threshold": True, "thresholds": [0.995]}], "max_z",
+                 id="simulate_bool_max_threshold"),
+    pytest.param(["simulate", {"max_threshold": "0.5"}], "max_z",
+                 id="simulate_string_max_threshold"),
+    pytest.param(["evpi", "--delimiter", "ab"], "delimiter must be one character, got 'ab'",
+                 id="evpi_long_delimiter"),
     pytest.param(["evpi", "--population", "nan", "--out", "json"], "population",
                  id="nan_population_json"),
     pytest.param(["evpi", "--population", "nan", "--out", "csv"], "population",

@@ -1,14 +1,15 @@
 """The grid-shaped EVPI core against one-threshold calls.
 
-``voi._evpi_grid`` computes each method's EVPI columns over the grid of a
-cell table in one reduction over the bootstrap draws (or one array pass
-over the table's moments).  Every operation is elementwise in the threshold, so each entry
+``voi._evpi_grid`` computes each method's array-valued ``VoiResult`` over
+the grid of a cell table in one reduction over the bootstrap draws (or one
+array pass over the table's moments).  Every operation is elementwise in the threshold, so each entry
 must equal, bit for bit, the one-threshold call on that threshold's draws
 or moments, and the per-threshold reference below, which reduces one
 threshold's ``(N, S)`` draws the way EVPI was computed before the columnar
 core, however many thresholds each pass over the draws takes.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -18,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbvoi import NumericError, Threshold, ValidationSample, moments, voi
+from nbvoi import InputError, NumericError, Threshold, ValidationSample, moments, voi
 from nbvoi.netbenefit import _CellTable
 from nbvoi.resample import NbDrawMatrix
 from nbvoi.voi import (
     _VOI_ARRAYS,
-    _EvpiColumns,
+    VoiResult,
     _evpi_grid,
     _relative_evpi,
     evpi_asymptotic,
@@ -91,7 +92,7 @@ def test_bootstrap_columns_equal_one_threshold_calls(s, ts, method, n_reps, data
         (cols,) = _evpi_grid(table, (method,), n_reps, seed, on_draws=made.__setitem__)
     draws = made[method]
     assert draws.shape == (n_reps, len(ts), 2)
-    for i, (t, fields) in enumerate(zip(table.thresholds, cols.fields())):
+    for i, (t, row) in enumerate(zip(table.thresholds, cols.rows())):
         assert t == ts[i]
         matrix = NbDrawMatrix(draws[:, i], method=method, seed=seed)
         one = evpi_bootstrap(matrix)
@@ -99,7 +100,7 @@ def test_bootstrap_columns_equal_one_threshold_calls(s, ts, method, n_reps, data
         for f in _VOI_ARRAYS:
             column = getattr(cols, f)[i]
             assert same(column, getattr(one, f)), f
-            assert same(column, fields[f]), f
+            assert same(column, getattr(row, f)), f
             assert same(column, ref[f]), f
         assert (one.method, one.seed, one.n_reps) == (cols.method, seed, n_reps)
 
@@ -115,7 +116,7 @@ def test_asymptotic_columns_equal_one_threshold_calls(s, ts):
             assert same(getattr(cols, f)[i], getattr(one, f)), f
 
 
-def columns(**changes) -> _EvpiColumns:
+def columns(**changes) -> VoiResult:
     base = {
         "evpi": np.array([0.0, 1e-3]), "enb_current": np.array([0.1, 0.2]),
         "enb_perfect": np.array([0.1, 0.201]), "p_useful": np.array([0.0, 1.0]),
@@ -123,17 +124,26 @@ def columns(**changes) -> _EvpiColumns:
         "r_evpi": np.array([np.nan, 1.01]), "mc_se": np.array([1e-4, 2e-4]),
         "method": "bayesian_bootstrap", "seed": 0, "n_reps": 100,
     }
-    return _EvpiColumns(**dict(base, **changes))
+    return VoiResult(**dict(base, **changes))
 
 
 def test_column_checks_are_the_voi_result_checks():
-    assert [f["r_evpi"] for f in columns().fields()] == [None, 1.01]
+    assert [row.r_evpi for row in columns().rows()] == [None, 1.01]
     for bad in ({"evpi": np.array([0.0, -1e-18])},
                 {"p_useful": np.array([0.5, 1.0 + 1e-15])},
                 {"p_useful": np.array([-0.0, -1e-300])},
                 {"p_useful": np.array([np.nan, 0.5])}):
         with pytest.raises(NumericError):
             columns(**bad)
+    row = columns().rows()[1]
+    for bad in ({"evpi": -1e-18}, {"p_useful": 1.0 + 1e-15}, {"p_useful": -1e-300},
+                {"p_useful": math.nan}):
+        with pytest.raises(NumericError):
+            dataclasses.replace(row, **bad)
+    with pytest.raises(InputError, match="treat_some"):
+        columns(best_strategy=np.array(["model", "treat_some"]))
+    with pytest.raises(InputError, match="treat_some"):
+        dataclasses.replace(row, best_strategy="treat_some")
 
 
 def test_each_method_releases_its_draws_before_the_next_draws():

@@ -49,6 +49,9 @@ COMMANDS = {
     "dca_ordinary_json": ["dca", *_RISK_ARGS, "--thresholds", "0.05:0.3:0.05",
                           "--n-reps", "300", "--method", "ordinary", "--seed", "12",
                           "--out", "json"],
+    "evpi_population_csv": ["evpi", *_RISK_ARGS, "--thresholds", "0.01,0.1,0.2,0.5",
+                            "--n-reps", "300", "--method", "all", "--seed", "14",
+                            "--population", "1000", "--out", "csv"],
     "simulate_csv": ["simulate", "--config", "{config}", "--output", "{out}"],
     "score_csv": ["score", "--data", "{features}", "--outcome", "y", "--model", "{model}",
                   "--output", "{out}"],

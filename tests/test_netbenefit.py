@@ -49,6 +49,30 @@ class TestThreshold:
     def test_cap_is_configurable(self):
         assert Threshold(0.995, max_z=0.999).z == 0.995
 
+    @pytest.mark.parametrize("z, max_z, named", [
+        ("0.2", 0.99, "threshold"), (True, 0.99, "threshold"), (None, 0.99, "threshold"),
+        (0.2, None, "max_z"), (0.2, True, "max_z"), (0.2, "0.5", "max_z"),
+    ])
+    def test_non_number_is_an_input_error_naming_it(self, z, max_z, named):
+        with pytest.raises(InputError, match=f"{named} must be a number"):
+            Threshold(z, max_z=max_z)
+
+    def test_numbers_are_kept_as_python_floats(self):
+        t = Threshold(np.float32(0.25), max_z=np.int64(1))
+        assert type(t.z) is float and type(t.max_z) is float
+        assert (t.z, t.max_z) == (0.25, 1.0)
+
+    @pytest.mark.parametrize("values, message", [
+        ("0.1,0.2", "threshold grid must be a sequence"),
+        ("0.2", "threshold grid must be a sequence"),
+        (0.2, "threshold grid must be a sequence"),
+        (None, "threshold grid must be a sequence"),
+        (["0.1", 0.2], "threshold must be a number"),
+    ], ids=["string_list", "string", "number", "none", "string_entry"])
+    def test_grid_must_be_an_iterable_of_numbers_not_a_string(self, values, message):
+        with pytest.raises(InputError, match=message):
+            make_thresholds(values)
+
     def test_grid_must_increase(self):
         with pytest.raises(InputError):
             make_thresholds([0.1, 0.1, 0.2])

@@ -334,6 +334,11 @@ class TestEvpiThresholdSweep:
         with pytest.raises(InputError, match="no EVPI method"):
             evpi_threshold_sweep(s, (T02,), methods=(), seed=0)
 
+    def test_rejects_a_string_of_methods(self):
+        """Not read as the methods 'a', 's', 'y', ..."""
+        with pytest.raises(InputError, match="'methods' must be a list.*'asymptotic'"):
+            evpi_threshold_sweep(self._sample(n=100), (T02,), methods="asymptotic", seed=0)
+
     @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
     def test_evpi_nonnegative_on_randomized_small_samples(self):
         rng = np.random.default_rng(50)
