@@ -35,6 +35,11 @@ special case a mask.  P(X is positive max) is the bivariate-CDF term
 E[max] already needs, so ``_emax_pfirst`` returns both quantities from two
 bivariate-CDF evaluations per entry.  The public scalar functions are
 one-element calls into the same code.
+
+``scipy.special`` (``ndtr``, ``owens_t``) is imported inside each function
+that calls it.  Importing this module loads no scipy; the asymptotic EVPI
+route loads it at its first kernel call, and the bootstrap routes, which
+never call these kernels, not at all.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, owens_t
 
 from .errors import InputError
 
@@ -58,6 +62,8 @@ def std_normal_pdf(x):
 
 def std_normal_cdf(x):
     """Standard normal CDF, accurate to better than 1e-15 for |x| <= 8."""
+    from scipy.special import ndtr
+
     out = ndtr(x)
     return float(out) if np.ndim(x) == 0 else out
 
@@ -96,6 +102,8 @@ class BvnParams:
 def _bvn_upper(h, k, r) -> np.ndarray:
     """P(X > h, Y > k) for standard bivariate normals with correlation r,
     elementwise over 1-D arrays (broadcast together)."""
+    from scipy.special import ndtr
+
     h, k, r = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (h, k, r)))
     out = np.zeros(h.shape)
     pos_inf = np.isposinf(h) | np.isposinf(k)
@@ -120,6 +128,8 @@ def _bvn_upper(h, k, r) -> np.ndarray:
 
 def _owen_lower(x, y, r):
     """P(X < x, Y < y) by Owen's identity, for |r| < 1 and (x, y) != (0, 0)."""
+    from scipy.special import ndtr, owens_t
+
     s = np.sqrt((1.0 - r) * (1.0 + r))
     # y - r*x as (y - x) + (1 - r)*x for r >= 0 and (y + x) - (1 + r)*x for
     # r < 0 (likewise x - r*y), so that the rounding of r*x is not amplified
@@ -154,6 +164,8 @@ def bvn_cdf(a: float, b: float, rho: float) -> float:
 
 def _step_cdf(num, den):
     """Phi(num/den) for den >= 0, with den == 0 read as the limit (a step)."""
+    from scipy.special import ndtr
+
     out = np.where(num > 0.0, 1.0, np.where(num == 0.0, 0.5, 0.0))
     i = den > 0.0
     out[i] = ndtr(num[i] / den[i])
@@ -169,6 +181,8 @@ def _z_moment(h, k, rho):
 
 def _e_max_floor_normal(mu, sigma, floor):
     """E[max(floor, X)] for X ~ Normal(mu, sigma), sigma > 0."""
+    from scipy.special import ndtr
+
     t = (mu - floor) / sigma
     return floor + sigma * std_normal_pdf(t) + (mu - floor) * ndtr(t)
 
@@ -181,6 +195,8 @@ def _emax_pfirst(mu1, mu2, s1, s2, rho) -> tuple[np.ndarray, np.ndarray]:
     Each quantity keeps its own degenerate cases; in the general case both
     read the same bivariate-CDF term.
     """
+    from scipy.special import ndtr
+
     mu1, mu2, s1, s2, rho = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (mu1, mu2, s1, s2, rho)))
     theta_sq = s1 * s1 + s2 * s2 - 2.0 * rho * s1 * s2

@@ -177,9 +177,10 @@ def _sweep_setup(raw: dict, workers: int | None):
         raw.get("thresholds", [0.1, 0.2, 0.3]),
         max_z=raw.get("max_threshold", DEFAULT_MAX_THRESHOLD),
     )
-    if "methods" in raw:  # a string goes whole to SweepConfig, which refuses it
+    if "methods" in raw:  # only a list's names get the aliases; SweepConfig checks the rest
         m = raw["methods"]
-        common["methods"] = m if isinstance(m, str) else tuple(_CLI_METHODS.get(k, k) for k in m)
+        common["methods"] = (tuple(_CLI_METHODS.get(k, k) if isinstance(k, str) else k for k in m)
+                             if isinstance(m, list) else m)
     if workers is not None or "workers" in raw:
         common["n_workers"] = _whole(raw["workers"] if workers is None else workers, "workers")
     sizes = raw.get("sizes")

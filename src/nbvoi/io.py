@@ -23,7 +23,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InputError
 from .netbenefit import DecisionCurve, Threshold, ValidationSample
@@ -139,7 +138,10 @@ def load_dataset(
             if not first.strip():
                 raise InputError(f"file {path} is empty")
             delim = delimiter or _sniff_delimiter(first)
-            header = [h.strip() for h in next(csv.reader([first], delimiter=delim))]
+            try:
+                header = [h.strip() for h in next(csv.reader([first], delimiter=delim))]
+            except csv.Error as exc:
+                raise InputError(str(exc), row=1) from None
             wanted = [outcome_col] + ([risk_col] if risk_col else list(feature_cols))
             for col in wanted:
                 if col not in header:
@@ -184,6 +186,8 @@ def score(features: FeatureTable, spec: ModelSpec) -> np.ndarray:
     """Predicted risks from a logistic coefficient spec: inverse-logit of
     the linear predictor.  Saturates smoothly at 0 and 1 for extreme
     predictors."""
+    from scipy.special import expit
+
     lp = np.full(features.n, spec.intercept, dtype=float)
     for col, coef in spec.terms:
         if col not in features.columns:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InputError
 from .netbenefit import Threshold, ValidationSample, _CellTable, _real, make_thresholds
@@ -48,6 +47,8 @@ class LogisticDgm:
             raise InputError("coefficients must be finite")
 
     def risks(self, x: np.ndarray) -> np.ndarray:
+        from scipy.special import expit
+
         return expit(self.intercept + x @ np.asarray(self.slopes))
 
 

@@ -302,14 +302,16 @@ def _thin_mask(table: _CellTable) -> np.ndarray:
 
 def _check_methods(methods) -> tuple[str, ...]:
     """``methods`` as a tuple, refused unless it is a sequence (not a
-    string) that names at least one method and each of them is in
-    ``ALL_METHODS``."""
-    if isinstance(methods, str):
-        raise InputError(f"'methods' must be a list of method names, not the string {methods!r}")
+    string) that names at least one method and each of them is a string
+    in ``ALL_METHODS``."""
+    if isinstance(methods, str) or not np.iterable(methods):
+        raise InputError(f"'methods' must be a list of method names, not {methods!r}")
     methods = tuple(methods)
     if not methods:
         raise InputError(f"no EVPI method given; choose from {', '.join(ALL_METHODS)}")
     for m in methods:
+        if not isinstance(m, str):
+            raise InputError(f"'methods' must hold method names, not {m!r}")
         if m not in ALL_METHODS:
             raise InputError(f"unknown EVPI method {m!r}")
     return methods

@@ -345,11 +345,13 @@ class TestExitCodes:
         (b"y,p\n1,0.5\n0,0.\xff3\n1,0.2\n", 3),
         (b'y,p,note\n1,0.5,"two\nlines"\n0,abc,x\n', 4),
         (b"y,p\n1,0.5\n0," + b"1" * 200_000 + b"\n1,0.2\n", 3),
-    ], ids=["risk_out_of_range", "not_utf8", "after_two_line_field", "field_too_large"])
+        (b"y,p," + b"n" * 200_000 + b"\n1,0.5,x\n", 1),
+    ], ids=["risk_out_of_range", "not_utf8", "after_two_line_field", "field_too_large",
+            "header_field_too_large"])
     def test_bad_row_reports_row_number(self, capsys, tmp_path, content, row):
         """The file line of the bad record, also at a byte that is not UTF-8,
         past a quoted field that spans two lines, and at a field longer than
-        the csv module's limit."""
+        the csv module's limit, in a data line or in the header."""
         p = tmp_path / "bad.csv"
         p.write_bytes(content)
         code, out, err = run(capsys, [
@@ -469,6 +471,9 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     pytest.param(["simulate", {"methods": []}], "no EVPI method", id="simulate_no_methods"),
     pytest.param(["simulate", {"methods": "asymptotic"}], "'methods'",
                  id="simulate_string_methods"),
+    pytest.param(["simulate", {"methods": 5}], "'methods'", id="simulate_number_methods"),
+    pytest.param(["simulate", {"methods": [["bayes"]]}], "'methods'",
+                 id="simulate_nested_methods"),
     pytest.param(["simulate", {"thresholds": ["0.1", 0.2]}], "threshold must be a number",
                  id="simulate_string_threshold"),
     pytest.param(["simulate", {"thresholds": 0.2}], "threshold grid",

@@ -1,5 +1,6 @@
 """Synthetic data generation, sanity metrics, and sample-size sweeps."""
 
+import json
 import os
 import subprocess
 import sys
@@ -115,14 +116,78 @@ class TestCStatistic:
             assert c_statistic(s) == pytest.approx(brute, rel=1e-12)
 
 
+def _fresh_python(code: str, *argv: str) -> str:
+    """Stdout of ``code`` run with ``argv`` in a fresh interpreter that
+    imports this checkout's nbvoi."""
+    src = str(Path(nbvoi.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    return proc.stdout
+
+
 def test_import_does_not_load_scipy_stats():
     """``c_statistic`` counts instead of ranking, so ``import nbvoi`` no
     longer pays for loading ``scipy.stats``."""
-    src = str(Path(nbvoi.__file__).resolve().parents[1])
     code = "import sys, nbvoi; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["nbvoi", "nbvoi.cli"])
+def test_import_does_not_load_scipy(module):
+    """scipy is imported inside the functions that call it, so importing
+    the package loads no scipy module at all."""
+    code = f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert _fresh_python(code).strip() == "[]"
+
+
+# Runs ``nbvoi.cli.main(sys.argv[1:])`` and prints, on its last line, the
+# exit code and whether ``scipy.special`` was loaded.
+_MAIN_AND_SCIPY = """import json, sys
+from nbvoi.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:
+    rc = exc.code
+print(json.dumps([rc, "scipy.special" in sys.modules]))
+"""
+
+
+@pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
+@pytest.mark.parametrize("argv, loads_scipy", [
+    pytest.param(["--version"], False, id="version"),
+    pytest.param(["dca", "--data", "{data}", "--outcome", "y", "--risk", "p",
+                  "--thresholds", "0.1,0.2", "--n-reps", "50"], False, id="dca"),
+    pytest.param(["evpi", "--data", "{data}", "--outcome", "y", "--risk", "p",
+                  "--thresholds", "0.1,0.2", "--n-reps", "50", "--method", "bayes"], False,
+                 id="evpi_bayes"),
+    pytest.param(["evpi", "--data", "{data}", "--outcome", "y", "--risk", "p",
+                  "--thresholds", "0.1,0.2", "--method", "asymptotic"], True,
+                 id="evpi_asymptotic"),
+    pytest.param(["simulate", "--config", "{config}"], True, id="simulate_asymptotic"),
+])
+def test_scipy_loads_only_on_the_routes_that_call_it(tmp_path, argv, loads_scipy):
+    """In a fresh interpreter, ``--version``, ``dca`` and bootstrap-only
+    ``evpi`` never load ``scipy.special``; the asymptotic routes load it at
+    their first kernel or ``expit`` call, exit 0 and write the bytes an
+    in-process run writes."""
+    from nbvoi.cli import main
+
+    s = generate_synthetic(LogisticDgm(intercept=-1.55, slopes=(0.77,)), 300, substream(5, 1))
+    data = tmp_path / "data.csv"
+    data.write_text("y,p\n" + "".join(f"{y},{float(r)!r}\n" for y, r in zip(s.outcomes, s.risks)),
+                    encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "kind": "synthetic", "dgm": {"intercept": -1.55, "slopes": [0.77]}, "sizes": [100, 200],
+        "thresholds": [0.1, 0.2], "n_sims": 2, "methods": ["asymptotic"], "seed": 4,
+    }), encoding="utf-8")
+    argv = [a.format(data=data, config=config) for a in argv]
+    out = [] if argv == ["--version"] else ["--output", str(tmp_path / "fresh.out")]
+    rc, loaded = json.loads(_fresh_python(_MAIN_AND_SCIPY, *argv, *out).splitlines()[-1])
+    assert (rc, loaded) == (0, loads_scipy)
+    if out:
+        assert main([*argv, "--output", str(tmp_path / "in_process.out")]) == 0
+        assert (tmp_path / "fresh.out").read_bytes() == (tmp_path / "in_process.out").read_bytes()
 
 
 def _true_nb_quadrature(dgm: LogisticDgm, z: float) -> float:
