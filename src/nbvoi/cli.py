@@ -29,6 +29,7 @@ from .io import (
 from .netbenefit import (
     DEFAULT_MAX_THRESHOLD,
     Threshold,
+    _whole,
     decision_curve,
     default_grid,
     make_thresholds,
@@ -37,7 +38,6 @@ from .resample import DEFAULT_N_REPS, dump_draws
 from .simlab import (
     LogisticDgm,
     SweepConfig,
-    _whole,
     doubling_sizes,
     subsample_sweep,
     synthetic_sweep,
@@ -182,7 +182,8 @@ def _sweep_setup(raw: dict, workers: int | None):
         common["methods"] = (tuple(_CLI_METHODS.get(k, k) if isinstance(k, str) else k for k in m)
                              if isinstance(m, list) else m)
     if workers is not None or "workers" in raw:
-        common["n_workers"] = _whole(raw["workers"] if workers is None else workers, "workers")
+        common["n_workers"] = _whole(raw["workers"] if workers is None else workers,
+                                     "config field 'workers'")
     sizes = raw.get("sizes")
 
     if kind == "synthetic":

@@ -13,8 +13,11 @@ well-defined for degenerate samples (all events or all non-events).
 
 ``_CellTable`` alone knows how rows fall into cells over a threshold grid.
 Each analysis builds one table: point estimates, moments and thin-side
-checks read its row-count sums, and the bootstrap (``resample._table_draws``)
-draws masses on the same table's cells and asks it for their sums.
+checks read its row-count sums, and the bootstrap (``resample._nb_blocks``)
+draws masses on the same table's cells and asks it for their sums.  A
+decision curve's bands come from ``resample._table_bands``, which holds the
+replicates' model NBs and their event and non-event masses, not the
+``(N, T, 2)`` draws that EVPI reads.
 """
 
 from __future__ import annotations
@@ -37,6 +40,17 @@ def _real(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InputError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def _whole(value, what: str) -> int:
+    """A whole number as a Python int: an int, or an integral float (numpy's
+    included), not a bool, a fraction or a string; ``what`` names the value
+    in the error."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, np.integer))
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        raise InputError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -303,12 +317,17 @@ def decision_curve(
     shared stream of ``n_boot`` bootstrap replicates is evaluated at every
     grid threshold (each replicate re-weights the whole curve), and the
     per-threshold CI is the percentile interval of the replicate NBs.
-    ``n_boot = 0`` disables the bands entirely.
+    ``n_boot = 0`` disables the bands entirely; ``n_boot`` must still be a
+    whole number, and ``method`` ``'bayesian'`` or ``'ordinary'``.
     """
     if not 0.0 < ci_level < 1.0:
         raise InputError("ci_level must lie in (0, 1)")
+    n_boot = _whole(n_boot, "n_boot")
     if n_boot < 0:
         raise InputError("n_boot must be >= 0")
+    from .resample import _check_method, _table_bands
+
+    _check_method(method)
     _check_seed(seed)
 
     table = _CellTable(sample.outcomes, sample.risks, grid)
@@ -323,16 +342,11 @@ def decision_curve(
             ci_level=ci_level, n_boot=0,
         )
 
-    from .resample import _table_draws
-
-    draws = _table_draws(table, n_boot, method, seed)  # (n_boot, T, 2): model, treat_all
-    lo_q, hi_q = 0.5 * (1.0 - ci_level), 0.5 * (1.0 + ci_level)
-    qs = np.quantile(draws, [lo_q, hi_q], axis=0, overwrite_input=True)  # our draws: no copy
-    model_ci = qs[:, :, 0].T.copy()
-    all_ci = qs[:, :, 1].T.copy()
+    model_q, all_q = _table_bands(table, n_boot, method, seed,
+                                  [0.5 * (1.0 - ci_level), 0.5 * (1.0 + ci_level)])
     degenerate = tp + fp == 0
     return DecisionCurve(
         thresholds=ts, nb_model=point_model, nb_all=point_all,
         ci_level=ci_level, n_boot=n_boot, method=method, seed=seed,
-        model_ci=model_ci, all_ci=all_ci, degenerate=degenerate,
+        model_ci=model_q.T, all_ci=all_q.T, degenerate=degenerate,
     )

@@ -11,14 +11,20 @@ Two resampling schemes weight the n observations of a validation sample:
 
 ``dirichlet_weights``, ``multinomial_weights`` and
 ``netbenefit.weighted_nb`` apply them row by row; they are the reference.
-``_table_draws`` never draws a row weight.  Over a threshold grid, a
+The grid bootstrap never draws a row weight.  Over a threshold grid, a
 replicate's net benefits depend on the rows only through the mass on each
 occupied cell of a ``netbenefit._CellTable``, which owns the cells and
-turns cell masses into per-threshold sums; ``_table_draws`` only draws the
-masses, on the one table of the analysis (``voi._evpi_grid`` gets it from
-``evpi_threshold_sweep`` or a sweep cell; ``bootstrap_nb_draws_grid`` builds
-its own and returns the bare ``(N, T, 2)`` array, which ``bootstrap_nb_draws``
-slices into an :class:`NbDrawMatrix` at one threshold).
+turns cell masses into per-threshold sums; ``_nb_blocks`` only draws the
+masses, on the one table of the analysis, and turns their sums into model
+NBs, block by block.  Two routines fill from it.  ``_table_draws`` keeps
+the ``(N, T, 2)`` array ``[model, treat_all]`` (``voi._evpi_grid`` gets the
+table from ``evpi_threshold_sweep`` or a sweep cell;
+``bootstrap_nb_draws_grid`` builds its own and returns the bare array,
+which ``bootstrap_nb_draws`` slices into an :class:`NbDrawMatrix` at one
+threshold).  ``_table_bands``, for decision curves, keeps only the model
+NBs and each replicate's event and non-event masses, and returns the
+percentiles of the same values, bit for bit: the treat-all column is two
+numbers per replicate, repeated at every threshold.
 Summed flat-Dirichlet weights are exactly Dirichlet(n_1, ..., n_K) over
 the K cells with n_k rows each (the aggregation property of Rubin's
 Bayesian bootstrap), drawn as ``standard_gamma(n_k)`` normalized per
@@ -60,7 +66,9 @@ SWEEP_N_REPS = 1_000          # default inside simulation sweeps
 
 BLOCK_REPS = 256              # replicates per random block
 BLOCK_CELLS = 1 << 18         # most (replicate, cell) masses in one block: 2 MB of floats
-MAX_DRAW_BYTES = 1 << 31      # largest draw array: 64 times a default evpi method's 32 MB
+MAX_DRAW_BYTES = 1 << 31      # most bytes of the (N, T, 2) NBs one bootstrap computes, held
+                              # or not: 64 times a default evpi method's 32 MB
+BAND_BLOCK = 1 << 16          # most treat-all NBs per block of _table_bands
 
 
 @dataclass(frozen=True)
@@ -165,27 +173,74 @@ def _mass_blocks(counts: np.ndarray, n_reps: int, method: str, seed):
             yield start, rng.multinomial(n, counts / n, size=size[0])
 
 
-def _table_draws(table: _CellTable, n_reps: int, method: str, seed) -> np.ndarray:
-    """The ``(n_reps, T, 2)`` replicate NBs, columns ``[model, treat_all]``,
-    from one mass draw on the cells of ``table`` per replicate (see the
-    module docstring)."""
+def _check_method(method) -> None:
+    if not isinstance(method, str) or method not in METHOD_IDS:
+        raise InputError(f"unknown bootstrap method {method!r}; expected 'bayesian' or 'ordinary'")
+
+
+def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
+    """Check a request for ``n_reps`` replicates on ``table`` and return
+    ``(total, blocks)``: the NB denominator (1 for Bayesian masses, n for
+    ordinary counts) and an iterator over the blocks of
+    :func:`_mass_blocks`, each ``(rows, model, events, non_events)``: the
+    slice of replicates, their ``(rows, T)`` model NBs and their event and
+    non-event masses.  The check refuses what ``_table_draws`` could not
+    hold, so both fills compute the same NB values under the same bound."""
     if n_reps < 1:
         raise InputError("n_reps must be >= 1")
-    if method not in METHOD_IDS:
-        raise InputError(f"unknown bootstrap method {method!r}; expected 'bayesian' or 'ordinary'")
+    _check_method(method)
     shape = (n_reps, len(table.thresholds), 2)
     if 8 * math.prod(shape) > MAX_DRAW_BYTES:
         raise InputError(f"bootstrap draws of shape {shape} take {8 * math.prod(shape)} "
                          f"bytes, over the {MAX_DRAW_BYTES}-byte limit")
-    c = table.harm_weight
     total = 1.0 if method == "bayesian" else int(table.cell_counts.sum())
-    draws = np.empty(shape)
-    for start, masses in _mass_blocks(table.cell_counts, n_reps, method, seed):
-        tp, fp, events, non_events = table.sums(masses)
-        block = draws[start:start + masses.shape[0]]
-        block[:, :, 0] = _net_benefit(tp, fp, c, total)
-        block[:, :, 1] = _net_benefit(events[:, None], non_events[:, None], c, total)
+
+    def blocks():
+        for start, masses in _mass_blocks(table.cell_counts, n_reps, method, seed):
+            tp, fp, events, non_events = table.sums(masses)
+            yield (slice(start, start + masses.shape[0]),
+                   _net_benefit(tp, fp, table.harm_weight, total), events, non_events)
+
+    return total, blocks()
+
+
+def _table_draws(table: _CellTable, n_reps: int, method: str, seed) -> np.ndarray:
+    """The ``(n_reps, T, 2)`` replicate NBs, columns ``[model, treat_all]``,
+    from one mass draw on the cells of ``table`` per replicate (see the
+    module docstring)."""
+    total, blocks = _nb_blocks(table, n_reps, method, seed)
+    c = table.harm_weight
+    draws = np.empty((n_reps, c.size, 2))
+    for rows, model, events, non_events in blocks:
+        draws[rows, :, 0] = model
+        draws[rows, :, 1] = _net_benefit(events[:, None], non_events[:, None], c, total)
     return draws
+
+
+def _table_bands(table: _CellTable, n_reps: int, method: str, seed, probs):
+    """The ``probs`` quantiles, each of shape ``(len(probs), T)``, of the
+    model and treat-all columns of ``_table_draws(table, n_reps, method,
+    seed)``, bit for bit, without holding those draws: only the model NBs,
+    replicate-contiguous ``(T, n_reps)``, and the ``(n_reps,)`` event and
+    non-event masses.  The treat-all NBs are rebuilt from the masses by the
+    same formula, a few thresholds (at most ``BAND_BLOCK`` values, or one
+    threshold) at a time, after the model array is released."""
+    total, blocks = _nb_blocks(table, n_reps, method, seed)
+    c = table.harm_weight
+    model = np.empty((c.size, n_reps))
+    events, non_events = np.empty(n_reps), np.empty(n_reps)
+    for rows, nb, ev, nev in blocks:
+        model[:, rows], events[rows], non_events[rows] = nb.T, ev, nev
+    # Along the last axis the partition works in place; along axis 0 of
+    # (N, T) it would copy most of its input.
+    model_q = np.quantile(model, probs, axis=-1, overwrite_input=True)
+    del model
+    all_q = np.empty_like(model_q)
+    step = max(1, BAND_BLOCK // n_reps)
+    for j in range(0, c.size, step):
+        nb = _net_benefit(events, non_events, c[j:j + step, None], total)
+        all_q[:, j:j + step] = np.quantile(nb, probs, axis=-1, overwrite_input=True)
+    return model_q, all_q
 
 
 def bootstrap_nb_draws_grid(

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InputError
-from .netbenefit import Threshold, ValidationSample, _CellTable, _real, make_thresholds
+from .netbenefit import Threshold, ValidationSample, _CellTable, _real, _whole, make_thresholds
 from .resample import DATA_STREAM_ID, SWEEP_N_REPS
 from .rng import _check_seed, substream
 from .voi import _METHOD_LABELS, ALL_METHODS, _check_methods, _evpi_grid, _thin_mask, _warn_thin
@@ -124,17 +124,6 @@ def doubling_sizes(max_size: int, start: int = 250) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def _whole(value, field: str) -> int:
-    """A whole-number config value: an int, or an integral float (numpy's
-    included).  A fraction, a bool, a string or any other type is an input
-    error."""
-    if isinstance(value, bool) or not (
-            isinstance(value, (int, np.integer))
-            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
-        raise InputError(f"config field {field!r} must be a whole number, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Protocol of a sample-size sweep; integer fields take whole numbers,
@@ -149,9 +138,10 @@ class SweepConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(_whole(s, "sizes") for s in self.sizes))
+        object.__setattr__(self, "sizes",
+                           tuple(_whole(s, "config field 'sizes'") for s in self.sizes))
         for name in ("n_sims", "n_reps", "seed", "n_workers"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
+            object.__setattr__(self, name, _whole(getattr(self, name), f"config field {name!r}"))
         _check_seed(self.seed)
         object.__setattr__(self, "thresholds", make_thresholds(self.thresholds))
         object.__setattr__(self, "methods", _check_methods(self.methods))

@@ -301,10 +301,10 @@ def _thin_mask(table: _CellTable) -> np.ndarray:
 
 
 def _check_methods(methods) -> tuple[str, ...]:
-    """``methods`` as a tuple, refused unless it is a sequence (not a
-    string) that names at least one method and each of them is a string
-    in ``ALL_METHODS``."""
-    if isinstance(methods, str) or not np.iterable(methods):
+    """``methods`` as a tuple, refused unless it is a list or a tuple (a
+    set or a dict would fix no order) that names at least one method and
+    each of them is a string in ``ALL_METHODS``."""
+    if not isinstance(methods, (list, tuple)):
         raise InputError(f"'methods' must be a list of method names, not {methods!r}")
     methods = tuple(methods)
     if not methods:

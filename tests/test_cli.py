@@ -474,6 +474,8 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     pytest.param(["simulate", {"methods": 5}], "'methods'", id="simulate_number_methods"),
     pytest.param(["simulate", {"methods": [["bayes"]]}], "'methods'",
                  id="simulate_nested_methods"),
+    pytest.param(["simulate", {"methods": {"asymptotic": 1}}], "'methods'",
+                 id="simulate_object_methods"),
     pytest.param(["simulate", {"thresholds": ["0.1", 0.2]}], "threshold must be a number",
                  id="simulate_string_threshold"),
     pytest.param(["simulate", {"thresholds": 0.2}], "threshold grid",

@@ -334,23 +334,61 @@ class TestDecisionCurve:
         assert np.array_equal(c1.nb_model, c2.nb_model)
 
     def test_bands_keep_one_copy_of_the_draws(self):
-        """The percentile bands partition the draws in place: the call peaks
-        below 1.5 times the draws' bytes (a copy for the quantiles made it
-        2), and the bands are still the percentiles of the draws."""
+        """The bands hold the model NBs alone and partition them in place,
+        then rebuild the treat-all NBs a few thresholds at a time: on the
+        default 200-threshold grid the call peaks below 0.75 times the
+        bytes of the (N, T, 2) draws (holding the draws made it 1.1), and
+        on 20 thresholds, where the per-block temporaries weigh more, below
+        1.5 times.  The bands are still the percentiles of the draws."""
         s = self._sample(n=500)
-        ts = make_thresholds(np.arange(1, 21) / 100)
         n_boot = 10_000
-        tracemalloc.start()
-        try:
-            curve = decision_curve(s, ts, n_boot=n_boot, method="bayesian", seed=6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        draws = bootstrap_nb_draws_grid(s, ts, n_reps=n_boot, method="bayesian", seed=6)
-        assert peak < 1.5 * draws.nbytes
-        qs = np.quantile(draws, [0.5 * (1 - 0.95), 0.5 * (1 + 0.95)], axis=0)
-        assert np.array_equal(curve.model_ci, qs[:, :, 0].T)
-        assert np.array_equal(curve.all_ci, qs[:, :, 1].T)
+        for ts, bound in ((make_thresholds(np.arange(1, 21) / 100), 1.5), (default_grid(), 0.75)):
+            tracemalloc.start()
+            try:
+                curve = decision_curve(s, ts, n_boot=n_boot, method="bayesian", seed=6)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            draws = bootstrap_nb_draws_grid(s, ts, n_reps=n_boot, method="bayesian", seed=6)
+            assert peak < bound * draws.nbytes, (len(ts), peak / draws.nbytes)
+            qs = np.quantile(draws, [0.5 * (1 - 0.95), 0.5 * (1 + 0.95)], axis=0)
+            assert np.array_equal(curve.model_ci, qs[:, :, 0].T)
+            assert np.array_equal(curve.all_ci, qs[:, :, 1].T)
+
+    @pytest.mark.parametrize("method", ["bayesian", "ordinary"])
+    @pytest.mark.parametrize("ci_level", [0.5, 0.95, 0.99])
+    @pytest.mark.parametrize("n_boot", [1, 7, 255, 256, 257, 1000])
+    def test_bands_are_the_draw_percentiles_bit_for_bit(self, n_boot, ci_level, method):
+        """Around the 256-replicate block edge, on one threshold and on a
+        grid whose last threshold no risk reaches (degenerate), the bands
+        equal numpy's percentiles of ``bootstrap_nb_draws_grid`` exactly."""
+        rng = np.random.default_rng(n_boot)
+        s = ValidationSample(rng.integers(0, 2, 120), 0.9 * rng.random(120))
+        probs = [0.5 * (1 - ci_level), 0.5 * (1 + ci_level)]
+        for grid in ([0.2], [0.05, 0.1, 0.3, 0.6, 0.95]):
+            ts = make_thresholds(grid)
+            curve = decision_curve(s, ts, n_boot=n_boot, ci_level=ci_level, method=method, seed=3)
+            draws = bootstrap_nb_draws_grid(s, ts, n_reps=n_boot, method=method, seed=3)
+            qs = np.quantile(draws, probs, axis=0)
+            assert np.array_equal(curve.model_ci, qs[:, :, 0].T)
+            assert np.array_equal(curve.all_ci, qs[:, :, 1].T)
+        assert curve.degenerate.tolist() == [False] * 4 + [True]
+
+    @pytest.mark.parametrize("n_boot", [0, 50])
+    def test_rejects_an_unknown_method_even_without_bands(self, n_boot):
+        with pytest.raises(InputError, match="unknown bootstrap method 'bogus'"):
+            decision_curve(self._sample(50), [0.1], n_boot=n_boot, method="bogus")
+
+    @pytest.mark.parametrize("n_boot", [True, 2.5, "100", None])
+    def test_rejects_a_bool_fraction_or_string_n_boot(self, n_boot):
+        with pytest.raises(InputError, match=f"n_boot must be a whole number, got {n_boot!r}"):
+            decision_curve(self._sample(50), [0.1], n_boot=n_boot)
+
+    def test_takes_an_integral_float_n_boot(self):
+        s, ts = self._sample(50), [0.1, 0.2]
+        curve = decision_curve(s, ts, n_boot=40.0, seed=1)
+        assert curve.n_boot == 40 and type(curve.n_boot) is int
+        assert np.array_equal(curve.model_ci, decision_curve(s, ts, n_boot=40, seed=1).model_ci)
 
     def test_bounds_are_ordered(self):
         s = self._sample()

@@ -339,6 +339,14 @@ class TestEvpiThresholdSweep:
         with pytest.raises(InputError, match="'methods' must be a list.*'asymptotic'"):
             evpi_threshold_sweep(self._sample(n=100), (T02,), methods="asymptotic", seed=0)
 
+    @pytest.mark.parametrize("methods", [{"asymptotic", "ordinary"}, {"asymptotic": 1},
+                                         iter(["asymptotic"])], ids=["set", "dict", "iterator"])
+    def test_rejects_methods_that_are_not_a_list_or_tuple(self, methods):
+        """A set's order changes with ``PYTHONHASHSEED``, and a dict would run on
+        its keys: only a list or a tuple fixes the order of the rows."""
+        with pytest.raises(InputError, match="'methods' must be a list"):
+            evpi_threshold_sweep(self._sample(n=100), (T02,), methods=methods, seed=0)
+
     @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
     def test_evpi_nonnegative_on_randomized_small_samples(self):
         rng = np.random.default_rng(50)
