@@ -43,10 +43,7 @@ features = FeatureTable(
 )
 
 # Simulate outcomes from the same model so the predictions are calibrated.
-from scipy.special import expit
-
-lp = spec.intercept + sum(c * features.columns[name] for name, c in spec.terms)
-outcomes = (rng.random(n) < expit(lp)).astype(np.int64)
+outcomes = (rng.random(n) < scored_sample(features, spec).risks).astype(np.int64)
 features = FeatureTable(columns=features.columns, outcomes=outcomes)
 
 sample = scored_sample(features, spec)

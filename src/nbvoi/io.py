@@ -182,18 +182,27 @@ def load_dataset(
     )
 
 
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The inverse logit 1 / (1 + exp(-x)), elementwise.  Below x = -708,
+    where exp(-x) nears the largest double, it is exp(x), equal to the
+    inverse logit in double precision, so nothing overflows."""
+    x = np.asarray(x, dtype=float)
+    low = x < -708.0
+    out = 1.0 / (1.0 + np.exp(-np.where(low, 0.0, x)))
+    out[low] = np.exp(x[low])
+    return out
+
+
 def score(features: FeatureTable, spec: ModelSpec) -> np.ndarray:
     """Predicted risks from a logistic coefficient spec: inverse-logit of
     the linear predictor.  Saturates smoothly at 0 and 1 for extreme
     predictors."""
-    from scipy.special import expit
-
     lp = np.full(features.n, spec.intercept, dtype=float)
     for col, coef in spec.terms:
         if col not in features.columns:
             raise InputError(f"model term column {col!r} is missing from the data")
         lp += coef * features.columns[col]
-    return expit(lp)
+    return _expit(lp)
 
 
 def scored_sample(features: FeatureTable, spec: ModelSpec) -> ValidationSample:

@@ -320,6 +320,7 @@ def decision_curve(
     ``n_boot = 0`` disables the bands entirely; ``n_boot`` must still be a
     whole number, and ``method`` ``'bayesian'`` or ``'ordinary'``.
     """
+    ci_level = _real(ci_level, "ci_level")
     if not 0.0 < ci_level < 1.0:
         raise InputError("ci_level must lie in (0, 1)")
     n_boot = _whole(n_boot, "n_boot")

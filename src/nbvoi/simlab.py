@@ -19,6 +19,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InputError
+from .io import _expit
 from .netbenefit import Threshold, ValidationSample, _CellTable, _real, _whole, make_thresholds
 from .resample import DATA_STREAM_ID, SWEEP_N_REPS
 from .rng import _check_seed, substream
@@ -47,9 +48,7 @@ class LogisticDgm:
             raise InputError("coefficients must be finite")
 
     def risks(self, x: np.ndarray) -> np.ndarray:
-        from scipy.special import expit
-
-        return expit(self.intercept + x @ np.asarray(self.slopes))
+        return _expit(self.intercept + x @ np.asarray(self.slopes))
 
 
 def generate_synthetic(dgm: LogisticDgm, n: int, rng: np.random.Generator) -> ValidationSample:

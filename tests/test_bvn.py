@@ -1,11 +1,14 @@
 """Normal-kernel oracles: the bivariate CDF and E[max(0, X, Y)] are checked
 against Monte Carlo, quadrature through an independent CDF implementation
-(scipy's multivariate normal), and closed-form special cases."""
+(scipy's multivariate normal), Owen's identity in scipy's T function, and
+closed-form special cases.  scipy is a test-only dependency."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr as scipy_ndtr
+from scipy.special import owens_t
 from scipy.stats import multivariate_normal
 
 from nbvoi import BvnParams, InputError, bvn_cdf, e_max_zero_bvn, std_normal_cdf
@@ -366,3 +369,73 @@ class TestArrayKernel:
         assert e_max_zero_bvn(p) == pytest.approx(
             mu2 + s1 * phi(t) + (mu1 - mu2) * erf_cdf(t), abs=1e-15)
         assert p_first_positive_max(p) == pytest.approx(erf_cdf(t), abs=1e-12)
+
+
+def owen_lower(x, y, r):
+    """P(X < x, Y < y) by Owen's identity (Owen 1956) in scipy's T function,
+    for |r| < 1 and (x, y) != (0, 0): the kernel nbvoi used before Genz's.
+    For r >= 0, y - r x is (y - x) + (1 - r) x, and (y + x) - (1 + r) x for
+    r < 0, so that the cancellation near |r| = 1 does not amplify the
+    rounding of r x."""
+    s = np.sqrt((1.0 - r) * (1.0 + r))
+    sign = np.where(r >= 0.0, 1.0, -1.0)
+    d = sign - r
+    beta = np.where((x < 0.0) != (y < 0.0), 0.5, 0.0)
+    return (0.5 * scipy_ndtr(x) + 0.5 * scipy_ndtr(y) - beta
+            - owens_t(x, owen_slope((y - sign * x) + d * x, x, s))
+            - owens_t(y, owen_slope((x - sign * y) + d * y, y, s)))
+
+
+def owen_slope(num, x, s):
+    """Owen's ``a = num / (x * s)``, +-inf in the sign of ``num`` where x = 0."""
+    a = np.copysign(np.inf, num)
+    i = x != 0.0
+    a[i] = num[i] / (x[i] * s[i])
+    return a
+
+
+class TestGenzKernel:
+    """Genz's BVNU against Owen's identity, and the numpy normal CDF against
+    scipy's."""
+
+    def test_bvn_upper_agrees_with_owens_identity(self):
+        rng = np.random.default_rng(2004)
+        n, m = 120_000, 20_000
+        h, k, r = rng.uniform(-7, 7, n), rng.uniform(-7, 7, n), rng.uniform(-1, 1, n)
+        # 1 - |r| from 1e-14 to 0.075, both signs: the asymptotic form's range.
+        gap = 10.0 ** rng.uniform(-14, math.log10(0.075), m)
+        r[:m] = np.where(rng.random(m) < 0.5, 1.0 - gap, gap - 1.0)
+        # h = +-k exactly and to seven digits, across every r.
+        near = slice(m, 3 * m)
+        flip = np.where(rng.random(2 * m) < 0.5, 1.0, -1.0)
+        k[near] = flip * h[near] * np.where(rng.random(2 * m) < 0.5, 1.0,
+                                             1.0 + rng.normal(0, 1e-7, 2 * m))
+        r[m:2 * m] = np.where(rng.random(m) < 0.5, 1.0 - gap, gap - 1.0)
+        got = bvn._bvn_upper(h, k, r)
+        assert np.abs(got - owen_lower(-h, -k, r)).max() <= 1e-15
+
+    def test_far_limits_agree_with_owens_identity(self):
+        """Limits past the +-40 clip, up to 1e300, give the same
+        probabilities and no floating-point warning."""
+        big = np.array([45.0, -45.0, 1e3, -1e3, 1e300, -1e300, 3.0, -3.0, 0.5])
+        h, k = (v.ravel() for v in np.meshgrid(big, big))
+        for r in (-0.9999, -0.95, -0.5, 0.0, 0.5, 0.95, 0.9999):
+            rr = np.full(h.shape, r)
+            keep = (h != 0.0) | (k != 0.0)
+            assert np.abs(bvn._bvn_upper(h, k, rr) - owen_lower(-h, -k, rr))[keep].max() <= 1e-15
+
+    def test_rule_is_numpys_20_point_gauss_legendre(self):
+        x, w = np.polynomial.legendre.leggauss(20)
+        assert same_bits(bvn._GL_X[:, 0], x) and same_bits(bvn._GL_W[:, 0], w)
+
+    def test_ndtr_agrees_with_scipy(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 400_001),
+                            np.random.default_rng(7).uniform(-40, 40, 100_000),
+                            [-1.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), 0.0, -0.0]])
+        assert np.abs(bvn.ndtr(x) - scipy_ndtr(x)).max() <= 2.3e-16
+
+    def test_ndtr_shapes(self):
+        assert bvn.ndtr(np.array([])).shape == (0,)
+        assert bvn.ndtr(0.0).shape == ()
+        assert bvn.ndtr(np.zeros((2, 3))).shape == (2, 3)
+        assert bvn.ndtr(np.array([np.inf, -np.inf])).tolist() == [1.0, 0.0]

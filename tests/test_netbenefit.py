@@ -384,6 +384,11 @@ class TestDecisionCurve:
         with pytest.raises(InputError, match=f"n_boot must be a whole number, got {n_boot!r}"):
             decision_curve(self._sample(50), [0.1], n_boot=n_boot)
 
+    @pytest.mark.parametrize("ci_level", ["0.9", None, True])
+    def test_rejects_a_string_none_or_bool_ci_level(self, ci_level):
+        with pytest.raises(InputError, match=f"ci_level must be a number, got {ci_level!r}"):
+            decision_curve(self._sample(50), [0.1], n_boot=0, ci_level=ci_level)
+
     def test_takes_an_integral_float_n_boot(self):
         s, ts = self._sample(50), [0.1, 0.2]
         curve = decision_curve(s, ts, n_boot=40.0, seed=1)

@@ -26,7 +26,8 @@ from nbvoi import (
     synthetic_sweep,
     true_nb_of_dgm,
 )
-from nbvoi.io import render_csv, sweep_records
+from nbvoi.io import _expit, render_csv, sweep_records
+from nbvoi.resample import DATA_STREAM_ID
 from nbvoi.simlab import doubling_sizes, subsample_sweep
 from nbvoi.voi import ALL_METHODS
 
@@ -134,60 +135,104 @@ def test_import_does_not_load_scipy_stats():
 
 @pytest.mark.parametrize("module", ["nbvoi", "nbvoi.cli"])
 def test_import_does_not_load_scipy(module):
-    """scipy is imported inside the functions that call it, so importing
-    the package loads no scipy module at all."""
+    """Importing the package loads no scipy module at all."""
     code = f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     assert _fresh_python(code).strip() == "[]"
 
 
 # Runs ``nbvoi.cli.main(sys.argv[1:])`` and prints, on its last line, the
-# exit code and whether ``scipy.special`` was loaded.
+# exit code and the scipy modules that were loaded.
 _MAIN_AND_SCIPY = """import json, sys
 from nbvoi.cli import main
 try:
     rc = main(sys.argv[1:])
 except SystemExit as exc:
     rc = exc.code
-print(json.dumps([rc, "scipy.special" in sys.modules]))
+print(json.dumps([rc, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))
 """
 
 
 @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
-@pytest.mark.parametrize("argv, loads_scipy", [
-    pytest.param(["--version"], False, id="version"),
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--version"], id="version"),
     pytest.param(["dca", "--data", "{data}", "--outcome", "y", "--risk", "p",
-                  "--thresholds", "0.1,0.2", "--n-reps", "50"], False, id="dca"),
+                  "--thresholds", "0.1,0.2", "--n-reps", "50"], id="dca"),
     pytest.param(["evpi", "--data", "{data}", "--outcome", "y", "--risk", "p",
-                  "--thresholds", "0.1,0.2", "--n-reps", "50", "--method", "bayes"], False,
+                  "--thresholds", "0.1,0.2", "--n-reps", "50", "--method", "bayes"],
                  id="evpi_bayes"),
     pytest.param(["evpi", "--data", "{data}", "--outcome", "y", "--risk", "p",
-                  "--thresholds", "0.1,0.2", "--method", "asymptotic"], True,
-                 id="evpi_asymptotic"),
-    pytest.param(["simulate", "--config", "{config}"], True, id="simulate_asymptotic"),
+                  "--thresholds", "0.1,0.2", "--method", "asymptotic"], id="evpi_asymptotic"),
+    pytest.param(["evpi", "--data", "{data}", "--outcome", "y", "--risk", "p",
+                  "--thresholds", "0.1,0.2", "--n-reps", "50", "--method", "all"], id="evpi_all"),
+    pytest.param(["simulate", "--config", "{config}"], id="simulate_asymptotic"),
+    pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", "{model}"],
+                 id="score_model"),
 ])
-def test_scipy_loads_only_on_the_routes_that_call_it(tmp_path, argv, loads_scipy):
-    """In a fresh interpreter, ``--version``, ``dca`` and bootstrap-only
-    ``evpi`` never load ``scipy.special``; the asymptotic routes load it at
-    their first kernel or ``expit`` call, exit 0 and write the bytes an
-    in-process run writes."""
+def test_no_route_loads_scipy(tmp_path, argv):
+    """In a fresh interpreter, no command loads any scipy module: the normal
+    kernels and the inverse logit are numpy and the stdlib.  Each run exits
+    0 and writes the bytes an in-process run writes."""
     from nbvoi.cli import main
 
     s = generate_synthetic(LogisticDgm(intercept=-1.55, slopes=(0.77,)), 300, substream(5, 1))
+    x = substream(5, 2).standard_normal(s.n)
     data = tmp_path / "data.csv"
-    data.write_text("y,p\n" + "".join(f"{y},{float(r)!r}\n" for y, r in zip(s.outcomes, s.risks)),
+    data.write_text("y,p,x\n" + "".join(f"{y},{float(r)!r},{float(v)!r}\n"
+                                        for y, r, v in zip(s.outcomes, s.risks, x)),
                     encoding="utf-8")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "kind": "synthetic", "dgm": {"intercept": -1.55, "slopes": [0.77]}, "sizes": [100, 200],
         "thresholds": [0.1, 0.2], "n_sims": 2, "methods": ["asymptotic"], "seed": 4,
     }), encoding="utf-8")
-    argv = [a.format(data=data, config=config) for a in argv]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"intercept": -1.55, "terms": {"x": 0.77}}), encoding="utf-8")
+    argv = [a.format(data=data, config=config, model=model) for a in argv]
     out = [] if argv == ["--version"] else ["--output", str(tmp_path / "fresh.out")]
     rc, loaded = json.loads(_fresh_python(_MAIN_AND_SCIPY, *argv, *out).splitlines()[-1])
-    assert (rc, loaded) == (0, loads_scipy)
+    assert (rc, loaded) == (0, [])
     if out:
         assert main([*argv, "--output", str(tmp_path / "in_process.out")]) == 0
         assert (tmp_path / "fresh.out").read_bytes() == (tmp_path / "in_process.out").read_bytes()
+
+
+def test_expit_agrees_with_scipy():
+    """The numpy inverse logit is scipy's formula 1 / (1 + exp(-x)) with
+    numpy's exp, which differs from the C library's by at most 1 ulp: the
+    results agree to 2.5 machine epsilons, relative (the largest gaps sit
+    near x = -36.8, where 1 + exp(-x) passes 2^53).  Below -708 it is
+    exp(x), where scipy's overflows to 0."""
+    from scipy.special import expit
+
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.uniform(-708, 708, 500_000), rng.normal(0, 3, 500_000),
+                        [0.0, -0.0, 708.0, -708.0, np.inf, -np.inf]])
+    ref = expit(x)
+    assert np.all(np.abs(_expit(x) - ref) <= 2.5 * np.finfo(float).eps * ref)
+    far = np.array([-708.5, -745.0, -800.0, -1e300])
+    assert np.array_equal(_expit(far), np.exp(far))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_synthetic_outcomes_match_a_scipy_expit_copy(seed):
+    """Every cell of the benchmark's sweep draws the same outcomes and risks
+    within 2.5 epsilons of the scipy-``expit`` version of
+    ``generate_synthetic``."""
+    from scipy.special import expit
+
+    from test_golden_sweep import _load
+
+    cfg = _load("inputs").sweep_config(seed)
+    dgm = LogisticDgm(**cfg["dgm"])
+    slopes = np.asarray(dgm.slopes)
+    for si, size in enumerate(cfg["sizes"]):
+        for sim in range(cfg["n_sims"]):
+            ours = generate_synthetic(dgm, size, substream((seed, si, sim), DATA_STREAM_ID))
+            rng = substream((seed, si, sim), DATA_STREAM_ID)
+            risks = expit(dgm.intercept + rng.standard_normal((size, len(slopes))) @ slopes)
+            outcomes = (rng.random(size) < risks).astype(np.int64)
+            assert np.array_equal(ours.outcomes, outcomes)
+            assert np.all(np.abs(ours.risks - risks) <= 2.5 * np.finfo(float).eps * risks)
 
 
 def _true_nb_quadrature(dgm: LogisticDgm, z: float) -> float:
