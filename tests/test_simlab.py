@@ -168,10 +168,11 @@ print(json.dumps([rc, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))
     pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", "{model}"],
                  id="score_model"),
 ])
-def test_no_route_loads_scipy(tmp_path, argv):
-    """In a fresh interpreter, no command loads any scipy module: the normal
-    kernels and the inverse logit are numpy and the stdlib.  Each run exits
-    0 and writes the bytes an in-process run writes."""
+def test_scipy_loads_only_on_the_routes_that_call_it(tmp_path, argv):
+    """In a fresh interpreter, no command loads any scipy module, since no
+    route calls scipy: the normal kernels and the inverse logit are numpy and
+    the stdlib.  Each run exits 0 and writes the bytes an in-process run
+    writes."""
     from nbvoi.cli import main
 
     s = generate_synthetic(LogisticDgm(intercept=-1.55, slopes=(0.77,)), 300, substream(5, 1))
