@@ -4,15 +4,20 @@ sweeps, without-replacement subsampling sweeps, and sanity metrics.
 A sweep runs ``n_sims`` independent outer simulations at each sample size.
 Each simulation builds a validation sample (synthetic draw or subsample),
 computes EVPI per method and threshold, and the sweep reports the mean and
-Monte Carlo standard error over simulations.  Cells are embarrassingly
-parallel; the random substream of cell ``(size_index, sim_index)`` depends
-only on the sweep seed and those indices, so worker count never changes
+Monte Carlo standard error over simulations.  The random substream of
+cell ``(size_index, sim_index)`` depends only on the sweep seed and those
+indices.  Cells run in fixed chunks of ``max(1, _PASS_ENTRIES // T)``,
+sized from the grid alone; each cell builds its table and runs the
+bootstrap methods, and the asymptotic method is one kernel pass over the
+chunk's stacked counts.  Chunks are embarrassingly parallel, and the kernel
+is elementwise, so neither the worker count nor the chunking changes
 results.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -23,7 +28,10 @@ from .io import _expit
 from .netbenefit import Threshold, ValidationSample, _CellTable, _real, _whole, make_thresholds
 from .resample import DATA_STREAM_ID, SWEEP_N_REPS
 from .rng import _check_seed, substream
-from .voi import _METHOD_LABELS, ALL_METHODS, _check_methods, _evpi_grid, _thin_mask, _warn_thin
+from .voi import (_METHOD_LABELS, ALL_METHODS, _asymptotic_columns, _check_methods, _evpi_grid,
+                  _moment_grid, _thin_mask, _warn_thin)
+
+_PASS_ENTRIES = 512  # (cell, threshold) entries per asymptotic kernel pass: ~0.5 MB of temporaries
 
 
 @dataclass(frozen=True)
@@ -182,34 +190,58 @@ class SweepResult:
 
 
 def _sweep_cell(cell, dgm, dataset, cfg: SweepConfig):
-    """Compute one (size_index, sim_index) cell: the (methods, thresholds)
-    EVPI array and the mask of thresholds with a thin side of the split."""
+    """One (size_index, sim_index) cell: per method, its EVPI row over the
+    thresholds or, for the asymptotic method, its table's counts; and the
+    mask of thresholds with a thin side of the split."""
     si, sim = cell
     size = cfg.sizes[si]
     data_rng = substream((cfg.seed, si, sim), DATA_STREAM_ID)
     sample = generate_synthetic(dgm, size, data_rng) if dgm is not None else dataset
     rows = slice(None) if size == sample.n else data_rng.choice(sample.n, size, replace=False)
     table = _CellTable(sample.outcomes[rows], sample.risks[rows], cfg.thresholds)
-    columns = _evpi_grid(table, cfg.methods, cfg.n_reps, (cfg.seed, si, sim))
-    return np.array([c.evpi for c in columns]), _thin_mask(table)
+    boot = iter(_evpi_grid(table, [m for m in cfg.methods if m != "asymptotic"], cfg.n_reps,
+                           (cfg.seed, si, sim)))
+    return ([table.counts if m == "asymptotic" else next(boot).evpi for m in cfg.methods],
+            _thin_mask(table))
+
+
+def _sweep_chunk(cells, dgm, dataset, cfg: SweepConfig):
+    """The (cells, methods, T) EVPI and (cells, T) thin masks of a chunk of
+    cells; the asymptotic column is one kernel pass over their stacked
+    counts."""
+    rows, thin = zip(*(_sweep_cell(c, dgm, dataset, cfg) for c in cells))
+    evpi = np.empty((len(cells), len(cfg.methods), len(cfg.thresholds)))
+    for k, m in enumerate(cfg.methods):
+        if m == "asymptotic":
+            counts = [np.array(a) for a in zip(*(r[k] for r in rows))]
+            grid = _moment_grid(counts, cfg.thresholds)
+            evpi[:, k] = _asymptotic_columns(grid).evpi.reshape(len(cells), -1)
+        else:
+            evpi[:, k] = [r[k] for r in rows]
+    return evpi, np.array(thin)
 
 
 def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
+    # Fixed chunks of cells, sized from the grid alone: each is one kernel
+    # pass of about _PASS_ENTRIES (cell, threshold) entries, and neither the
+    # worker count nor the batching of chunks to processes changes which
+    # cells share a pass.
     cells = [(si, sim) for si in range(len(cfg.sizes)) for sim in range(cfg.n_sims)]
-    worker = partial(_sweep_cell, dgm=dgm, dataset=dataset, cfg=cfg)
-    if cfg.n_workers > 1:
-        chunk = max(1, len(cells) // (4 * cfg.n_workers))
-        with ProcessPoolExecutor(max_workers=cfg.n_workers) as ex:
-            results = list(ex.map(worker, cells, chunksize=chunk))
-    else:
-        results = [worker(c) for c in cells]
-
+    step = max(1, _PASS_ENTRIES // len(cfg.thresholds))
+    chunks = [cells[i:i + step] for i in range(0, len(cells), step)]
+    worker = partial(_sweep_chunk, dgm=dgm, dataset=dataset, cfg=cfg)
     n_sizes, n_sims, n_t = len(cfg.sizes), cfg.n_sims, len(cfg.thresholds)
-    evpi = np.array([e for e, _ in results]).reshape(n_sizes, n_sims, len(cfg.methods), n_t)
-    thin = np.array([m for _, m in results]).reshape(n_sizes, n_sims, n_t).any(axis=1)
     # Simulations last and contiguous: each cell's mean and SD take numpy's
     # pairwise sum over its simulations in order.
-    by_sim = np.ascontiguousarray(np.moveaxis(evpi, 1, -1))
+    by_sim = np.empty((n_sizes, len(cfg.methods), n_t, n_sims))
+    thin = np.zeros((n_sizes, n_t), dtype=bool)
+    with ProcessPoolExecutor(cfg.n_workers) if cfg.n_workers > 1 else nullcontext() as pool:
+        batch = max(1, len(chunks) // (4 * cfg.n_workers))
+        results = pool.map(worker, chunks, chunksize=batch) if pool else map(worker, chunks)
+        for chunk, (evpi, mask) in zip(chunks, results):
+            for (si, sim), e, m in zip(chunk, evpi, mask):
+                by_sim[si, ..., sim] = e
+                thin[si] |= m
     means = by_sim.mean(axis=-1).tolist()
     ses = (by_sim.std(axis=-1, ddof=1) / np.sqrt(n_sims) if n_sims > 1
            else np.zeros(by_sim.shape[:-1])).tolist()

@@ -23,11 +23,13 @@ Table in, columns out: ``_evpi_grid`` takes the cell table its caller
 built and returns one array-valued :class:`VoiResult` per method, from one
 reduction over the ``(N, T, 2)`` draws or one array pass over the moments;
 ``_columns`` defines EVPI for both routes.  Every operation is elementwise
-in the threshold.  :meth:`VoiResult.rows` splits a grid's result into
-one-threshold results: :func:`evpi_threshold_sweep` returns one
-``(threshold, VoiResult)`` row per threshold and method, methods in the
-order requested, and the one-threshold functions run the same code on a
-one-threshold grid.
+in the threshold.  The moments read only a table's counts, which may carry
+a leading cell axis: a sweep stacks the counts of a chunk of cells and runs
+``_moment_grid`` and ``_asymptotic_columns`` once over them.
+:meth:`VoiResult.rows` splits a grid's result into one-threshold results:
+:func:`evpi_threshold_sweep` returns one ``(threshold, VoiResult)`` row per
+threshold and method, methods in the order requested, and the
+one-threshold functions run the same code on a one-threshold grid.
 """
 
 from __future__ import annotations
@@ -87,20 +89,27 @@ def moments(sample: ValidationSample, t: Threshold) -> MomentSet:
         var_all   = (1/n) (1/(1-z))^2 P0(1-P0)
         cov       = (1/(n(1-z))) [(1-P0) P_TP + c P0 P_FP]
     """
-    grid = _moment_grid(_CellTable(sample.outcomes, sample.risks, t))
+    table = _CellTable(sample.outcomes, sample.risks, t)
+    grid = _moment_grid(table.counts, table.thresholds)
     return MomentSet(**{k: v[0].item() for k, v in vars(grid).items()})
 
 
-def _moment_grid(table: _CellTable) -> MomentSet:
-    """:func:`moments` at every threshold of a cell table, as one
-    array-valued :class:`MomentSet` from the table's counts alone."""
-    tp, fp, events, non_events = table.counts
-    n, events = int(events + non_events), int(events)  # exact: counts are whole floats
-    if n < 2:
+def _moment_grid(counts, thresholds) -> MomentSet:
+    """:func:`moments` at every threshold of a grid, as one array-valued
+    :class:`MomentSet` from a cell table's ``counts`` alone.
+
+    The counts may carry a leading cell axis: ``tp`` and ``fp`` of shape
+    ``(..., T)``, ``events`` and ``non_events`` of shape ``(...)``; every
+    moment then has shape ``(..., T)`` and each cell needs n >= 2.
+    """
+    tp, fp, events, non_events = counts
+    events, non_events = np.asarray(events)[..., None], np.asarray(non_events)[..., None]
+    n = events + non_events  # exact: counts are whole floats
+    if np.any(n < 2):
         raise InputError("moment estimation requires n >= 2")
     p0 = events / n
-    z = np.array([t.z for t in table.thresholds])
-    c = table.harm_weight
+    z = np.array([t.z for t in thresholds])
+    c = z / (1.0 - z)
     p_tp, p_fp = tp / n, fp / n
     return MomentSet(
         mean_model=_net_benefit(tp, fp, c, n),
@@ -268,10 +277,12 @@ def _repair_psd(var_model, var_all, cov) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def _asymptotic_columns(m: MomentSet) -> VoiResult:
     """:func:`evpi_asymptotic` elementwise over the moments of a
-    :class:`MomentSet`, one entry per threshold."""
-    mean_model, mean_all = (np.atleast_1d(np.asarray(v, dtype=float))
-                            for v in (m.mean_model, m.mean_all))
-    v1, v2, cv = _repair_psd(m.var_model, m.var_all, m.cov)
+    :class:`MomentSet`, flattened: one entry per threshold, or per (cell,
+    threshold) of a stack of cells."""
+    mean_model, mean_all, var_model, var_all, cov = (
+        np.ravel(np.asarray(v, dtype=float))
+        for v in (m.mean_model, m.mean_all, m.var_model, m.var_all, m.cov))
+    v1, v2, cv = _repair_psd(var_model, var_all, cov)
     s1, s2 = np.sqrt(v1), np.sqrt(v2)
     rho = np.zeros(s1.shape)
     i = (s1 != 0.0) & (s2 != 0.0)
@@ -325,7 +336,7 @@ def _evpi_grid(table: _CellTable, methods, n_reps, seed, on_draws=None) -> list[
     columns: list[VoiResult] = []
     for m in methods:
         if m == "asymptotic":
-            columns.append(_asymptotic_columns(_moment_grid(table)))
+            columns.append(_asymptotic_columns(_moment_grid(table.counts, table.thresholds)))
         else:
             draws = _table_draws(table, n_reps, m, seed)
             columns.append(_bootstrap_columns(draws, m, seed))

@@ -31,7 +31,7 @@ from nbvoi import (
 )
 from nbvoi.netbenefit import _CellTable, _net_benefit, default_grid
 from nbvoi.resample import _mass_blocks, bootstrap_nb_draws_grid
-from nbvoi.simlab import _sweep_cell
+from nbvoi.simlab import _sweep_chunk
 from nbvoi.voi import ALL_METHODS, MIN_SIDE_ROWS, _moment_grid, _thin_mask
 
 Z_VALUES = (0.05, 0.1, 0.2, 0.25, 0.5, 0.7)
@@ -131,7 +131,8 @@ def test_moments_equal_row_reference(s, ts):
     n = s.n
     unit = WeightVector(weights=np.full(n, 1.0 / n), kind="multinomial",
                         counts=np.ones(n, dtype=int))
-    grid = _moment_grid(_CellTable(s.outcomes, s.risks, ts))
+    table = _CellTable(s.outcomes, s.risks, ts)
+    grid = _moment_grid(table.counts, table.thresholds)
     for j, t in enumerate(ts):
         m = moments(s, t)
         assert (m.mean_model, m.mean_all) == weighted_nb(s, unit, t)
@@ -228,7 +229,7 @@ SWEEP_CFG = SweepConfig(sizes=(120,), thresholds=make_thresholds([0.1, 0.2]), n_
 @pytest.mark.parametrize("analysis", [
     lambda s, ts: evpi_threshold_sweep(s, ts, ALL_METHODS, 50, 3),
     lambda s, ts: decision_curve(s, ts, n_boot=50, method="bayesian", seed=3),
-    lambda s, ts: _sweep_cell((0, 0), DGM, None, SWEEP_CFG),
+    lambda s, ts: _sweep_chunk([(0, 0)], DGM, None, SWEEP_CFG),
 ], ids=["evpi_all_methods", "decision_curve", "sweep_cell"])
 @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
 def test_each_analysis_builds_one_cell_table(monkeypatch, analysis):
