@@ -34,7 +34,7 @@ from .netbenefit import (
     default_grid,
     make_thresholds,
 )
-from .resample import DEFAULT_N_REPS, dump_draws
+from .resample import DEFAULT_N_REPS, bootstrap_nb_draws_grid, dump_draws
 from .simlab import (
     LogisticDgm,
     SweepConfig,
@@ -126,13 +126,13 @@ def cmd_evpi(args) -> int:
         raise InputError("--dump-draws needs a bootstrap method: bayes, ordinary or all")
     sample = _load_sample(args.data, args.outcome, args.risk, args.model, args.delimiter)
     ts = _parse_thresholds(args.thresholds, args.max_threshold)
-
-    def dump(method, draws):
+    rows = evpi_threshold_sweep(sample, ts, methods, args.n_reps, args.seed)
+    # EVPI holds no draws: a dump draws them again from the same substreams.
+    for method in [m for m in methods if m != "asymptotic"] if args.dump_draws else []:
+        draws = bootstrap_nb_draws_grid(sample, ts, args.n_reps, method, args.seed)
         for i, t in enumerate(ts):
             dump_draws(draws[:, i], f"{args.dump_draws}_{method}_z{t.z!r}.csv")
-
-    rows = evpi_threshold_sweep(sample, ts, methods, args.n_reps, args.seed,
-                                on_draws=dump if args.dump_draws else None)
+        del draws  # before the next method's draws are made
     records = [voi_record(t, r, population=args.population) for t, r in rows]
 
     if args.strict:

@@ -14,10 +14,10 @@ well-defined for degenerate samples (all events or all non-events).
 ``_CellTable`` alone knows how rows fall into cells over a threshold grid.
 Each analysis builds one table: point estimates, moments and thin-side
 checks read its row-count sums, and the bootstrap (``resample._nb_blocks``)
-draws masses on the same table's cells and asks it for their sums.  A
-decision curve's bands come from ``resample._table_bands``, which holds the
-replicates' model NBs and their event and non-event masses, not the
-``(N, T, 2)`` draws that EVPI reads.
+draws masses on the same table's cells and asks it for their sums.  EVPI
+reduces those draws block by block, and a decision curve's bands come from
+``resample._table_bands``, which holds only the replicates' model NBs and
+their event and non-event masses: neither holds the ``(N, T, 2)`` draws.
 """
 
 from __future__ import annotations

@@ -16,15 +16,15 @@ replicate's net benefits depend on the rows only through the mass on each
 occupied cell of a ``netbenefit._CellTable``, which owns the cells and
 turns cell masses into per-threshold sums; ``_nb_blocks`` only draws the
 masses, on the one table of the analysis, and turns their sums into model
-NBs, block by block.  Two routines fill from it.  ``_table_draws`` keeps
-the ``(N, T, 2)`` array ``[model, treat_all]`` (``voi._evpi_grid`` gets the
-table from ``evpi_threshold_sweep`` or a sweep cell;
-``bootstrap_nb_draws_grid`` builds its own and returns the bare array,
-which ``bootstrap_nb_draws`` slices into an :class:`NbDrawMatrix` at one
-threshold).  ``_table_bands``, for decision curves, keeps only the model
-NBs and each replicate's event and non-event masses, and returns the
-percentiles of the same values, bit for bit: the treat-all column is two
-numbers per replicate, repeated at every threshold.
+NBs, block by block.  ``_draw_blocks`` adds the treat-all NBs, giving
+the rows of the ``(N, T, 2)`` draws ``[model, treat_all]`` block by block:
+``voi._evpi_grid`` reduces them as they come, and only
+``bootstrap_nb_draws_grid`` holds them (``bootstrap_nb_draws`` slices its
+array into an :class:`NbDrawMatrix` at one threshold).  ``_table_bands``,
+for decision curves, keeps only the model NBs and each replicate's event
+and non-event masses, and returns the percentiles of the same values, bit
+for bit: the treat-all column is two numbers per replicate, repeated at
+every threshold.
 Summed flat-Dirichlet weights are exactly Dirichlet(n_1, ..., n_K) over
 the K cells with n_k rows each (the aggregation property of Rubin's
 Bayesian bootstrap), drawn as ``standard_gamma(n_k)`` normalized per
@@ -184,8 +184,9 @@ def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
     ordinary counts) and an iterator over the blocks of
     :func:`_mass_blocks`, each ``(rows, model, events, non_events)``: the
     slice of replicates, their ``(rows, T)`` model NBs and their event and
-    non-event masses.  The check refuses what ``_table_draws`` could not
-    hold, so both fills compute the same NB values under the same bound."""
+    non-event masses.  The check refuses what ``bootstrap_nb_draws_grid``
+    could not hold, so every reader computes the same NB values under the
+    same bound."""
     if n_reps < 1:
         raise InputError("n_reps must be >= 1")
     _check_method(method)
@@ -204,23 +205,20 @@ def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
     return total, blocks()
 
 
-def _table_draws(table: _CellTable, n_reps: int, method: str, seed) -> np.ndarray:
-    """The ``(n_reps, T, 2)`` replicate NBs, columns ``[model, treat_all]``,
-    from one mass draw on the cells of ``table`` per replicate (see the
-    module docstring)."""
+def _draw_blocks(table: _CellTable, n_reps: int, method: str, seed):
+    """The blocks of :func:`_nb_blocks` as ``(rows, model, treat_all)``, the
+    ``(rows, T)`` model and treat-all NBs of a slice of replicates; the
+    request is checked on the call, before anything is drawn."""
     total, blocks = _nb_blocks(table, n_reps, method, seed)
     c = table.harm_weight
-    draws = np.empty((n_reps, c.size, 2))
-    for rows, model, events, non_events in blocks:
-        draws[rows, :, 0] = model
-        draws[rows, :, 1] = _net_benefit(events[:, None], non_events[:, None], c, total)
-    return draws
+    return ((rows, model, _net_benefit(events[:, None], non_events[:, None], c, total))
+            for rows, model, events, non_events in blocks)
 
 
 def _table_bands(table: _CellTable, n_reps: int, method: str, seed, probs):
     """The ``probs`` quantiles, each of shape ``(len(probs), T)``, of the
-    model and treat-all columns of ``_table_draws(table, n_reps, method,
-    seed)``, bit for bit, without holding those draws: only the model NBs,
+    model and treat-all NBs of ``_draw_blocks(table, n_reps, method, seed)``,
+    bit for bit, without holding those draws: only the model NBs,
     replicate-contiguous ``(T, n_reps)``, and the ``(n_reps,)`` event and
     non-event masses.  The treat-all NBs are rebuilt from the masses by the
     same formula, a few thresholds (at most ``BAND_BLOCK`` values, or one
@@ -252,14 +250,18 @@ def bootstrap_nb_draws_grid(
 ) -> np.ndarray:
     """Draw ``n_reps`` replicate NB vectors at every threshold of a grid
     (as :func:`~nbvoi.netbenefit.make_thresholds` takes it): the
-    ``(n_reps, T, 2)`` array of :func:`_table_draws`.
+    ``(n_reps, T, 2)`` replicate NBs, columns ``[model, treat_all]``.
 
     One re-weighting per replicate, applied at all thresholds, drawn over
     the occupied cells in blocks (see the module docstring).  Output is a
     pure function of ``(sample, thresholds, n_reps, method, seed)``.
     """
     table = _CellTable(sample.outcomes, sample.risks, thresholds)
-    return _table_draws(table, n_reps, method, seed)
+    blocks = _draw_blocks(table, n_reps, method, seed)
+    draws = np.empty((n_reps, len(table.thresholds), 2))
+    for rows, model, treat_all in blocks:
+        draws[rows, :, 0], draws[rows, :, 1] = model, treat_all
+    return draws
 
 
 def bootstrap_nb_draws(

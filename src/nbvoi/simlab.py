@@ -158,6 +158,8 @@ class SweepConfig:
             raise InputError("sizes must be positive")
         if self.n_sims < 1 or self.n_reps < 1:
             raise InputError("n_sims and n_reps must be >= 1")
+        if self.n_reps < 2 and set(self.methods) != {"asymptotic"}:
+            raise InputError("config field 'n_reps' must be >= 2 for a bootstrap method")
         if self.n_workers < 1:
             raise InputError("n_workers must be >= 1")
 

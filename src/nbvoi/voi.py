@@ -21,7 +21,8 @@ routes are implemented:
 
 Table in, columns out: ``_evpi_grid`` takes the cell table its caller
 built and returns one array-valued :class:`VoiResult` per method, from one
-reduction over the ``(N, T, 2)`` draws or one array pass over the moments;
+reduction over the blocks of bootstrap draws as they are drawn (no route
+holds the ``(N, T, 2)`` draws) or one array pass over the moments;
 ``_columns`` defines EVPI for both routes.  Every operation is elementwise
 in the threshold.  The moments read only a table's counts, which may carry
 a leading cell axis: a sweep stacks the counts of a chunk of cells and runs
@@ -43,7 +44,7 @@ import numpy as np
 from .bvn import _check_params, _emax_pfirst, _max
 from .errors import InputError, NumericError, SmallEffectiveSampleWarning
 from .netbenefit import Threshold, ValidationSample, _CellTable, _net_benefit
-from .resample import DEFAULT_N_REPS, NbDrawMatrix, _table_draws
+from .resample import DEFAULT_N_REPS, NbDrawMatrix, _draw_blocks
 from .rng import _check_seed
 
 ALL_METHODS = ("bayesian", "ordinary", "asymptotic")
@@ -207,36 +208,41 @@ def _columns(mean_model, mean_all, enb_perfect, p_useful, mc_se, method, seed=No
     )
 
 
-def _p_useful(d: np.ndarray) -> np.ndarray:
-    """P(useful) at each threshold of ``(N, T, 2)`` draws: the fraction of
+def _p_useful(model: np.ndarray, treat_all: np.ndarray) -> np.ndarray:
+    """At each threshold of a block's ``(rows, T)`` NBs, the number of
     replicates in which the model has the strictly highest NB,
-    P(nb_model > max(0, nb_all)).  Ties resolve against the model."""
-    useful = d[..., 0] > np.maximum(d[..., 1], 0.0)
-    return np.count_nonzero(useful, axis=0) / d.shape[0]
+    nb_model > max(0, nb_all).  Ties resolve against the model."""
+    return np.count_nonzero(model > np.maximum(treat_all, 0.0), axis=0)
 
 
-def _bootstrap_columns(d: np.ndarray, method: str, seed) -> VoiResult:
-    """:func:`evpi_bootstrap` at each threshold of ``(N, T, 2)`` draws.
+def _bootstrap_columns(blocks, n_reps: int, n_t: int, method: str, seed) -> VoiResult:
+    """:func:`evpi_bootstrap` at each of ``n_t`` thresholds, from blocks
+    ``(rows, model, treat_all)`` of ``(rows, n_t)`` NBs that cover ``n_reps``
+    replicates in order; ``n_reps`` is checked before the first block.
 
     Every reduction runs along the replicate axis, so a threshold's entries
-    depend only on its own draws.  The column means add the replicates in
-    order; the row maxima are laid out replicate-last, so their mean and SD
-    use numpy's pairwise sum exactly as over one threshold's vector.  The
-    per-replicate arrays are built for ``_COLUMN_BLOCK`` entries at a time.
+    depend only on its own draws.  The running column sum is concatenated
+    onto each block, so the replicates are added in order, as by one mean
+    over the ``(N, T, 2)`` draws; the row maxima are held replicate-last, so
+    their mean and SD use numpy's pairwise sum exactly as over one
+    threshold's vector, ``_COLUMN_BLOCK`` entries at a time.
     """
-    n_reps, n_t = d.shape[:2]
     if n_reps < 2:
         raise InputError("EVPI from draws requires at least 2 replicates")
-    means = d.mean(axis=0)
-    useful, enb_perfect, mc_se = np.empty(n_t), np.empty(n_t), np.empty(n_t)
+    sums, useful, row_max = np.zeros((1, 2, n_t)), 0, np.empty((n_t, n_reps))
+    for rows, model, treat_all in blocks:
+        sums = np.concatenate([sums, np.stack([model, treat_all], axis=1)]).sum(
+            axis=0, keepdims=True)
+        useful = useful + _p_useful(model, treat_all)
+        row_max[:, rows] = np.maximum(np.maximum(model, treat_all), 0.0).T
+    mean_model, mean_all = sums[0] / n_reps
+    enb_perfect, mc_se = np.empty(n_t), np.empty(n_t)
     step = max(1, _COLUMN_BLOCK // n_reps)
     for j in range(0, n_t, step):
         block = slice(j, j + step)
-        useful[block] = _p_useful(d[:, block])
-        row_max = np.maximum(d[:, block].max(axis=2).T, 0.0, order="C")
-        enb_perfect[block] = row_max.mean(axis=1)
-        mc_se[block] = row_max.std(axis=1, ddof=1) / math.sqrt(n_reps)
-    return _columns(means[:, 0], means[:, 1], enb_perfect, useful, mc_se,
+        enb_perfect[block] = row_max[block].mean(axis=1)
+        mc_se[block] = row_max[block].std(axis=1, ddof=1) / math.sqrt(n_reps)
+    return _columns(mean_model, mean_all, enb_perfect, useful / n_reps, mc_se,
                     _METHOD_LABELS[method], seed, n_reps)
 
 
@@ -247,7 +253,9 @@ def evpi_bootstrap(draws: NbDrawMatrix) -> VoiResult:
     ``enb_current`` is max{0, column means}.  Requires at least two
     replicates.
     """
-    return _bootstrap_columns(draws.draws[:, None, :], draws.method, draws.seed).rows()[0]
+    d = draws.draws
+    return _bootstrap_columns([(slice(None), d[:, :1], d[:, 1:])], d.shape[0], 1,
+                              draws.method, draws.seed).rows()[0]
 
 
 def _repair_psd(var_model, var_all, cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,22 +336,13 @@ def _check_methods(methods) -> tuple[str, ...]:
     return methods
 
 
-def _evpi_grid(table: _CellTable, methods, n_reps, seed, on_draws=None) -> list[VoiResult]:
+def _evpi_grid(table: _CellTable, methods, n_reps, seed) -> list[VoiResult]:
     """The array-valued result of each of ``methods`` over the grid of
-    ``table``; the caller checks ``methods`` and ``seed``.  Each method's
-    ``(N, T, 2)`` draws go to ``on_draws(method, draws)``, if given, once its
-    result exists, and are then released."""
-    columns: list[VoiResult] = []
-    for m in methods:
-        if m == "asymptotic":
-            columns.append(_asymptotic_columns(_moment_grid(table.counts, table.thresholds)))
-        else:
-            draws = _table_draws(table, n_reps, m, seed)
-            columns.append(_bootstrap_columns(draws, m, seed))
-            if on_draws is not None:
-                on_draws(m, draws)
-            del draws  # before the next method's draws are made
-    return columns
+    ``table``; the caller checks ``methods`` and ``seed``."""
+    ts = table.thresholds
+    return [_asymptotic_columns(_moment_grid(table.counts, ts)) if m == "asymptotic" else
+            _bootstrap_columns(_draw_blocks(table, n_reps, m, seed), n_reps, len(ts), m, seed)
+            for m in methods]
 
 
 def _warn_thin(names: list[str], stacklevel: int, where: str = "threshold(s)",
@@ -366,7 +365,6 @@ def evpi_threshold_sweep(
     methods=ALL_METHODS,
     n_reps: int = DEFAULT_N_REPS,
     seed: int | tuple = 0,
-    on_draws=None,
 ) -> list[tuple[Threshold, VoiResult]]:
     """Per-threshold EVPI for each requested method.
 
@@ -376,14 +374,12 @@ def evpi_threshold_sweep(
     as :func:`~nbvoi.netbenefit.make_thresholds` takes it; rows come back
     threshold by threshold, with methods in the order requested.  One
     warning names the thresholds with fewer than ``MIN_SIDE_ROWS`` rows on
-    one side.  Each bootstrap method's
-    ``(N, T, 2)`` draws go to ``on_draws(method, draws)``, if given; it
-    changes no result.
+    one side.
     """
     _check_seed(seed)
     methods = _check_methods(methods)
     table = _CellTable(sample.outcomes, sample.risks, thresholds)
-    per_method = [c.rows() for c in _evpi_grid(table, methods, n_reps, seed, on_draws)]
+    per_method = [c.rows() for c in _evpi_grid(table, methods, n_reps, seed)]
     ts = table.thresholds
     _warn_thin([f"{t.z:g}" for t, thin in zip(ts, _thin_mask(table)) if thin], stacklevel=2)
     return [(t, rows[i]) for i, t in enumerate(ts) for rows in per_method]

@@ -14,7 +14,7 @@ import nbvoi
 from nbvoi import LogisticDgm, decision_curve, generate_synthetic, make_thresholds, substream
 from nbvoi.cli import main
 from nbvoi.io import render_csv
-from nbvoi.resample import _table_draws, bootstrap_nb_draws_grid, dump_draws
+from nbvoi.resample import _nb_blocks, bootstrap_nb_draws_grid, dump_draws
 
 
 @pytest.fixture()
@@ -130,28 +130,27 @@ class TestEvpi:
         assert len(lines) == 51
 
     def test_dump_draws_reuses_the_evpi_bootstrap(self, capsys, dataset, tmp_path, monkeypatch):
-        """One bootstrap per method feeds both the EVPI rows and the dumped
-        draws, which equal a direct grid call with the same arguments."""
+        """The dump draws each method's EVPI bootstrap again, from the same
+        substreams, after the EVPI rows and one method at a time: its files
+        equal a direct grid call with the same arguments, and the EVPI
+        output is the same bytes with or without the dump."""
         import nbvoi.resample as resample_mod
-        import nbvoi.voi as voi_mod
 
         path, sample = dataset
         calls = []
 
         def counting(table, n_reps, method, seed):
             calls.append(method)
-            return _table_draws(table, n_reps, method, seed)
+            return _nb_blocks(table, n_reps, method, seed)
 
-        for mod in (voi_mod, resample_mod):
-            monkeypatch.setattr(mod, "_table_draws", counting)
+        monkeypatch.setattr(resample_mod, "_nb_blocks", counting)
         prefix = tmp_path / "draws"
-        code, _, _ = run(capsys, [
-            "evpi", "--data", str(path), "--outcome", "y", "--risk", "p",
-            "--thresholds", "0.1,0.2", "--n-reps", "50", "--seed", "5",
-            "--method", "all", "--dump-draws", str(prefix),
-        ])
+        argv = ["evpi", "--data", str(path), "--outcome", "y", "--risk", "p",
+                "--thresholds", "0.1,0.2", "--n-reps", "50", "--seed", "5", "--method", "all"]
+        code, dumped, _ = run(capsys, [*argv, "--dump-draws", str(prefix)])
         assert code == 0
-        assert sorted(calls) == ["bayesian", "ordinary"]
+        assert calls == ["bayesian", "ordinary"] * 2
+        assert run(capsys, argv) == (0, dumped, "")
         ts = make_thresholds([0.1, 0.2])
         for method in ("bayesian", "ordinary"):
             draws = bootstrap_nb_draws_grid(sample, ts, n_reps=50, method=method, seed=5)
@@ -418,7 +417,8 @@ class TestExitCodes:
         import nbvoi.voi as voi_mod
 
         path, _ = dataset
-        monkeypatch.setattr(voi_mod, "_p_useful", lambda d: np.full(d.shape[1], 1.5))
+        monkeypatch.setattr(voi_mod, "_p_useful",
+                            lambda model, treat_all: np.full(model.shape[1], 2 * len(model)))
         code, out, err = run(capsys, [
             "evpi", "--data", str(path), "--outcome", "y", "--risk", "p",
             "--thresholds", "0.1,0.2", "--n-reps", "50", "--method", "bayes",
@@ -469,6 +469,7 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     pytest.param(["simulate", {"seed": -1}], "seed", id="simulate_negative_seed"),
     pytest.param(["simulate", {"seed": "7"}], "'seed'", id="simulate_string_seed"),
     pytest.param(["simulate", {"methods": []}], "no EVPI method", id="simulate_no_methods"),
+    pytest.param(["simulate", {"n_reps": 1}], "'n_reps'", id="simulate_one_bootstrap_replicate"),
     pytest.param(["simulate", {"methods": "asymptotic"}], "'methods'",
                  id="simulate_string_methods"),
     pytest.param(["simulate", {"methods": 5}], "'methods'", id="simulate_number_methods"),

@@ -1,12 +1,14 @@
 """The grid-shaped EVPI core against one-threshold calls.
 
 ``voi._evpi_grid`` computes each method's array-valued ``VoiResult`` over
-the grid of a cell table in one reduction over the bootstrap draws (or one
-array pass over the table's moments).  Every operation is elementwise in the threshold, so each entry
-must equal, bit for bit, the one-threshold call on that threshold's draws
-or moments, and the per-threshold reference below, which reduces one
-threshold's ``(N, S)`` draws the way EVPI was computed before the columnar
-core, however many thresholds each pass over the draws takes.
+the grid of a cell table in one reduction over the blocks of bootstrap
+draws as they are drawn (or one array pass over the table's moments).
+Every operation is elementwise in the threshold, so each entry must equal,
+bit for bit, the one-threshold call on that threshold's draws or moments,
+and the per-threshold reference below, which reduces one threshold's
+``(N, S)`` draws the way EVPI was computed before the columnar core,
+however many replicates each block and thresholds each pass over the row
+maxima take.  The draws are those ``bootstrap_nb_draws_grid`` holds.
 """
 
 import dataclasses
@@ -20,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbvoi import InputError, NumericError, Threshold, ValidationSample, moments, voi
-from nbvoi.netbenefit import _CellTable
-from nbvoi.resample import NbDrawMatrix
+from nbvoi.netbenefit import _CellTable, make_thresholds
+from nbvoi.resample import NbDrawMatrix, _block_rows, bootstrap_nb_draws_grid
+from nbvoi.rng import substream
 from nbvoi.voi import (
     _VOI_ARRAYS,
     VoiResult,
@@ -81,16 +84,15 @@ def reference_row(d: np.ndarray) -> dict:
 
 @SETTINGS
 @given(samples(), grids, st.sampled_from(("bayesian", "ordinary")),
-       st.sampled_from((2, 9, 130, 300)), st.data())
+       st.sampled_from((2, 9, 130, 256, 257, 300, 513)), st.data())
 def test_bootstrap_columns_equal_one_threshold_calls(s, ts, method, n_reps, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     # Also with one or two thresholds per pass of the per-replicate arrays.
     block = data.draw(st.sampled_from((voi._COLUMN_BLOCK, 1, 2 * n_reps)))
-    made = {}
     table = _CellTable(s.outcomes, s.risks, ts)
     with mock.patch.object(voi, "_COLUMN_BLOCK", block):
-        (cols,) = _evpi_grid(table, (method,), n_reps, seed, on_draws=made.__setitem__)
-    draws = made[method]
+        (cols,) = _evpi_grid(table, (method,), n_reps, seed)
+    draws = bootstrap_nb_draws_grid(s, ts, n_reps, method, seed)
     assert draws.shape == (n_reps, len(ts), 2)
     for i, (t, row) in enumerate(zip(table.thresholds, cols.rows())):
         assert t == ts[i]
@@ -147,20 +149,48 @@ def test_column_checks_are_the_voi_result_checks():
 
 
 def test_each_method_releases_its_draws_before_the_next_draws():
-    """Two bootstrap methods never hold two methods' draws at once: each
-    method's draws go once its columns exist."""
+    """No method holds its ``(N, T, 2)`` draws: two bootstrap methods on the
+    default grid at 10^4 replicates peak below one method's draws."""
     rng = np.random.default_rng(1)
     s = ValidationSample(rng.integers(0, 2, 2000), rng.random(2000))
     ts = tuple(Threshold(z) for z in np.arange(1, 201) / 1000.0)
-    n_reps = 4000
+    n_reps = 10_000
     one_method = n_reps * len(ts) * 2 * 8
-    seen = []
     tracemalloc.start()
     try:
-        _evpi_grid(_CellTable(s.outcomes, s.risks, ts), ("bayesian", "ordinary"), n_reps, 0,
-                   on_draws=lambda m, d: seen.append((m, d.nbytes)))
+        _evpi_grid(_CellTable(s.outcomes, s.risks, ts), ("bayesian", "ordinary"), n_reps, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert seen == [("bayesian", one_method), ("ordinary", one_method)]
-    assert peak < 2 * one_method
+    assert peak < 0.8 * one_method
+
+
+@pytest.mark.parametrize("method", ["bayesian", "ordinary"])
+def test_blocks_smaller_than_block_reps_stream_the_same_columns(method):
+    """On a 1,979-point grid, 4,000 continuous risks fill more than 1,024
+    cells, so a block holds 103 replicates and 300 replicates take three
+    blocks.  Each threshold's columns still equal the reference on that
+    threshold's held draws, bit for bit."""
+    rng = substream(45, 9)
+    s = ValidationSample(rng.integers(0, 2, 4000), rng.random(4000))
+    ts = make_thresholds(np.arange(1, 1980) / 2000)
+    table = _CellTable(s.outcomes, s.risks, ts)
+    assert _block_rows(table.cell_counts.size) == 103
+    (cols,) = _evpi_grid(table, (method,), 300, 4)
+    draws = bootstrap_nb_draws_grid(s, ts, 300, method, 4)
+    for i in range(len(ts)):
+        ref = reference_row(draws[:, i])
+        for f in _VOI_ARRAYS:
+            assert same(getattr(cols, f)[i], ref[f]), (i, f)
+
+
+def test_one_replicate_is_refused_before_anything_is_drawn(monkeypatch):
+    import nbvoi.resample as resample
+
+    drawn = []
+    monkeypatch.setattr(resample, "_mass_blocks", lambda *a: drawn.append(a) or iter(()))
+    s = ValidationSample([0, 1, 1, 0], [0.1, 0.5, 0.9, 0.3])
+    table = _CellTable(s.outcomes, s.risks, (Threshold(0.2),))
+    with pytest.raises(InputError, match="at least 2 replicates"):
+        _evpi_grid(table, ("asymptotic", "bayesian"), 1, 0)
+    assert drawn == []

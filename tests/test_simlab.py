@@ -316,6 +316,15 @@ class TestSweepConfig:
         with pytest.raises(InputError, match="no EVPI method"):
             SweepConfig(sizes=(100,), thresholds=ts, methods=())
 
+    def test_one_replicate_is_refused_only_for_a_bootstrap_method(self):
+        """Refused on the config, before any cell draws its data."""
+        ts = (Threshold(0.2),)
+        for methods in (("bayesian",), ("asymptotic", "ordinary")):
+            with pytest.raises(InputError, match="'n_reps'"):
+                SweepConfig(sizes=(100,), thresholds=ts, n_reps=1, methods=methods)
+        assert SweepConfig(sizes=(100,), thresholds=ts, n_reps=1,
+                           methods=("asymptotic",)).n_reps == 1
+
     @pytest.mark.parametrize("field, value", [
         ("sizes", (250.7,)), ("n_sims", 2.5), ("n_reps", 2.5), ("seed", 1.5),
         ("n_workers", 1.5),
