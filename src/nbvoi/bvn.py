@@ -297,7 +297,7 @@ def _emax_pfirst(mu1, mu2, s1, s2, rho) -> tuple[np.ndarray, np.ndarray]:
     pfirst[i] = np.where(mu1[i] > mu2[i], 1.0, 0.0)
     i = s1_zero & (mu1 > 0.0) & ~s2_zero
     pfirst[i] = ndtr((mu1[i] - mu2[i]) / s2[i])
-    i = ~s1_zero & flat & ~(mu1 < mu2)
+    i = ~s1_zero & flat & (mu1 > mu2)  # X == Y is never the strict maximum
     pfirst[i] = ndtr(mu1[i] / s1[i])
 
     # General case of P(first), which includes sigma2 = 0 (r1 = 1).

@@ -246,7 +246,8 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delimiter", help="field delimiter (default: auto-detect comma/tab)")
 
 
-def _add_analysis_args(p: argparse.ArgumentParser, methods: list[str], default: str) -> None:
+def _add_analysis_args(p: argparse.ArgumentParser, methods: list[str], default: str,
+                       outs: list[str]) -> None:
     p.add_argument("--thresholds", help="'a,b,c' or 'start:stop:step' (default 0.001:0.2:0.001)")
     p.add_argument("--max-threshold", type=float, default=DEFAULT_MAX_THRESHOLD,
                    help="reject thresholds at or above this value (default 0.99)")
@@ -254,7 +255,7 @@ def _add_analysis_args(p: argparse.ArgumentParser, methods: list[str], default: 
                    help="bootstrap replicates (default 10000)")
     p.add_argument("--method", choices=methods, default=default)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", choices=["csv", "json", "table"], default=None)
+    p.add_argument("--out", choices=outs, default=outs[0])
     p.add_argument("--output", help="write to this file instead of stdout")
 
 
@@ -268,20 +269,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dca", help="decision curve with bootstrap confidence bands")
     _add_data_args(p)
-    _add_analysis_args(p, ["bayes", "ordinary"], "ordinary")
+    _add_analysis_args(p, ["bayes", "ordinary"], "ordinary", ["csv", "json"])
     p.add_argument("--ci-level", type=float, default=0.95)
-    p.set_defaults(func=cmd_dca, default_out="csv")
+    p.set_defaults(func=cmd_dca)
 
     p = sub.add_parser("evpi", help="expected value of perfect information per threshold")
     _add_data_args(p)
-    _add_analysis_args(p, ["bayes", "ordinary", "asymptotic", "all"], "all")
+    _add_analysis_args(p, ["bayes", "ordinary", "asymptotic", "all"], "all",
+                       ["table", "csv", "json"])
     p.add_argument("--population", type=float,
                    help="decisions per period; adds population-scaled TP/FP equivalents")
     p.add_argument("--dump-draws", metavar="PREFIX",
                    help="write per-replicate NB draws to PREFIX_<method>_z<z>.csv")
     p.add_argument("--strict", action="store_true",
                    help="warn on stderr when MC SE exceeds 10%% of EVPI")
-    p.set_defaults(func=cmd_evpi, default_out="table")
+    p.set_defaults(func=cmd_evpi)
 
     p = sub.add_parser("simulate", help="run a sample-size sweep from a JSON config")
     p.add_argument("--config", required=True)
@@ -304,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "out") and args.out is None:
-        args.out = getattr(args, "default_out", "csv")
     try:
         return args.func(args)
     except InputError as exc:

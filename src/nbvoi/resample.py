@@ -281,5 +281,4 @@ def dump_draws(draws: np.ndarray, path) -> None:
     line, as comma-separated full-precision text."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("nb_model,nb_treat_all\n")
-        for row in draws:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(f"{m!r},{a!r}\n" for m, a in draws.tolist())

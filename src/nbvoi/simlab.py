@@ -7,16 +7,15 @@ computes EVPI per method and threshold, and the sweep reports the mean and
 Monte Carlo standard error over simulations.  The random substream of
 cell ``(size_index, sim_index)`` depends only on the sweep seed and those
 indices.  Cells run in fixed chunks of ``max(1, _PASS_ENTRIES // T)``,
-sized from the grid alone; each cell builds its table and runs the
-bootstrap methods, and the asymptotic method is one kernel pass over the
-chunk's stacked counts.  Chunks are embarrassingly parallel, and the kernel
-is elementwise, so neither the worker count nor the chunking changes
-results.
+sized from the grid alone; each cell builds its table, runs the bootstrap
+methods and keeps its counts, and the asymptotic method and the thin masks
+are one pass over the chunk's stacked counts.  Chunks are embarrassingly
+parallel, and that pass is elementwise, so neither the worker count nor the
+chunking changes results; only a pool of workers loads multiprocessing.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -191,36 +190,30 @@ class SweepResult:
         raise KeyError((size, threshold, method))
 
 
-def _sweep_cell(cell, dgm, dataset, cfg: SweepConfig):
-    """One (size_index, sim_index) cell: per method, its EVPI row over the
-    thresholds or, for the asymptotic method, its table's counts; and the
-    mask of thresholds with a thin side of the split."""
-    si, sim = cell
-    size = cfg.sizes[si]
-    data_rng = substream((cfg.seed, si, sim), DATA_STREAM_ID)
-    sample = generate_synthetic(dgm, size, data_rng) if dgm is not None else dataset
-    rows = slice(None) if size == sample.n else data_rng.choice(sample.n, size, replace=False)
-    table = _CellTable(sample.outcomes[rows], sample.risks[rows], cfg.thresholds)
-    boot = iter(_evpi_grid(table, [m for m in cfg.methods if m != "asymptotic"], cfg.n_reps,
-                           (cfg.seed, si, sim)))
-    return ([table.counts if m == "asymptotic" else next(boot).evpi for m in cfg.methods],
-            _thin_mask(table))
-
-
 def _sweep_chunk(cells, dgm, dataset, cfg: SweepConfig):
     """The (cells, methods, T) EVPI and (cells, T) thin masks of a chunk of
-    cells; the asymptotic column is one kernel pass over their stacked
-    counts."""
-    rows, thin = zip(*(_sweep_cell(c, dgm, dataset, cfg) for c in cells))
+    cells.  Each cell draws its sample from its data substream, builds its
+    one table and runs the bootstrap methods on it; the asymptotic column
+    and the thin masks come from one pass over the cells' stacked counts."""
+    boot = [k for k, m in enumerate(cfg.methods) if m != "asymptotic"]
+    asym = [k for k, m in enumerate(cfg.methods) if m == "asymptotic"]
     evpi = np.empty((len(cells), len(cfg.methods), len(cfg.thresholds)))
-    for k, m in enumerate(cfg.methods):
-        if m == "asymptotic":
-            counts = [np.array(a) for a in zip(*(r[k] for r in rows))]
-            grid = _moment_grid(counts, cfg.thresholds)
-            evpi[:, k] = _asymptotic_columns(grid).evpi.reshape(len(cells), -1)
-        else:
-            evpi[:, k] = [r[k] for r in rows]
-    return evpi, np.array(thin)
+    counts = []
+    for c, (si, sim) in enumerate(cells):
+        size = cfg.sizes[si]
+        data_rng = substream((cfg.seed, si, sim), DATA_STREAM_ID)
+        sample = generate_synthetic(dgm, size, data_rng) if dgm is not None else dataset
+        rows = slice(None) if size == sample.n else data_rng.choice(sample.n, size, replace=False)
+        table = _CellTable(sample.outcomes[rows], sample.risks[rows], cfg.thresholds)
+        results = _evpi_grid(table, [cfg.methods[k] for k in boot], cfg.n_reps, (cfg.seed, si, sim))
+        for k, result in zip(boot, results):
+            evpi[c, k] = result.evpi
+        counts.append(table.counts)
+    counts = [np.array(a) for a in zip(*counts)]
+    if asym:
+        grid = _moment_grid(counts, cfg.thresholds)
+        evpi[:, asym] = _asymptotic_columns(grid).evpi.reshape(len(cells), 1, -1)
+    return evpi, _thin_mask(counts)
 
 
 def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
@@ -237,6 +230,8 @@ def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
     # pairwise sum over its simulations in order.
     by_sim = np.empty((n_sizes, len(cfg.methods), n_t, n_sims))
     thin = np.zeros((n_sizes, n_t), dtype=bool)
+    if cfg.n_workers > 1:  # multiprocessing loads only for a pool
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(cfg.n_workers) if cfg.n_workers > 1 else nullcontext() as pool:
         batch = max(1, len(chunks) // (4 * cfg.n_workers))
         results = pool.map(worker, chunks, chunksize=batch) if pool else map(worker, chunks)

@@ -24,9 +24,9 @@ built and returns one array-valued :class:`VoiResult` per method, from one
 reduction over the blocks of bootstrap draws as they are drawn (no route
 holds the ``(N, T, 2)`` draws) or one array pass over the moments;
 ``_columns`` defines EVPI for both routes.  Every operation is elementwise
-in the threshold.  The moments read only a table's counts, which may carry
-a leading cell axis: a sweep stacks the counts of a chunk of cells and runs
-``_moment_grid`` and ``_asymptotic_columns`` once over them.
+in the threshold.  The moments and thin masks read only a table's counts,
+which may carry a leading cell axis: a sweep stacks a chunk's counts and runs
+``_moment_grid``, ``_asymptotic_columns`` and ``_thin_mask`` once over them.
 :meth:`VoiResult.rows` splits a grid's result into one-threshold results:
 :func:`evpi_threshold_sweep` returns one ``(threshold, VoiResult)`` row per
 threshold and method, methods in the order requested, and the
@@ -311,12 +311,14 @@ def evpi_asymptotic(m: MomentSet) -> VoiResult:
     return _asymptotic_columns(m).rows()[0]
 
 
-def _thin_mask(table: _CellTable) -> np.ndarray:
-    """Which thresholds of a cell table have fewer than ``MIN_SIDE_ROWS``
-    rows on one side."""
-    tp, fp, events, non_events = table.counts
+def _thin_mask(counts) -> np.ndarray:
+    """Which thresholds have fewer than ``MIN_SIDE_ROWS`` rows on one side,
+    from a cell table's ``counts``, which may carry a leading cell axis as
+    in :func:`_moment_grid`."""
+    tp, fp, events, non_events = counts
     flagged = tp + fp
-    return np.minimum(flagged, events + non_events - flagged) < MIN_SIDE_ROWS
+    n = np.asarray(events + non_events)[..., None]
+    return np.minimum(flagged, n - flagged) < MIN_SIDE_ROWS
 
 
 def _check_methods(methods) -> tuple[str, ...]:
@@ -381,7 +383,7 @@ def evpi_threshold_sweep(
     table = _CellTable(sample.outcomes, sample.risks, thresholds)
     per_method = [c.rows() for c in _evpi_grid(table, methods, n_reps, seed)]
     ts = table.thresholds
-    _warn_thin([f"{t.z:g}" for t, thin in zip(ts, _thin_mask(table)) if thin], stacklevel=2)
+    _warn_thin([f"{t.z:g}" for t, thin in zip(ts, _thin_mask(table.counts)) if thin], stacklevel=2)
     return [(t, rows[i]) for i, t in enumerate(ts) for rows in per_method]
 
 

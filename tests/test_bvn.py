@@ -280,6 +280,14 @@ class TestPFirstPositiveMax:
             erf_cdf(0.5), abs=1e-12
         )
 
+    def test_equal_point_mass_difference_is_never_strict(self):
+        """With rho = 1 and equal sigmas, X - Y is a point mass; at 0 the
+        components are equal, so X is never the strict maximum."""
+        assert p_first_positive_max(BvnParams(0.04, 0.04, 0.03, 0.03, 1.0)) == 0.0
+        assert p_first_positive_max(BvnParams(0.05, 0.04, 0.03, 0.03, 1.0)) == pytest.approx(
+            erf_cdf(0.05 / 0.03), abs=1e-12
+        )
+
 
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)

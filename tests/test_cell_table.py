@@ -149,7 +149,7 @@ def test_thin_rule_matches_row_count(s, ts):
     for t in ts:
         above = int(np.sum(s.risks >= t.z))
         expect.append(min(above, s.n - above) < MIN_SIDE_ROWS)
-    assert _thin_mask(_CellTable(s.outcomes, s.risks, ts)).tolist() == expect
+    assert _thin_mask(_CellTable(s.outcomes, s.risks, ts).counts).tolist() == expect
 
 
 def _cell_draws(s, ts, n_reps, method, seed):

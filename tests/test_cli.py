@@ -80,6 +80,14 @@ class TestDca:
             main(["dca", "--data", str(path), "--outcome", "y", "--risk", "p",
                   "--method", "asymptotic"])
 
+    def test_rejects_table_output(self, capsys, dataset):
+        """A decision curve has no table format, so ``--out table`` is
+        refused rather than written as CSV."""
+        path, _ = dataset
+        with pytest.raises(SystemExit):
+            main(["dca", "--data", str(path), "--outcome", "y", "--risk", "p",
+                  "--out", "table"])
+
 
 class TestEvpi:
     def test_table_output_rounds(self, capsys, dataset):

@@ -141,14 +141,14 @@ def test_import_does_not_load_scipy(module):
 
 
 # Runs ``nbvoi.cli.main(sys.argv[1:])`` and prints, on its last line, the
-# exit code and the scipy modules that were loaded.
-_MAIN_AND_SCIPY = """import json, sys
+# exit code and the scipy and multiprocessing modules that were loaded.
+_MAIN_AND_MODULES = """import json, sys
 from nbvoi.cli import main
 try:
     rc = main(sys.argv[1:])
 except SystemExit as exc:
     rc = exc.code
-print(json.dumps([rc, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))
+print(json.dumps([rc, [m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')]]))
 """
 
 
@@ -171,8 +171,9 @@ print(json.dumps([rc, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))
 def test_scipy_loads_only_on_the_routes_that_call_it(tmp_path, argv):
     """In a fresh interpreter, no command loads any scipy module, since no
     route calls scipy: the normal kernels and the inverse logit are numpy and
-    the stdlib.  Each run exits 0 and writes the bytes an in-process run
-    writes."""
+    the stdlib.  Nor does any load multiprocessing: only a sweep with a pool
+    of workers needs it.  Each run exits 0 and writes the bytes an
+    in-process run writes."""
     from nbvoi.cli import main
 
     s = generate_synthetic(LogisticDgm(intercept=-1.55, slopes=(0.77,)), 300, substream(5, 1))
@@ -190,7 +191,7 @@ def test_scipy_loads_only_on_the_routes_that_call_it(tmp_path, argv):
     model.write_text(json.dumps({"intercept": -1.55, "terms": {"x": 0.77}}), encoding="utf-8")
     argv = [a.format(data=data, config=config, model=model) for a in argv]
     out = [] if argv == ["--version"] else ["--output", str(tmp_path / "fresh.out")]
-    rc, loaded = json.loads(_fresh_python(_MAIN_AND_SCIPY, *argv, *out).splitlines()[-1])
+    rc, loaded = json.loads(_fresh_python(_MAIN_AND_MODULES, *argv, *out).splitlines()[-1])
     assert (rc, loaded) == (0, [])
     if out:
         assert main([*argv, "--output", str(tmp_path / "in_process.out")]) == 0

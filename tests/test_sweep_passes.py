@@ -149,7 +149,7 @@ def test_one_thin_warning_names_the_cells_of_the_per_cell_masks():
     cfg = SweepConfig(sizes=SIZES, thresholds=make_thresholds(grid), n_sims=7,
                       methods=("asymptotic",), seed=9)
     thin = {(cfg.sizes[si], t.z) for si, _, table in _cell_tables(DGM, None, cfg)
-            for t, m in zip(cfg.thresholds, _thin_mask(table)) if m}
+            for t, m in zip(cfg.thresholds, _thin_mask(table.counts)) if m}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         synthetic_sweep(DGM, cfg)
