@@ -74,24 +74,22 @@ _GL_X = np.array([-x for x in reversed(_GL_NODES)] + list(_GL_NODES))[:, None]
 _GL_W = np.array(list(reversed(_GL_WEIGHTS)) + list(_GL_WEIGHTS))[:, None]
 
 
-def _ndtr_scalar(a: float) -> float:
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * math.erf(x)
-    y = 0.5 * math.erfc(z)
-    return 1.0 - y if x > 0.0 else y
-
-
-_ndtr_ufunc = np.frompyfunc(_ndtr_scalar, 1, 1)
-
-
 def ndtr(x) -> np.ndarray:
-    """Standard normal CDF, elementwise, as a float array (0-d for a scalar)."""
+    """Standard normal CDF, elementwise, as a float array (0-d for a scalar).
+
+    Only ``erf`` and ``erfc`` run per entry, mapped over plain floats; the
+    split, the halving and the reflection are the same IEEE operations in
+    numpy, so NaN stays NaN."""
     x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        return np.zeros(x.shape)
-    return np.asarray(_ndtr_ufunc(x), dtype=float)
+    a = x.ravel() * _SQRT1_2
+    z = np.abs(a)
+    near = z < _SQRT1_2
+    far = ~near
+    out = np.empty(a.shape)
+    out[near] = 0.5 + 0.5 * np.fromiter(map(math.erf, a[near].tolist()), float)
+    y = 0.5 * np.fromiter(map(math.erfc, z[far].tolist()), float)
+    out[far] = np.where(a[far] > 0.0, 1.0 - y, y)
+    return out.reshape(x.shape)
 
 
 def std_normal_pdf(x):

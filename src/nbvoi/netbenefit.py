@@ -191,19 +191,26 @@ class _CellTable:
         ``(..., K)`` on the cells: the flagged-event and flagged-non-event
         mass at each threshold of the grid (shape ``(..., T)``) and the
         total event and non-event mass (shape ``(...)``).  ``tp`` and ``fp``
-        are views of one cumulative sum, not copies.
+        are views of one cumulative sum, not copies, taken in place.
         """
         lead = masses.shape[:-1]
         cells = np.zeros(lead + (2 * self.width,))
         cells[..., self.cell_labels] = masses  # one cell per label: no sums
         # tail[..., y, k]: outcome-y cells with bins k..T
-        tail = cells.reshape(lead + (2, self.width))[..., ::-1].cumsum(axis=-1)[..., ::-1]
+        tail = cells.reshape(lead + (2, self.width))[..., ::-1]
+        np.cumsum(tail, axis=-1, out=tail)
+        tail = tail[..., ::-1]
         return tail[..., 1, 1:], tail[..., 0, 1:], tail[..., 1, 0], tail[..., 0, 0]
 
 
 def _net_benefit(tp, fp, harm_weight, total):
-    """``(tp - c * fp) / total``, the NB formula of point estimates and draws."""
-    return (tp - harm_weight * fp) / total
+    """``(tp - c * fp) / total``, the NB formula of point estimates and
+    draws; over arrays, the three steps share one buffer."""
+    nb = np.multiply(harm_weight, fp)
+    if nb.ndim == 0:
+        return (tp - nb) / total
+    np.subtract(tp, nb, out=nb)
+    return np.divide(nb, total, out=nb)
 
 
 def nb_model(sample: ValidationSample, t: Threshold) -> float:

@@ -40,7 +40,12 @@ fewer when K, at most 2 (T + 1), is so large that a block would exceed
 depend only on the inputs and the seed: a shorter run is a prefix of a
 longer one, the worker and BLAS thread counts play no part (cells are
 summed by ``cumsum`` in label order), and the table orders its cells by
-outcome and bin, so permuting the rows changes nothing.  One replicate
+outcome and bin, so permuting the rows changes nothing.  Nor does the
+helper-thread count: ``_ordered_map`` works up to ``_threads()`` ordinary
+blocks at once (the usable CPUs, at most 4, and 1 in ``simulate``'s
+process workers) and hands them on in block order; ``_table_bands`` splits
+its quantile passes over thresholds the same way.  Bayesian blocks stay on
+the calling thread, since ``standard_gamma`` holds the GIL.  One replicate
 serves every threshold of the grid, keeping curves coherent.  The grid is
 strictly increasing, as ``make_thresholds`` requires, and the cells depend
 on it: adding a threshold that splits an occupied cell changes the draws at
@@ -69,6 +74,7 @@ BLOCK_CELLS = 1 << 18         # most (replicate, cell) masses in one block: 2 MB
 MAX_DRAW_BYTES = 1 << 31      # most bytes of the (N, T, 2) NBs one bootstrap computes, held
                               # or not: 64 times a default evpi method's 32 MB
 BAND_BLOCK = 1 << 16          # most treat-all NBs per block of _table_bands
+_thread_cap = 4               # most items _ordered_map works at once (see _threads)
 
 
 @dataclass(frozen=True)
@@ -156,21 +162,109 @@ def _block_rows(n_cells: int) -> int:
     return max(1, min(BLOCK_REPS, BLOCK_CELLS // n_cells))
 
 
-def _mass_blocks(counts: np.ndarray, n_reps: int, method: str, seed):
-    """Yield ``(start, masses)`` per block of replicates: the (rows, K) cell
-    masses of replicates ``start, start + 1, ...`` for cells with ``counts``
-    rows.  Bayesian masses are Dirichlet(counts) (total 1); ordinary masses
-    are Multinomial(n, counts / n) counts (total n)."""
+def _mass_blocks(counts: np.ndarray, n_reps: int, method: str, seed,
+                 then=lambda start, masses: (start, masses), width: int = 1):
+    """Yield ``then(start, masses)`` (by default ``(start, masses)``) per
+    block of replicates: the (rows, K) cell masses of replicates ``start,
+    start + 1, ...`` for cells with ``counts`` rows.  Bayesian masses are
+    Dirichlet(counts) (total 1); ordinary masses are Multinomial(n,
+    counts / n) counts (total n).  Up to ``width`` blocks, ``then``
+    included, are worked at once (:func:`_ordered_map`), and they still
+    come in order.  A block depends only on its substream, so the width
+    changes no value."""
     n, k = int(counts.sum()), counts.size
     rows, mid = _block_rows(k), METHOD_IDS[method]
-    for b, start in enumerate(range(0, n_reps, rows)):
+
+    def block(start):
         size = (min(rows, n_reps - start), k)
-        rng = substream(seed, mid, b)
+        rng = substream(seed, mid, start // rows)
         if method == "bayesian":
-            g = rng.standard_gamma(counts, size=size)
-            yield start, g / g.sum(axis=1, keepdims=True)
+            masses = rng.standard_gamma(counts, size=size)
+            masses /= masses.sum(axis=1, keepdims=True)
         else:
-            yield start, rng.multinomial(n, counts / n, size=size[0])
+            masses = rng.multinomial(n, counts / n, size=size[0])
+        return then(start, masses)
+
+    return _ordered_map(block, range(0, n_reps, rows), width)
+
+
+def _threads() -> int:
+    """How many items :func:`_ordered_map` works at once: the usable CPUs,
+    at most ``_thread_cap``."""
+    import os
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(_thread_cap, cpus or 1))
+
+
+def _cap_threads(cap: int) -> None:
+    """Work at most ``cap`` items at once in this process (the initializer
+    of ``simulate``'s process workers, which each run on one CPU)."""
+    global _thread_cap
+    _thread_cap = cap
+
+
+def _ordered_map(fn, items, width: int):
+    """Yield ``fn(item)`` for each of the sequence ``items``, in order,
+    computing up to ``width`` at once: in each group of ``width`` items,
+    helper thread k computes the k-th and the calling thread the last.
+    numpy releases the GIL in its samplers and partitions, so they run
+    alongside.  A helper starts its next item once its last result is
+    taken, so at most ``width`` results exist at a time.  An item's
+    exception is raised at its turn, and every helper has joined before
+    the generator returns or is closed.
+
+    The calling thread computes its item before it hands on the group's
+    first result, so that its previous result is still held: were all of
+    a thread's block memory free at once, malloc would give the pages
+    back, to be faulted in again for the next block.
+    """
+    import threading
+
+    width = max(1, min(width, len(items)))
+    last = width - 1
+    helpers = range(last)
+    done = [None] * width  # (True, result) or (False, exception), for each place in a group
+    ready = [threading.Semaphore(0) for _ in helpers]  # done[k] holds helper k's item
+    taken = [threading.Semaphore(1) for _ in helpers]  # helper k may start its next item
+    stop = threading.Event()
+
+    def run(k, item):
+        try:
+            done[k] = (True, fn(item))
+        except BaseException as exc:  # raised by the consumer, at this item's turn
+            done[k] = (False, exc)
+
+    def work(k):
+        for item in items[k::width]:
+            taken[k].acquire()
+            if stop.is_set():
+                return
+            run(k, item)
+            ready[k].release()
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in helpers]
+    for t in threads:
+        t.start()
+    try:
+        for i in range(len(items)):
+            k = i % width
+            if k == 0 and i + last < len(items):
+                run(last, items[i + last])
+            if k < last:
+                ready[k].acquire()
+            (ok, value), done[k] = done[k], None
+            if not ok:
+                raise value
+            if k < last:
+                taken[k].release()
+            yield value
+    finally:
+        stop.set()
+        for k in helpers:
+            taken[k].release()
+        for t in threads:
+            t.join()
 
 
 def _check_method(method) -> None:
@@ -196,11 +290,17 @@ def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
                          f"bytes, over the {MAX_DRAW_BYTES}-byte limit")
     total = 1.0 if method == "bayesian" else int(table.cell_counts.sum())
 
+    def block(start, masses):
+        tp, fp, events, non_events = table.sums(masses)
+        # Copies of the two (rows,) masses let the block's sums go at once.
+        return (slice(start, start + masses.shape[0]),
+                _net_benefit(tp, fp, table.harm_weight, total), events.copy(), non_events.copy())
+
     def blocks():
-        for start, masses in _mass_blocks(table.cell_counts, n_reps, method, seed):
-            tp, fp, events, non_events = table.sums(masses)
-            yield (slice(start, start + masses.shape[0]),
-                   _net_benefit(tp, fp, table.harm_weight, total), events, non_events)
+        # standard_gamma holds the GIL over an array of shapes: Bayesian
+        # blocks gain nothing from helper threads.
+        width = 1 if method == "bayesian" else _threads()
+        yield from _mass_blocks(table.cell_counts, n_reps, method, seed, block, width)
 
     return total, blocks()
 
@@ -222,22 +322,34 @@ def _table_bands(table: _CellTable, n_reps: int, method: str, seed, probs):
     replicate-contiguous ``(T, n_reps)``, and the ``(n_reps,)`` event and
     non-event masses.  The treat-all NBs are rebuilt from the masses by the
     same formula, a few thresholds (at most ``BAND_BLOCK`` values, or one
-    threshold) at a time, after the model array is released."""
+    threshold) at a time, after the model array is released.  Each
+    threshold's quantile reads only its own row, so the passes run over
+    slices of thresholds, ``_threads()`` at a time."""
     total, blocks = _nb_blocks(table, n_reps, method, seed)
     c = table.harm_weight
     model = np.empty((c.size, n_reps))
     events, non_events = np.empty(n_reps), np.empty(n_reps)
     for rows, nb, ev, nev in blocks:
         model[:, rows], events[rows], non_events[rows] = nb.T, ev, nev
+    width = _threads()
+
+    def bands(values, step):
+        # The quantiles of values(cols), (thresholds, N), over each slice
+        # of step thresholds: each threshold's quantile sees its own row.
+        cols = [slice(j, j + step) for j in range(0, c.size, step)]
+        quantiles = _ordered_map(
+            lambda j: np.quantile(values(j), probs, axis=-1, overwrite_input=True), cols, width)
+        q = np.empty((len(probs), c.size))
+        for j, qj in zip(cols, quantiles):
+            q[:, j] = qj
+        return q
+
     # Along the last axis the partition works in place; along axis 0 of
     # (N, T) it would copy most of its input.
-    model_q = np.quantile(model, probs, axis=-1, overwrite_input=True)
+    model_q = bands(model.__getitem__, -(-c.size // width))
     del model
-    all_q = np.empty_like(model_q)
-    step = max(1, BAND_BLOCK // n_reps)
-    for j in range(0, c.size, step):
-        nb = _net_benefit(events, non_events, c[j:j + step, None], total)
-        all_q[:, j:j + step] = np.quantile(nb, probs, axis=-1, overwrite_input=True)
+    all_q = bands(lambda j: _net_benefit(events, non_events, c[j, None], total),
+                  max(1, BAND_BLOCK // n_reps))
     return model_q, all_q
 
 

@@ -447,3 +447,25 @@ class TestGenzKernel:
         assert bvn.ndtr(0.0).shape == ()
         assert bvn.ndtr(np.zeros((2, 3))).shape == (2, 3)
         assert bvn.ndtr(np.array([np.inf, -np.inf])).tolist() == [1.0, 0.0]
+
+    def test_ndtr_equals_the_stdlib_reference_bit_for_bit(self):
+        """The array route takes ``erf``/``erfc`` per entry and does the
+        split, halving and reflection in numpy: the same IEEE operations
+        as this one-value reference, on the branch point, the tails,
+        signed zeros, subnormals, infinities and NaN."""
+        def reference(a):
+            x = a * math.sqrt(0.5)
+            if abs(x) < math.sqrt(0.5):
+                return 0.5 + 0.5 * math.erf(x)
+            y = 0.5 * math.erfc(abs(x))
+            return 1.0 - y if x > 0.0 else y
+
+        edge = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+                np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0),
+                math.sqrt(0.5), -math.sqrt(0.5), 40.0, -40.0, 1e300, -1e300]
+        rng = np.random.default_rng(11)
+        x = np.concatenate([edge, rng.normal(0.0, 3.0, 1000), rng.uniform(-45.0, 45.0, 1000)])
+        expected = np.array([reference(v) for v in x.tolist()])
+        assert same_bits(bvn.ndtr(x), expected)
+        assert same_bits(bvn.ndtr(x.reshape(43, 47)), expected.reshape(43, 47))

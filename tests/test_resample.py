@@ -317,6 +317,25 @@ class TestCellBootstrap:
             tracemalloc.stop()
         assert peak <= grid.nbytes + 6 * 8 * BLOCK_CELLS + 200 * n
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_ordinary_block_memory_grows_with_the_width(self, monkeypatch, width):
+        """Ordinary blocks are worked ``width`` at a time, each with its own
+        temporaries: 600 replicates of 20,000 rows on the 1,979-point grid
+        allocate no more than the draws, ``width`` times six block-sized
+        arrays of 8-byte entries and 200 bytes per row."""
+        monkeypatch.setattr(resample, "_threads", lambda: width)
+        n = 20_000
+        rng = substream(45, 9)
+        s = ValidationSample(rng.integers(0, 2, n), rng.random(n))
+        ts = make_thresholds(np.arange(1, 1980) / 2000)
+        tracemalloc.start()
+        try:
+            grid = bootstrap_nb_draws_grid(s, ts, n_reps=600, method="ordinary", seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid.nbytes + width * 6 * 8 * BLOCK_CELLS + 200 * n
+
 
 class TestCovarianceAgainstMoments:
     def test_empirical_bootstrap_covariance_matches_moment_formulas(self):

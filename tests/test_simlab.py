@@ -141,14 +141,16 @@ def test_import_does_not_load_scipy(module):
 
 
 # Runs ``nbvoi.cli.main(sys.argv[1:])`` and prints, on its last line, the
-# exit code and the scipy and multiprocessing modules that were loaded.
+# exit code and the scipy, multiprocessing and concurrent modules that were
+# loaded.
 _MAIN_AND_MODULES = """import json, sys
 from nbvoi.cli import main
 try:
     rc = main(sys.argv[1:])
 except SystemExit as exc:
     rc = exc.code
-print(json.dumps([rc, [m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')]]))
+print(json.dumps([rc, [m for m in sys.modules
+                       if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')]]))
 """
 
 
@@ -171,9 +173,10 @@ print(json.dumps([rc, [m for m in sys.modules if m.split('.')[0] in ('scipy', 'm
 def test_scipy_loads_only_on_the_routes_that_call_it(tmp_path, argv):
     """In a fresh interpreter, no command loads any scipy module, since no
     route calls scipy: the normal kernels and the inverse logit are numpy and
-    the stdlib.  Nor does any load multiprocessing: only a sweep with a pool
-    of workers needs it.  Each run exits 0 and writes the bytes an
-    in-process run writes."""
+    the stdlib.  Nor does any load multiprocessing or concurrent.futures:
+    only a sweep with a pool of workers needs them, and the bootstrap's
+    helper threads use ``threading`` alone.  Each run exits 0 and writes
+    the bytes an in-process run writes."""
     from nbvoi.cli import main
 
     s = generate_synthetic(LogisticDgm(intercept=-1.55, slopes=(0.77,)), 300, substream(5, 1))
