@@ -41,11 +41,11 @@ depend only on the inputs and the seed: a shorter run is a prefix of a
 longer one, the worker and BLAS thread counts play no part (cells are
 summed by ``cumsum`` in label order), and the table orders its cells by
 outcome and bin, so permuting the rows changes nothing.  Nor does the
-helper-thread count: ``_ordered_map`` works up to ``_threads()`` ordinary
-blocks at once (the usable CPUs, at most 4, and 1 in ``simulate``'s
-process workers) and hands them on in block order; ``_table_bands`` splits
-its quantile passes over thresholds the same way.  Bayesian blocks stay on
-the calling thread, since ``standard_gamma`` holds the GIL.  One replicate
+helper-thread count: ``_ordered_map`` works up to ``_threads(values)``
+ordinary blocks at once (the usable CPUs, at most 2; 1 for a request of
+fewer than ``BLOCK_CELLS`` masses, and in ``simulate``'s process workers)
+and hands them on in block order.  Bayesian blocks stay on the calling
+thread, since ``standard_gamma`` holds the GIL.  One replicate
 serves every threshold of the grid, keeping curves coherent.  The grid is
 strictly increasing, as ``make_thresholds`` requires, and the cells depend
 on it: adding a threshold that splits an occupied cell changes the draws at
@@ -74,7 +74,7 @@ BLOCK_CELLS = 1 << 18         # most (replicate, cell) masses in one block: 2 MB
 MAX_DRAW_BYTES = 1 << 31      # most bytes of the (N, T, 2) NBs one bootstrap computes, held
                               # or not: 64 times a default evpi method's 32 MB
 BAND_BLOCK = 1 << 16          # most treat-all NBs per block of _table_bands
-_thread_cap = 4               # most items _ordered_map works at once (see _threads)
+_thread_cap = 2               # most items _ordered_map works at once (see _threads)
 
 
 @dataclass(frozen=True)
@@ -162,53 +162,48 @@ def _block_rows(n_cells: int) -> int:
     return max(1, min(BLOCK_REPS, BLOCK_CELLS // n_cells))
 
 
-def _mass_blocks(counts: np.ndarray, n_reps: int, method: str, seed,
-                 then=lambda start, masses: (start, masses), width: int = 1):
-    """Yield ``then(start, masses)`` (by default ``(start, masses)``) per
-    block of replicates: the (rows, K) cell masses of replicates ``start,
-    start + 1, ...`` for cells with ``counts`` rows.  Bayesian masses are
-    Dirichlet(counts) (total 1); ordinary masses are Multinomial(n,
-    counts / n) counts (total n).  Up to ``width`` blocks, ``then``
-    included, are worked at once (:func:`_ordered_map`), and they still
-    come in order.  A block depends only on its substream, so the width
-    changes no value."""
+def _block_masses(counts: np.ndarray, n_reps: int, method: str, seed, start: int) -> np.ndarray:
+    """The (rows, K) cell masses of the block of replicates ``start, start +
+    1, ...`` (``start`` a multiple of ``_block_rows(K)``) for cells with
+    ``counts`` rows.  Bayesian masses are Dirichlet(counts) (total 1);
+    ordinary masses are Multinomial(n, counts / n) counts (total n).  A
+    block depends only on its substream, so blocks may be drawn in any
+    order, on any thread."""
     n, k = int(counts.sum()), counts.size
-    rows, mid = _block_rows(k), METHOD_IDS[method]
-
-    def block(start):
-        size = (min(rows, n_reps - start), k)
-        rng = substream(seed, mid, start // rows)
-        if method == "bayesian":
-            masses = rng.standard_gamma(counts, size=size)
-            masses /= masses.sum(axis=1, keepdims=True)
-        else:
-            masses = rng.multinomial(n, counts / n, size=size[0])
-        return then(start, masses)
-
-    return _ordered_map(block, range(0, n_reps, rows), width)
+    rows = _block_rows(k)
+    size = (min(rows, n_reps - start), k)
+    rng = substream(seed, METHOD_IDS[method], start // rows)
+    if method == "bayesian":
+        masses = rng.standard_gamma(counts, size=size)
+        masses /= masses.sum(axis=1, keepdims=True)
+        return masses
+    return rng.multinomial(n, counts / n, size=size[0])
 
 
-def _threads() -> int:
-    """How many items :func:`_ordered_map` works at once: the usable CPUs,
-    at most ``_thread_cap``."""
+def _threads(values: int) -> int:
+    """How many items :func:`_ordered_map` works at once in a pass over
+    ``values`` numbers: 1 below ``BLOCK_CELLS`` values, where starting a
+    thread saves nothing, else the usable CPUs, at most ``_thread_cap``."""
     import os
 
+    if values < BLOCK_CELLS:
+        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(_thread_cap, cpus or 1))
 
 
-def _cap_threads(cap: int) -> None:
-    """Work at most ``cap`` items at once in this process (the initializer
-    of ``simulate``'s process workers, which each run on one CPU)."""
+def _single_thread() -> None:
+    """Work one item at a time in this process (the initializer of
+    ``simulate``'s process workers, which each run on one CPU)."""
     global _thread_cap
-    _thread_cap = cap
+    _thread_cap = 1
 
 
 def _ordered_map(fn, items, width: int):
     """Yield ``fn(item)`` for each of the sequence ``items``, in order,
     computing up to ``width`` at once: in each group of ``width`` items,
     helper thread k computes the k-th and the calling thread the last.
-    numpy releases the GIL in its samplers and partitions, so they run
+    numpy releases the GIL in its multinomial sampler, so they run
     alongside.  A helper starts its next item once its last result is
     taken, so at most ``width`` results exist at a time.  An item's
     exception is raised at its turn, and every helper has joined before
@@ -243,7 +238,9 @@ def _ordered_map(fn, items, width: int):
             run(k, item)
             ready[k].release()
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in helpers]
+    # Daemons: a generator that is never closed (its frame kept by a
+    # traceback) leaves its helpers waiting, and must not hold up the exit.
+    threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in helpers]
     for t in threads:
         t.start()
     try:
@@ -275,10 +272,10 @@ def _check_method(method) -> None:
 def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
     """Check a request for ``n_reps`` replicates on ``table`` and return
     ``(total, blocks)``: the NB denominator (1 for Bayesian masses, n for
-    ordinary counts) and an iterator over the blocks of
-    :func:`_mass_blocks`, each ``(rows, model, events, non_events)``: the
-    slice of replicates, their ``(rows, T)`` model NBs and their event and
-    non-event masses.  The check refuses what ``bootstrap_nb_draws_grid``
+    ordinary counts) and an iterator, in replicate order, over the blocks
+    of :func:`_block_masses`, each ``(rows, model, events, non_events)``:
+    the slice of replicates, their ``(rows, T)`` model NBs and their event
+    and non-event masses.  The check refuses what ``bootstrap_nb_draws_grid``
     could not hold, so every reader computes the same NB values under the
     same bound."""
     if n_reps < 1:
@@ -289,20 +286,19 @@ def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
         raise InputError(f"bootstrap draws of shape {shape} take {8 * math.prod(shape)} "
                          f"bytes, over the {MAX_DRAW_BYTES}-byte limit")
     total = 1.0 if method == "bayesian" else int(table.cell_counts.sum())
+    counts = table.cell_counts
 
-    def block(start, masses):
+    def block(start):
+        masses = _block_masses(counts, n_reps, method, seed, start)
         tp, fp, events, non_events = table.sums(masses)
         # Copies of the two (rows,) masses let the block's sums go at once.
         return (slice(start, start + masses.shape[0]),
                 _net_benefit(tp, fp, table.harm_weight, total), events.copy(), non_events.copy())
 
-    def blocks():
-        # standard_gamma holds the GIL over an array of shapes: Bayesian
-        # blocks gain nothing from helper threads.
-        width = 1 if method == "bayesian" else _threads()
-        yield from _mass_blocks(table.cell_counts, n_reps, method, seed, block, width)
-
-    return total, blocks()
+    # standard_gamma holds the GIL over an array of shapes: Bayesian blocks
+    # gain nothing from helper threads.
+    width = 1 if method == "bayesian" else _threads(n_reps * counts.size)
+    return total, _ordered_map(block, range(0, n_reps, _block_rows(counts.size)), width)
 
 
 def _draw_blocks(table: _CellTable, n_reps: int, method: str, seed):
@@ -322,34 +318,22 @@ def _table_bands(table: _CellTable, n_reps: int, method: str, seed, probs):
     replicate-contiguous ``(T, n_reps)``, and the ``(n_reps,)`` event and
     non-event masses.  The treat-all NBs are rebuilt from the masses by the
     same formula, a few thresholds (at most ``BAND_BLOCK`` values, or one
-    threshold) at a time, after the model array is released.  Each
-    threshold's quantile reads only its own row, so the passes run over
-    slices of thresholds, ``_threads()`` at a time."""
+    threshold) at a time, after the model array is released."""
     total, blocks = _nb_blocks(table, n_reps, method, seed)
     c = table.harm_weight
     model = np.empty((c.size, n_reps))
     events, non_events = np.empty(n_reps), np.empty(n_reps)
     for rows, nb, ev, nev in blocks:
         model[:, rows], events[rows], non_events[rows] = nb.T, ev, nev
-    width = _threads()
-
-    def bands(values, step):
-        # The quantiles of values(cols), (thresholds, N), over each slice
-        # of step thresholds: each threshold's quantile sees its own row.
-        cols = [slice(j, j + step) for j in range(0, c.size, step)]
-        quantiles = _ordered_map(
-            lambda j: np.quantile(values(j), probs, axis=-1, overwrite_input=True), cols, width)
-        q = np.empty((len(probs), c.size))
-        for j, qj in zip(cols, quantiles):
-            q[:, j] = qj
-        return q
-
     # Along the last axis the partition works in place; along axis 0 of
     # (N, T) it would copy most of its input.
-    model_q = bands(model.__getitem__, -(-c.size // width))
+    model_q = np.quantile(model, probs, axis=-1, overwrite_input=True)
     del model
-    all_q = bands(lambda j: _net_benefit(events, non_events, c[j, None], total),
-                  max(1, BAND_BLOCK // n_reps))
+    all_q = np.empty_like(model_q)
+    step = max(1, BAND_BLOCK // n_reps)
+    for j in range(0, c.size, step):
+        nb = _net_benefit(events, non_events, c[j:j + step, None], total)
+        all_q[:, j:j + step] = np.quantile(nb, probs, axis=-1, overwrite_input=True)
     return model_q, all_q
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InputError
 from .io import _expit
 from .netbenefit import Threshold, ValidationSample, _CellTable, _real, _whole, make_thresholds
-from .resample import DATA_STREAM_ID, SWEEP_N_REPS, _cap_threads
+from .resample import DATA_STREAM_ID, SWEEP_N_REPS, _single_thread
 from .rng import _check_seed, substream
 from .voi import (_METHOD_LABELS, ALL_METHODS, _asymptotic_columns, _check_methods, _evpi_grid,
                   _moment_grid, _thin_mask, _warn_thin)
@@ -233,7 +233,7 @@ def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
     if cfg.n_workers > 1:  # multiprocessing loads only for a pool
         from concurrent.futures import ProcessPoolExecutor
     # A process worker works its bootstrap blocks one at a time.
-    with (ProcessPoolExecutor(cfg.n_workers, initializer=_cap_threads, initargs=(1,))
+    with (ProcessPoolExecutor(cfg.n_workers, initializer=_single_thread)
           if cfg.n_workers > 1 else nullcontext()) as pool:
         batch = max(1, len(chunks) // (4 * cfg.n_workers))
         results = pool.map(worker, chunks, chunksize=batch) if pool else map(worker, chunks)

@@ -3,18 +3,21 @@ changes no byte, a block's error surfaces at that block's turn, and no
 helper thread outlives its block generator."""
 
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from nbvoi import LogisticDgm, generate_synthetic, substream
+import nbvoi
+from nbvoi import LogisticDgm, generate_synthetic, make_thresholds, substream
 from nbvoi import resample
 from nbvoi.cli import main
 from nbvoi.netbenefit import _CellTable, default_grid
-from nbvoi.resample import BLOCK_REPS, _nb_blocks
+from nbvoi.resample import BLOCK_CELLS, BLOCK_REPS, _nb_blocks
 
 N_REPS = 4 * BLOCK_REPS + 100  # five blocks: groups of 2 and 3 leave a short last group
 
@@ -57,31 +60,12 @@ def _outputs(tmp_path, sample) -> dict[str, bytes]:
 def test_the_width_changes_no_byte(tmp_path, monkeypatch, sample):
     outputs = []
     for width in (1, 2, 3):
-        monkeypatch.setattr(resample, "_threads", lambda width=width: width)
+        monkeypatch.setattr(resample, "_threads", lambda values, width=width: width)
         (tmp_path / str(width)).mkdir()
         outputs.append(_outputs(tmp_path / str(width), sample))
     assert len(outputs[0]) == 5 + 2 * 200 + 2  # 400 draw dumps
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0]["sweep_1"] == outputs[0]["sweep_2"]
-
-
-def test_band_quantiles_at_any_width_equal_one_pass(monkeypatch, sample):
-    """The model band over ``width`` threshold slices and the treat-all
-    band over its ``BAND_BLOCK`` steps equal one quantile over the draws,
-    also with more threads than CPUs switching as often as they can."""
-    table = _CellTable(sample.outcomes, sample.risks, default_grid())
-    probs = [0.025, 0.975]
-    draws = resample.bootstrap_nb_draws_grid(sample, default_grid(), N_REPS, "ordinary", 2)
-    expected = [np.quantile(draws[:, :, k], probs, axis=0) for k in (0, 1)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for width in (1, 2, 3, 4):
-            monkeypatch.setattr(resample, "_threads", lambda width=width: width)
-            got = resample._table_bands(table, N_REPS, "ordinary", 2, probs)
-            assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def _patched_substream(monkeypatch, fail=None, pause=0.0):
@@ -108,7 +92,7 @@ def test_a_block_error_surfaces_at_its_turn_at_any_width(monkeypatch, sample, wi
     threads = threading.active_count()
     seen = {}
     for w in (1, width):
-        monkeypatch.setattr(resample, "_threads", lambda w=w: w)
+        monkeypatch.setattr(resample, "_threads", lambda values, w=w: w)
         _, blocks = _nb_blocks(table, N_REPS, "ordinary", 4)
         seen[w] = []
         with pytest.raises(RuntimeError, match="^block 3 failed$"):
@@ -121,7 +105,7 @@ def test_a_block_error_surfaces_at_its_turn_at_any_width(monkeypatch, sample, wi
 def test_closing_the_blocks_early_joins_every_helper(monkeypatch, sample):
     table = _CellTable(sample.outcomes, sample.risks, default_grid())
     _patched_substream(monkeypatch, pause=0.2)
-    monkeypatch.setattr(resample, "_threads", lambda: 3)
+    monkeypatch.setattr(resample, "_threads", lambda values: 3)
     threads = threading.active_count()
     _, blocks = _nb_blocks(table, N_REPS, "ordinary", 4)
     rows, *_ = next(blocks)
@@ -134,7 +118,7 @@ def test_bayesian_blocks_run_on_the_calling_thread(monkeypatch, sample):
     """standard_gamma holds the GIL, so Bayesian blocks start no helper."""
     table = _CellTable(sample.outcomes, sample.risks, default_grid())
     _patched_substream(monkeypatch, pause=0.05)
-    monkeypatch.setattr(resample, "_threads", lambda: 3)
+    monkeypatch.setattr(resample, "_threads", lambda values: 3)
     threads = threading.active_count()
     _, blocks = _nb_blocks(table, N_REPS, "bayesian", 4)
     for _ in blocks:
@@ -142,15 +126,52 @@ def test_bayesian_blocks_run_on_the_calling_thread(monkeypatch, sample):
 
 
 def test_the_width_is_the_usable_cpus_under_the_cap(monkeypatch):
-    assert 1 <= resample._threads() <= 4
-    monkeypatch.setattr(resample, "_thread_cap", 1)
-    assert resample._threads() == 1
+    """Two threads at most, one for a pass of fewer than ``BLOCK_CELLS``
+    values, and one in a process set to a single thread."""
+    assert resample._threads(BLOCK_CELLS - 1) == 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert resample._threads(BLOCK_CELLS) == min(2, cpus)
+    monkeypatch.setattr(resample, "_thread_cap", resample._thread_cap)
+    resample._single_thread()
+    assert resample._threads(BLOCK_CELLS) == 1
+
+
+def test_small_ordinary_requests_start_no_helper(monkeypatch):
+    """Four blocks of eight cells, as in an ``evpi`` at three thresholds,
+    stay on the calling thread."""
+    s = generate_synthetic(LogisticDgm(intercept=-1.55, slopes=(0.77,)), 2000, substream(3, 2))
+    table = _CellTable(s.outcomes, s.risks, make_thresholds((0.1, 0.2, 0.3)))
+    assert table.cell_counts.size <= 8
+    _patched_substream(monkeypatch, pause=0.05)
+    threads = threading.active_count()
+    _, blocks = _nb_blocks(table, 4 * BLOCK_REPS, "ordinary", 4)
+    for _ in blocks:
+        assert threading.active_count() == threads
+
+
+def test_an_abandoned_map_does_not_hold_up_the_exit():
+    """A generator left unclosed at exit (say, its frame kept by the
+    traceback of an interrupt) leaves a helper waiting for its turn; the
+    interpreter still exits at once."""
+    code = ("from nbvoi import resample\n"
+            "items = resample._ordered_map(lambda x: x, range(9), 2)\n"
+            "print(next(items), next(items))\n")
+    src = str(Path(nbvoi.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0 1\n")
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5])
 def test_ordered_map_keeps_item_order_for_any_length(width):
+    """Also with more threads than CPUs, switching as often as they can."""
     threads = threading.active_count()
-    for n in range(8):
-        assert list(resample._ordered_map(lambda x: x * x, range(n), width)) == [
-            x * x for x in range(n)]
-        assert threading.active_count() == threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in range(8):
+            assert list(resample._ordered_map(lambda x: x * x, range(n), width)) == [
+                x * x for x in range(n)]
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)

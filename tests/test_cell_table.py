@@ -30,7 +30,7 @@ from nbvoi import (
     weighted_nb,
 )
 from nbvoi.netbenefit import _CellTable, _net_benefit, default_grid
-from nbvoi.resample import _mass_blocks, bootstrap_nb_draws_grid
+from nbvoi.resample import _block_masses, _block_rows, bootstrap_nb_draws_grid
 from nbvoi.simlab import _sweep_chunk
 from nbvoi.voi import ALL_METHODS, MIN_SIDE_ROWS, _moment_grid, _thin_mask
 
@@ -156,8 +156,9 @@ def _cell_draws(s, ts, n_reps, method, seed):
     """The cell masses the bootstrap draws for each replicate, (n_reps, K),
     each row's cell and each cell's row count."""
     table = _CellTable(s.outcomes, s.risks, ts)
-    masses = np.concatenate([m for _, m in _mass_blocks(table.cell_counts, n_reps, method,
-                                                        seed)])
+    counts = table.cell_counts
+    masses = np.concatenate([_block_masses(counts, n_reps, method, seed, start)
+                             for start in range(0, n_reps, _block_rows(counts.size))])
     return masses, row_cells(table, s), table.cell_counts
 
 

@@ -188,7 +188,7 @@ def test_one_replicate_is_refused_before_anything_is_drawn(monkeypatch):
     import nbvoi.resample as resample
 
     drawn = []
-    monkeypatch.setattr(resample, "_mass_blocks", lambda *a: drawn.append(a) or iter(()))
+    monkeypatch.setattr(resample, "_block_masses", lambda *a: drawn.append(a))
     s = ValidationSample([0, 1, 1, 0], [0.1, 0.5, 0.9, 0.3])
     table = _CellTable(s.outcomes, s.risks, (Threshold(0.2),))
     with pytest.raises(InputError, match="at least 2 replicates"):

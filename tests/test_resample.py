@@ -26,13 +26,19 @@ from nbvoi.resample import (
     BLOCK_CELLS,
     BLOCK_REPS,
     METHOD_IDS,
+    _block_masses,
     _block_rows,
-    _mass_blocks,
     bootstrap_nb_draws_grid,
     dirichlet_weights,
     dump_draws,
     multinomial_weights,
 )
+
+
+def _mass_blocks(counts, n_reps, method, seed):
+    """``(start, masses)`` of each block of replicates, in order."""
+    return [(start, _block_masses(counts, n_reps, method, seed, start))
+            for start in range(0, n_reps, _block_rows(counts.size))]
 
 
 class TestDirichletWeights:
@@ -323,7 +329,7 @@ class TestCellBootstrap:
         temporaries: 600 replicates of 20,000 rows on the 1,979-point grid
         allocate no more than the draws, ``width`` times six block-sized
         arrays of 8-byte entries and 200 bytes per row."""
-        monkeypatch.setattr(resample, "_threads", lambda: width)
+        monkeypatch.setattr(resample, "_threads", lambda values: width)
         n = 20_000
         rng = substream(45, 9)
         s = ValidationSample(rng.integers(0, 2, n), rng.random(n))
