@@ -9,6 +9,7 @@ JSON records.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -325,5 +326,17 @@ def main(argv=None) -> int:
     return 2
 
 
+def run() -> int:
+    """The command line's entry, ``nbvoi`` and ``python -m nbvoi.cli``:
+    :func:`main`, after which every object still alive is frozen out of the
+    cyclic collector, so the interpreter's exit does not traverse them in
+    its collections.  Flushing, atexit handlers, the exit code and
+    tracebacks are those of :func:`main`."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -11,13 +11,14 @@ Classification is inclusive at the threshold: ``risk == z`` counts as
 treated.  All estimators are plain sample means, so they remain
 well-defined for degenerate samples (all events or all non-events).
 
-``_CellTable`` alone knows how rows fall into cells over a threshold grid.
-Each analysis builds one table: point estimates, moments and thin-side
-checks read its row-count sums, and the bootstrap (``resample._nb_blocks``)
-draws masses on the same table's cells and asks it for their sums.  EVPI
-reduces those draws block by block, and a decision curve's bands come from
-``resample._table_bands``, which holds only the replicates' model NBs and
-their event and non-event masses: neither holds the ``(N, T, 2)`` draws.
+``_CellTable`` alone knows how rows fall into cells over a threshold grid
+(a ``_Grid``, which bins a risk by table lookup).  Each analysis builds one
+table: point estimates, moments and thin-side checks read its row-count
+sums, and the bootstrap (``resample._nb_blocks``) draws masses on the same
+table's cells and asks it for their sums.  EVPI reduces those draws block
+by block, and a decision curve's bands come from ``resample._table_bands``,
+which holds only the replicates' model NBs and their event and non-event
+masses: neither holds the ``(N, T, 2)`` draws.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .rng import _check_seed
 
 DEFAULT_MAX_THRESHOLD = 0.99
 WEIGHT_SUM_TOL = 1e-8  # |sum(weights) - 1| allowed; rounding n weights costs < n * 1.2e-16
+_BIN_SCALES = tuple(2 ** k for k in range(10, 17))  # the bin lookup's M, smallest first
 
 
 def _real(value, what: str) -> float:
@@ -126,7 +128,7 @@ class ValidationSample:
             )
         if y.shape[0] < 1:
             raise InputError("sample must contain at least one observation")
-        if not np.isin(y, (0, 1)).all():
+        if not ((y == 0) | (y == 1)).all():
             raise InputError("outcomes must be binary 0/1")
         if not np.isfinite(p).all() or p.min() < 0.0 or p.max() > 1.0:
             raise InputError("risks must lie in [0, 1]")
@@ -158,29 +160,73 @@ class ValidationSample:
         return f"ValidationSample(n={self.n}, events={self.n_events})"
 
 
-class _CellTable:
-    """The occupied cells of a sample over a threshold grid (as
-    :func:`make_thresholds` takes it, or one bare :class:`Threshold`), and
-    the per-threshold sums of masses on them.
+class _Grid:
+    """A threshold grid (as :func:`make_thresholds` takes it, or one bare
+    :class:`Threshold`) and its bins: a risk's bin is the number of grid
+    thresholds at or below it, ``searchsorted(zs, risk, side="right")``.
 
-    A row's label is its outcome times ``width`` (T + 1) plus the number of
-    grid thresholds at or below its risk; the row is flagged
-    (``risk >= z``) at the j-th threshold exactly when that number exceeds
-    j.  A cell is a label that some row carries; its rows add the
-    same amount to every net benefit on the grid.  Cells are ordered by
-    label, whatever the row order: ``cell_counts`` (K,) holds their row
-    counts and ``cell_labels`` (K,) their labels.  ``counts`` is
+    :meth:`bins` finds it by table lookup: with ``j = int(risk * M)``, the
+    bin is ``base[j] + (risk >= inner[j])``.  ``base[j]`` counts the
+    thresholds at or below ``j/M`` and ``inner[j]`` is the one threshold
+    strictly inside ``[j/M, (j+1)/M)``, or infinity.  ``M`` is the smallest
+    power of two from 2**10 to 2**16 that leaves at most one threshold
+    strictly inside each such interval; a grid that none separates is binned
+    by ``np.searchsorted``.  The lookup is exact for risks in [0, 1], as a
+    :class:`ValidationSample` holds them: multiplying by a power of two
+    rounds nothing there, so ``j`` is exactly the floor of ``risk * M``,
+    and the one compare is the ``z <= risk`` that ``searchsorted`` makes.
+    """
+
+    __slots__ = ("thresholds", "zs", "harm_weight", "width", "_scale", "_base", "_inner")
+
+    def __init__(self, grid):
+        self.thresholds = make_thresholds((grid,) if isinstance(grid, Threshold) else grid)
+        self.zs = np.array([t.z for t in self.thresholds])
+        self.harm_weight = self.zs / (1.0 - self.zs)
+        self.width = self.zs.size + 1
+        self._scale = None
+        for scale in _BIN_SCALES:
+            edges = self.zs * scale
+            cells = np.floor(edges)
+            inside = edges != cells  # strictly inside an interval, not on its left edge
+            if (np.diff(cells[inside]) > 0).all():
+                self._scale = scale
+                self._base = np.searchsorted(self.zs, np.arange(scale + 1) / scale, side="right")
+                self._inner = np.full(scale + 1, np.inf)
+                self._inner[cells[inside].astype(np.intp)] = self.zs[inside]
+                break
+
+    def bins(self, risks: np.ndarray) -> np.ndarray:
+        """The bin of each of ``risks``, finite and in [0, 1]."""
+        if self._scale is None:
+            return np.searchsorted(self.zs, risks, side="right")
+        j = (risks * self._scale).astype(np.intp)
+        bins = self._base[j]
+        bins += risks >= self._inner[j]
+        return bins
+
+
+class _CellTable:
+    """The occupied cells of a validated sample's ``outcomes`` and
+    ``risks`` arrays over a threshold grid (a :class:`_Grid`, or anything
+    it takes), and the per-threshold sums of masses on them.
+
+    A row's label is its outcome times ``width`` (T + 1) plus its bin, the
+    number of grid thresholds at or below its risk (:meth:`_Grid.bins`);
+    the row is flagged (``risk >= z``) at the j-th threshold exactly when
+    that number exceeds j.  A cell is a label that some row carries; its
+    rows add the same amount to every net benefit on the grid.  Cells are
+    ordered by label, whatever the row order: ``cell_counts`` (K,) holds
+    their row counts and ``cell_labels`` (K,) their labels.  ``counts`` is
     ``(tp, fp, events, non_events)`` of the row counts.
     """
 
     __slots__ = ("thresholds", "harm_weight", "width", "cell_counts", "cell_labels", "counts")
 
     def __init__(self, outcomes: np.ndarray, risks: np.ndarray, grid):
-        self.thresholds = make_thresholds((grid,) if isinstance(grid, Threshold) else grid)
-        zs = np.array([t.z for t in self.thresholds])
-        self.harm_weight = zs / (1.0 - zs)
-        self.width = zs.size + 1
-        labels = outcomes * self.width + np.searchsorted(zs, risks, side="right")
+        grid = grid if isinstance(grid, _Grid) else _Grid(grid)
+        self.thresholds, self.harm_weight, self.width = grid.thresholds, grid.harm_weight, grid.width
+        labels = outcomes * self.width + grid.bins(risks)
         rows = np.bincount(labels, minlength=2 * self.width)
         seen = rows > 0
         self.cell_labels, self.cell_counts = np.flatnonzero(seen), rows[seen]

@@ -7,11 +7,12 @@ computes EVPI per method and threshold, and the sweep reports the mean and
 Monte Carlo standard error over simulations.  The random substream of
 cell ``(size_index, sim_index)`` depends only on the sweep seed and those
 indices.  Cells run in fixed chunks of ``max(1, _PASS_ENTRIES // T)``,
-sized from the grid alone; each cell builds its table, runs the bootstrap
-methods and keeps its counts, and the asymptotic method and the thin masks
-are one pass over the chunk's stacked counts.  Chunks are embarrassingly
-parallel, and that pass is elementwise, so neither the worker count nor the
-chunking changes results; only a pool of workers loads multiprocessing.
+sized from the grid alone; a chunk builds its grid once, and each cell
+builds its table on it, runs the bootstrap methods and keeps its counts,
+and the asymptotic method and the thin masks are one pass over the chunk's
+stacked counts.  Chunks are embarrassingly parallel, and that pass is
+elementwise, so neither the worker count nor the chunking changes results;
+only a pool of workers loads multiprocessing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 
 from .errors import InputError
 from .io import _expit
-from .netbenefit import Threshold, ValidationSample, _CellTable, _real, _whole, make_thresholds
+from .netbenefit import (Threshold, ValidationSample, _CellTable, _Grid, _real, _whole,
+                         make_thresholds)
 from .resample import DATA_STREAM_ID, SWEEP_N_REPS, _single_thread
 from .rng import _check_seed, substream
 from .voi import (_METHOD_LABELS, ALL_METHODS, _asymptotic_columns, _check_methods, _evpi_grid,
@@ -192,19 +194,21 @@ class SweepResult:
 
 def _sweep_chunk(cells, dgm, dataset, cfg: SweepConfig):
     """The (cells, methods, T) EVPI and (cells, T) thin masks of a chunk of
-    cells.  Each cell draws its sample from its data substream, builds its
-    one table and runs the bootstrap methods on it; the asymptotic column
-    and the thin masks come from one pass over the cells' stacked counts."""
+    cells, on one grid.  Each cell draws its sample from its data
+    substream, builds its one table and runs the bootstrap methods on it;
+    the asymptotic column and the thin masks come from one pass over the
+    cells' stacked counts."""
     boot = [k for k, m in enumerate(cfg.methods) if m != "asymptotic"]
     asym = [k for k, m in enumerate(cfg.methods) if m == "asymptotic"]
     evpi = np.empty((len(cells), len(cfg.methods), len(cfg.thresholds)))
+    grid = _Grid(cfg.thresholds)
     counts = []
     for c, (si, sim) in enumerate(cells):
         size = cfg.sizes[si]
         data_rng = substream((cfg.seed, si, sim), DATA_STREAM_ID)
         sample = generate_synthetic(dgm, size, data_rng) if dgm is not None else dataset
         rows = slice(None) if size == sample.n else data_rng.choice(sample.n, size, replace=False)
-        table = _CellTable(sample.outcomes[rows], sample.risks[rows], cfg.thresholds)
+        table = _CellTable(sample.outcomes[rows], sample.risks[rows], grid)
         results = _evpi_grid(table, [cfg.methods[k] for k in boot], cfg.n_reps, (cfg.seed, si, sim))
         for k, result in zip(boot, results):
             evpi[c, k] = result.evpi

@@ -5,7 +5,8 @@ strictly increasing, as ``make_thresholds`` requires.  With integer weights
 every cell sum is an exact integer, so the table must reproduce the
 row-by-row results exactly.
 Each analysis (an EVPI grid, a decision curve, a sweep cell) builds one
-table and reads its counts and bootstrap draws from it.
+table and reads its counts and bootstrap draws from it.  A row's bin comes
+from the grid's table lookup, which must equal ``np.searchsorted``.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from nbvoi import (
     substream,
     weighted_nb,
 )
-from nbvoi.netbenefit import _CellTable, _net_benefit, default_grid
+from nbvoi.netbenefit import _BIN_SCALES, _CellTable, _Grid, _net_benefit, default_grid
 from nbvoi.resample import _block_masses, _block_rows, bootstrap_nb_draws_grid
 from nbvoi.simlab import _sweep_chunk
 from nbvoi.voi import ALL_METHODS, MIN_SIDE_ROWS, _moment_grid, _thin_mask
@@ -56,6 +57,58 @@ def resample_counts(draw, n):
     """Counts of n draws with replacement over n rows."""
     idx = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     return np.bincount(idx, minlength=n)
+
+
+# Thresholds anywhere in (0, 1), subnormals included, or on a dyadic edge
+# j/M of one of the lookup's scales.
+threshold_values = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from(_BIN_SCALES).flatmap(lambda m: st.integers(1, m - 1).map(lambda j: j / m)),
+)
+
+
+@st.composite
+def bin_grids(draw):
+    """A strictly increasing grid; some thresholds get a neighbour closer
+    than 2**-16 above them, which no scale separates."""
+    zs = draw(st.lists(threshold_values, min_size=1, max_size=40))
+    for z in draw(st.lists(st.sampled_from(zs), max_size=2)):
+        zs.append(min(z + draw(st.floats(2.0**-60, 2.0**-17)), np.nextafter(1.0, 0.0)))
+    return make_thresholds(sorted(set(zs)), max_z=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bin_grids(), st.lists(st.floats(0.0, 1.0), max_size=40))
+@example(make_thresholds([0.3, 0.3 + 2.0**-20]), [0.3 + 2.0**-21])
+@example(make_thresholds([1 / 1024, 0.5, 1023 / 1024], max_z=1.0), [])
+@example(make_thresholds([5e-324, 1 - 2.0**-53], max_z=1.0), [])
+def test_lookup_bins_equal_searchsorted(ts, drawn):
+    """The table lookup gives every risk in [0, 1] the bin that
+    ``searchsorted`` gives it: the ends of [0, 1], the smallest subnormal,
+    the largest float below 1, every threshold and its neighbours either
+    way."""
+    grid = _Grid(ts)
+    zs = np.array([t.z for t in ts])
+    risks = np.concatenate([[0.0, -0.0, 1.0, 5e-324, 1 - 2.0**-53], drawn,
+                            zs, np.nextafter(zs, 0.0), np.nextafter(zs, 1.0)])
+    bins = grid.bins(risks)
+    assert bins.dtype == np.intp
+    assert bins.tolist() == np.searchsorted(zs, risks, side="right").tolist()
+
+
+@pytest.mark.parametrize("values, scale", [
+    pytest.param(default_grid(), 2**10, id="default_grid"),
+    pytest.param([0.1, 0.2, 0.3], 2**10, id="three"),
+    pytest.param([0.5, 0.5 + 2.0**-16], 2**10, id="one_on_an_edge"),
+    pytest.param([0.5 + 2.0**-17, 0.5 + 2.0**-11], 2**11, id="split_at_2048"),
+    pytest.param([0.5 + 2.0**-17, 0.5 + 3 * 2.0**-17], 2**16, id="split_at_65536"),
+    pytest.param([0.3, 0.3 + 1e-6], None, id="closer_than_2**-16"),
+])
+def test_lookup_scale_is_the_smallest_that_separates(values, scale):
+    """The scale is the smallest power of two from 2**10 to 2**16 that
+    leaves at most one threshold strictly inside each interval; a grid
+    that none separates has none and is binned by ``searchsorted``."""
+    assert _Grid(make_thresholds(values))._scale == scale
 
 
 def reference_cells(outcomes, risks, ts):

@@ -436,13 +436,42 @@ class TestExitCodes:
         assert rec["error"] == "numeric" and "P(useful)" in rec["message"]
 
 
-def _cli_process(argv, **env) -> subprocess.CompletedProcess:
+# The two command-line entries: the module, and the ``[project.scripts]``
+# wrapper that an installed ``nbvoi`` runs.
+MODULE_ENTRY = ("-m", "nbvoi.cli")
+SCRIPT_ENTRY = ("-c", "import sys; from nbvoi.cli import run; sys.exit(run())")
+
+
+def _cli_process(argv, entry=MODULE_ENTRY, **env) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter, importing this checkout's nbvoi."""
     src = str(Path(nbvoi.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "nbvoi.cli", *argv],
+    return subprocess.run([sys.executable, *entry, *argv],
                           env=dict(os.environ, PYTHONPATH=path, **env),
                           capture_output=True, timeout=300)
+
+
+@pytest.mark.parametrize("entry", [MODULE_ENTRY, SCRIPT_ENTRY], ids=["module", "script"])
+def test_fresh_interpreter_entry_keeps_output_and_exit_codes(capsys, dataset, tmp_path, entry):
+    """Through ``cli.run`` a command's stdout (a pipe here) is the bytes
+    in-process ``main`` writes, ``--version`` exits 0, and a bad input
+    still exits 2 with its JSON record on stderr."""
+    path, _ = dataset
+    argv = ["dca", "--data", str(path), "--outcome", "y", "--risk", "p",
+            "--thresholds", "0.1,0.2", "--n-reps", "200", "--seed", "4"]
+    proc = _cli_process(argv, entry)
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+
+    proc = _cli_process(["--version"], entry)
+    assert (proc.returncode, proc.stdout) == (0, f"nbvoi {nbvoi.__version__}\n".encode())
+
+    bad = ["dca", "--data", str(tmp_path / "missing.csv"), "--outcome", "y", "--risk", "p"]
+    proc = _cli_process(bad, entry)
+    code, out, err = run(capsys, bad)
+    assert (code, json.loads(err)["error"]) == (2, "input")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err.encode())
 
 
 def _cli_subprocess(argv, **env) -> bytes:

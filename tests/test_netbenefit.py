@@ -103,6 +103,44 @@ class TestValidationSample:
         with pytest.raises(InputError):
             ValidationSample([1, 2], [0.5, 0.5])
 
+    @pytest.mark.parametrize("outcomes", [
+        pytest.param([0, 1, 1], id="int"),
+        pytest.param([0.0, 1.0], id="float"),
+        pytest.param([-0.0, 1.0], id="negative_zero"),
+        pytest.param([True, False], id="bool"),
+        pytest.param(np.array([0, 1], dtype=np.uint8), id="uint8"),
+        pytest.param(np.array([0, 1], dtype=np.int8), id="int8"),
+        pytest.param(np.array([0, 1], dtype=np.float16), id="float16"),
+        pytest.param([0j, 1 + 0j], id="complex"),
+        pytest.param([0j, 1j], id="complex_imaginary"),
+        pytest.param(np.array([0, 1], dtype=object), id="object"),
+        pytest.param(np.array([0.0, True], dtype=object), id="object_mixed"),
+        pytest.param([0, None], id="none"),
+        pytest.param(["0", "1"], id="str"),
+        pytest.param(np.array(["0", 1], dtype=object), id="object_str"),
+        pytest.param([b"0", b"1"], id="bytes"),
+        pytest.param([0.0, np.nan], id="nan"),
+        pytest.param([0, 2], id="two"),
+        pytest.param([0.5, 1.0], id="half"),
+        pytest.param(np.array([-1, 0], dtype=np.int8), id="minus_one"),
+        pytest.param(np.array([0, 1], dtype="timedelta64[s]"), id="timedelta"),
+        pytest.param(np.array(["2020-01-01"] * 2, dtype="datetime64[D]"), id="datetime"),
+    ])
+    def test_outcome_check_accepts_what_isin_accepts(self, outcomes):
+        """The 0/1 check accepts and refuses what ``np.isin(y, (0, 1))``
+        does, without a warning."""
+        y = np.asarray(outcomes)
+        try:
+            ValidationSample(y, np.full(y.shape, 0.5))
+        except InputError as exc:
+            assert str(exc) == "outcomes must be binary 0/1"
+            accepted = False
+        except np.exceptions.ComplexWarning:  # complex outcomes pass; the int cast after warns
+            accepted = True
+        else:
+            accepted = True
+        assert accepted == np.isin(y, (0, 1)).all()
+
     def test_rejects_risks_outside_unit_interval(self):
         with pytest.raises(InputError):
             ValidationSample([1, 0], [0.5, 1.2])

@@ -8,6 +8,7 @@ alone, so the worker count changes no byte, and a pass is bounded, so a
 sweep's memory does not grow with the kernel entries of all its cells.
 """
 
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -27,7 +28,7 @@ from nbvoi import (
 )
 from nbvoi.cli import main
 from nbvoi.io import render_csv, sweep_records
-from nbvoi.netbenefit import _CellTable, default_grid
+from nbvoi.netbenefit import _CellTable, _Grid, default_grid
 from nbvoi.resample import DATA_STREAM_ID
 from nbvoi.simlab import _PASS_ENTRIES, subsample_sweep
 from nbvoi.voi import _METHOD_LABELS, ALL_METHODS, _evpi_grid, _thin_mask
@@ -116,6 +117,26 @@ def test_worker_count_changes_no_byte(methods):
         sizes=(100, 200), thresholds=make_thresholds(grid), n_sims=20, n_reps=30,
         methods=methods, seed=12, n_workers=w)))) for w in (1, 2)]
     assert out[0] == out[1]
+
+
+@pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
+def test_a_chunk_builds_its_grid_once(monkeypatch):
+    """40 cells on 30 thresholds are three chunks, and each builds one grid
+    for all its cells' tables; the output is the same at 1 and 2 workers."""
+    builds = []
+    init = _Grid.__init__
+
+    def counting(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_Grid, "__init__", counting)
+    cfg = SweepConfig(sizes=(100, 200), thresholds=make_thresholds(GRIDS[30][0]), n_sims=20,
+                      n_reps=30, methods=ALL_METHODS, seed=12)
+    one = render_csv(sweep_records(synthetic_sweep(DGM, cfg)))
+    assert len(builds) == 3
+    two = render_csv(sweep_records(synthetic_sweep(DGM, dataclasses.replace(cfg, n_workers=2))))
+    assert one == two
 
 
 @pytest.mark.parametrize("methods", [("asymptotic",), ("bayesian", "asymptotic")],
