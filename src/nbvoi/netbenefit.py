@@ -17,8 +17,9 @@ table: point estimates, moments and thin-side checks read its row-count
 sums, and the bootstrap (``resample._nb_blocks``) draws masses on the same
 table's cells and asks it for their sums.  EVPI reduces those draws block
 by block, and a decision curve's bands come from ``resample._table_bands``,
-which holds only the replicates' model NBs and their event and non-event
-masses: neither holds the ``(N, T, 2)`` draws.
+which holds the replicates' event and non-event masses and, per threshold,
+only the smallest and largest model NBs that its quantiles read: neither
+holds the ``(N, T, 2)`` draws.
 """
 
 from __future__ import annotations
@@ -113,13 +114,22 @@ class ValidationSample:
     ----------
     outcomes : array-like of {0, 1}
     risks : array-like of floats in [0, 1], same length
+
+    Both must be real numbers: complex, timedelta and datetime values are
+    refused, whatever they hold.
     """
 
     __slots__ = ("outcomes", "risks")
 
     def __init__(self, outcomes, risks):
-        y = np.asarray(outcomes)
-        p = np.array(risks, dtype=float)  # copy: the sample owns its storage
+        y, p = np.asarray(outcomes), np.asarray(risks)
+        for values, what in ((y, "outcomes"), (p, "risks")):
+            if values.dtype.kind in "cmM":
+                raise InputError(f"{what} must be real numbers, got {values.dtype} values")
+        try:
+            p = np.array(p, dtype=float)  # copy: the sample owns its storage
+        except (TypeError, ValueError):  # an object or string array of other things
+            raise InputError("risks must be real numbers") from None
         if y.ndim != 1 or p.ndim != 1:
             raise InputError("outcomes and risks must be one-dimensional")
         if y.shape[0] != p.shape[0]:
@@ -132,7 +142,10 @@ class ValidationSample:
             raise InputError("outcomes must be binary 0/1")
         if not np.isfinite(p).all() or p.min() < 0.0 or p.max() > 1.0:
             raise InputError("risks must lie in [0, 1]")
-        y = y.astype(np.int64)
+        try:
+            y = y.astype(np.int64)
+        except TypeError:  # an object array of complex zeros and ones
+            raise InputError("outcomes must be real numbers") from None
         y.flags.writeable = False
         p.flags.writeable = False
         object.__setattr__(self, "outcomes", y)

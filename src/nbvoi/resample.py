@@ -21,10 +21,11 @@ the rows of the ``(N, T, 2)`` draws ``[model, treat_all]`` block by block:
 ``voi._evpi_grid`` reduces them as they come, and only
 ``bootstrap_nb_draws_grid`` holds them (``bootstrap_nb_draws`` slices its
 array into an :class:`NbDrawMatrix` at one threshold).  ``_table_bands``,
-for decision curves, keeps only the model NBs and each replicate's event
-and non-event masses, and returns the percentiles of the same values, bit
-for bit: the treat-all column is two numbers per replicate, repeated at
-every threshold.
+for decision curves, returns the percentiles of the same values, bit for
+bit, from each replicate's event and non-event masses (the treat-all
+column is two numbers per replicate, repeated at every threshold) and,
+of the model NBs, only the two tails per threshold that its quantiles
+read: its memory grows with (1 - level) N, not with N.
 Summed flat-Dirichlet weights are exactly Dirichlet(n_1, ..., n_K) over
 the K cells with n_k rows each (the aggregation property of Rubin's
 Bayesian bootstrap), drawn as ``standard_gamma(n_k)`` normalized per
@@ -74,6 +75,8 @@ BLOCK_CELLS = 1 << 18         # most (replicate, cell) masses in one block: 2 MB
 MAX_DRAW_BYTES = 1 << 31      # most bytes of the (N, T, 2) NBs one bootstrap computes, held
                               # or not: 64 times a default evpi method's 32 MB
 BAND_BLOCK = 1 << 16          # most treat-all NBs per block of _table_bands
+BAND_WINDOW = 2048            # model-NB replicates _table_bands takes between cuts to its
+                              # tails; at least BLOCK_REPS, so a block fits after a cut
 _thread_cap = 2               # most items _ordered_map works at once (see _threads)
 
 
@@ -311,24 +314,73 @@ def _draw_blocks(table: _CellTable, n_reps: int, method: str, seed):
             for rows, model, events, non_events in blocks)
 
 
+def _quantile_ranks(n: int, probs):
+    """numpy's "linear" quantile rule (Hyndman and Fan's type 7) over ``n``
+    values, for ``probs`` in [0, 1]: the ranks ``(lo, hi)``, in sorted
+    order, of the two values each probability reads, and the weight ``g``
+    of the upper one.  With ``v = (n - 1) p``, ``lo`` is the floor of
+    ``v``, ``hi`` the next rank, clipped to ``n - 1``, and ``g = v - lo``."""
+    v = (n - 1) * np.asarray(probs, dtype=float)
+    lo = np.floor(v)
+    return lo.astype(np.intp), np.minimum(lo + 1, n - 1).astype(np.intp), v - lo
+
+
+def _lerp(a, b, g):
+    """numpy's quantile interpolation from order statistic ``a`` to ``b`` at
+    weight ``g``: ``a + (b - a) g`` below 0.5, ``b - (b - a) (1 - g)``
+    from 0.5 on.  With :func:`_quantile_ranks` it gives ``np.quantile``'s
+    value, bit for bit, for finite values other than -0.0 (at ``p = 1``
+    numpy reaches the largest value by another weight, which can turn a
+    -0.0 into +0.0)."""
+    d = b - a
+    return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
+
+
 def _table_bands(table: _CellTable, n_reps: int, method: str, seed, probs):
     """The ``probs`` quantiles, each of shape ``(len(probs), T)``, of the
     model and treat-all NBs of ``_draw_blocks(table, n_reps, method, seed)``,
-    bit for bit, without holding those draws: only the model NBs,
-    replicate-contiguous ``(T, n_reps)``, and the ``(n_reps,)`` event and
-    non-event masses.  The treat-all NBs are rebuilt from the masses by the
-    same formula, a few thresholds (at most ``BAND_BLOCK`` values, or one
-    threshold) at a time, after the model array is released."""
+    bit for bit, without holding those draws.
+
+    Each quantile reads two order statistics per threshold
+    (:func:`_quantile_ranks`), each counted from the nearer end: the
+    ``below`` smallest and ``above`` largest model NBs of a threshold hold
+    them all.  A ``(T, below + above + BAND_WINDOW)`` buffer, or ``(T,
+    n_reps)`` if that is smaller, takes each block's model NBs in
+    replicate order.  When a block does not fit, one partition cuts the
+    filled columns back to each threshold's ``below`` smallest and
+    ``above`` largest values, which are still those of every replicate so
+    far.  At the end the ranks, counted from the same ends, read the kept
+    values, and :func:`_lerp` interpolates as numpy does.  Where the tails
+    cover every replicate (few replicates, or a narrow band) the buffer
+    holds them all and nothing is cut.  The ``(n_reps,)`` event and
+    non-event masses are held, and the treat-all NBs are rebuilt from them
+    by the same formula, a few thresholds (at most ``BAND_BLOCK`` values,
+    or one threshold) at a time."""
     total, blocks = _nb_blocks(table, n_reps, method, seed)
     c = table.harm_weight
-    model = np.empty((c.size, n_reps))
+    lo, hi, g = _quantile_ranks(n_reps, probs)
+    ranks = np.concatenate((lo, hi))
+    lower = ranks + 1 <= n_reps - ranks  # as near the smallest value as the largest, or nearer
+    below = int((ranks + 1)[lower].max(initial=1))
+    above = int((n_reps - ranks)[~lower].max(initial=1))
+    kept = np.empty((c.size, min(n_reps, below + above + BAND_WINDOW)))
+    filled = 0
     events, non_events = np.empty(n_reps), np.empty(n_reps)
     for rows, nb, ev, nev in blocks:
-        model[:, rows], events[rows], non_events[rows] = nb.T, ev, nev
-    # Along the last axis the partition works in place; along axis 0 of
-    # (N, T) it would copy most of its input.
-    model_q = np.quantile(model, probs, axis=-1, overwrite_input=True)
-    del model
+        events[rows], non_events[rows] = ev, nev
+        if filled + nb.shape[0] > kept.shape[1]:
+            # filled > below + above, as a block is at most BAND_WINDOW
+            # replicates: the two tails are apart.
+            kept[:, :filled].partition([below - 1, filled - above], axis=-1)
+            kept[:, below:below + above] = kept[:, filled - above:filled]
+            filled = below + above
+        kept[:, filled:filled + nb.shape[0]] = nb.T
+        filled += nb.shape[0]
+    kept = kept[:, :filled]
+    at = np.where(lower, ranks, ranks - (n_reps - filled))
+    kept.partition(np.unique(at), axis=-1)
+    model_q = _lerp(kept[:, at[:lo.size]], kept[:, at[lo.size:]], g).T
+    del kept
     all_q = np.empty_like(model_q)
     step = max(1, BAND_BLOCK // n_reps)
     for j in range(0, c.size, step):

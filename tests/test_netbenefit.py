@@ -22,7 +22,8 @@ from nbvoi import (
     weighted_nb,
 )
 from nbvoi.netbenefit import default_grid
-from nbvoi.resample import bootstrap_nb_draws_grid
+from nbvoi import resample
+from nbvoi.resample import BAND_WINDOW, BLOCK_REPS, _quantile_ranks, bootstrap_nb_draws_grid
 
 # Shared hand-worked example: flags rows 0, 1, 4 at z = 0.2, giving
 # 1 TP and 2 FP -> nb_model = (1 - 2 * 0.25) / 5 = 0.1, nb_all = 0.25.
@@ -127,19 +128,51 @@ class TestValidationSample:
         pytest.param(np.array(["2020-01-01"] * 2, dtype="datetime64[D]"), id="datetime"),
     ])
     def test_outcome_check_accepts_what_isin_accepts(self, outcomes):
-        """The 0/1 check accepts and refuses what ``np.isin(y, (0, 1))``
-        does, without a warning."""
+        """Real outcomes pass the 0/1 check exactly where
+        ``np.isin(y, (0, 1))`` holds, without a warning; complex, timedelta
+        and datetime outcomes are refused by their dtype, before the check,
+        whatever values they hold."""
         y = np.asarray(outcomes)
+        if y.dtype.kind in "cmM":
+            with pytest.raises(InputError) as info:
+                ValidationSample(y, np.full(y.shape, 0.5))
+            assert str(info.value) == f"outcomes must be real numbers, got {y.dtype} values"
+            return
         try:
             ValidationSample(y, np.full(y.shape, 0.5))
         except InputError as exc:
             assert str(exc) == "outcomes must be binary 0/1"
             accepted = False
-        except np.exceptions.ComplexWarning:  # complex outcomes pass; the int cast after warns
-            accepted = True
         else:
             accepted = True
         assert accepted == np.isin(y, (0, 1)).all()
+
+    @pytest.mark.parametrize("outcomes, risks, message", [
+        pytest.param([0, 1], [0.5 + 0j, 0.5 + 0j], "risks must be real numbers, got complex128 values",
+                     id="complex_risks"),
+        pytest.param([0, 1], [0.5, 0.5j], "risks must be real numbers, got complex128 values",
+                     id="imaginary_risk"),
+        pytest.param([0, 1], np.array([0, 1], dtype="timedelta64[s]"),
+                     "risks must be real numbers, got timedelta64[s] values", id="timedelta_risks"),
+        pytest.param([0, 1], np.array([0.5, 0.5j], dtype=object), "risks must be real numbers",
+                     id="object_complex_risks"),
+        pytest.param([0, 1], ["0.5", "x"], "risks must be real numbers", id="str_risks"),
+        pytest.param(np.array([0j, 1], dtype=object), [0.5, 0.5], "outcomes must be real numbers",
+                     id="object_complex_outcomes"),
+    ])
+    def test_refuses_non_real_columns(self, outcomes, risks, message):
+        """A complex, timedelta or datetime column, or an object or string
+        one that does not convert to real numbers, is an ``InputError``
+        naming the column, not a cast that warns or a bare ``TypeError``."""
+        with pytest.raises(InputError) as info:
+            ValidationSample(outcomes, risks)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.uint8, np.uint64, np.float16,
+                                       np.float32, float])
+    def test_takes_real_outcomes_and_risks_of_any_width(self, dtype):
+        s = ValidationSample(np.array([0, 1, 1], dtype=dtype), np.array([0, 1, 0], dtype=dtype))
+        assert s.outcomes.tolist() == [0, 1, 1] and s.risks.tolist() == [0.0, 1.0, 0.0]
 
     def test_rejects_risks_outside_unit_interval(self):
         with pytest.raises(InputError):
@@ -371,16 +404,19 @@ class TestDecisionCurve:
         assert np.array_equal(c1.all_ci, c2.all_ci)
         assert np.array_equal(c1.nb_model, c2.nb_model)
 
-    def test_bands_keep_one_copy_of_the_draws(self):
-        """The bands hold the model NBs alone and partition them in place,
-        then rebuild the treat-all NBs a few thresholds at a time: on the
-        default 200-threshold grid the call peaks below 0.75 times the
-        bytes of the (N, T, 2) draws (holding the draws made it 1.1), and
-        on 20 thresholds, where the per-block temporaries weigh more, below
-        1.5 times.  The bands are still the percentiles of the draws."""
+    def test_bands_keep_the_tails_not_the_draws(self):
+        """The bands keep, per threshold, only the replicates' model NBs that
+        the quantiles can read, and rebuild the treat-all NBs a few
+        thresholds at a time.  On 20 thresholds, where the per-block
+        temporaries weigh most, the call peaks below the bytes of the
+        (N, T, 2) draws; on the default 200-threshold grid below 0.3 times
+        them, and at 2 x 10^4 replicates below 0.2 times, where the (T, N)
+        model NBs alone are 0.5 times.  The bands are still the
+        percentiles of the draws."""
         s = self._sample(n=500)
-        n_boot = 10_000
-        for ts, bound in ((make_thresholds(np.arange(1, 21) / 100), 1.5), (default_grid(), 0.75)):
+        probs = [0.5 * (1 - 0.95), 0.5 * (1 + 0.95)]
+        for ts, n_boot, bound in ((make_thresholds(np.arange(1, 21) / 100), 10_000, 1.0),
+                                  (default_grid(), 10_000, 0.3), (default_grid(), 20_000, 0.2)):
             tracemalloc.start()
             try:
                 curve = decision_curve(s, ts, n_boot=n_boot, method="bayesian", seed=6)
@@ -388,21 +424,40 @@ class TestDecisionCurve:
             finally:
                 tracemalloc.stop()
             draws = bootstrap_nb_draws_grid(s, ts, n_reps=n_boot, method="bayesian", seed=6)
-            assert peak < bound * draws.nbytes, (len(ts), peak / draws.nbytes)
-            qs = np.quantile(draws, [0.5 * (1 - 0.95), 0.5 * (1 + 0.95)], axis=0)
-            assert np.array_equal(curve.model_ci, qs[:, :, 0].T)
-            assert np.array_equal(curve.all_ci, qs[:, :, 1].T)
+            assert peak < bound * draws.nbytes, (len(ts), n_boot, peak / draws.nbytes)
+            for k, band in enumerate((curve.model_ci, curve.all_ci)):
+                assert np.array_equal(band, np.quantile(draws[:, :, k], probs, axis=0).T)
+            del draws
+
+    @staticmethod
+    def _first_cut(probs):
+        """The fewest replicates that the band buffer (their two tails and
+        ``BAND_WINDOW`` more) does not hold, so that ``_table_bands`` cuts;
+        where the tails meet, none, and this gives 2 x ``BAND_WINDOW``."""
+        for n in range(2, 4 * BAND_WINDOW):
+            lo, hi, _ = _quantile_ranks(n, probs)
+            ranks = np.concatenate((lo, hi))
+            lower = ranks + 1 <= n - ranks
+            tails = (ranks + 1)[lower].max(initial=1) + (n - ranks)[~lower].max(initial=1)
+            if n > tails + BAND_WINDOW:
+                return n
+        return 2 * BAND_WINDOW
 
     @pytest.mark.parametrize("method", ["bayesian", "ordinary"])
-    @pytest.mark.parametrize("ci_level", [0.5, 0.95, 0.99])
-    @pytest.mark.parametrize("n_boot", [1, 7, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("ci_level", [0.01, 0.5, 0.95, 0.99])
+    @pytest.mark.parametrize("n_boot", [1, 7, 255, 256, 257, 1000, "cut-1", "cut", "cut+1"])
     def test_bands_are_the_draw_percentiles_bit_for_bit(self, n_boot, ci_level, method):
-        """Around the 256-replicate block edge, on one threshold and on a
-        grid whose last threshold no risk reaches (degenerate), the bands
-        equal numpy's percentiles of ``bootstrap_nb_draws_grid`` exactly."""
+        """Around the 256-replicate block edge, on both sides of the first
+        cut to the tails ("cut" is the fewest replicates that are cut), and
+        at a 1 % level whose tails meet, on one threshold and on a grid
+        whose last threshold no risk reaches (degenerate, all ties), the
+        bands equal numpy's percentiles of ``bootstrap_nb_draws_grid``
+        exactly."""
+        probs = [0.5 * (1 - ci_level), 0.5 * (1 + ci_level)]
+        if isinstance(n_boot, str):
+            n_boot = self._first_cut(probs) + int(n_boot[3:] or 0)
         rng = np.random.default_rng(n_boot)
         s = ValidationSample(rng.integers(0, 2, 120), 0.9 * rng.random(120))
-        probs = [0.5 * (1 - ci_level), 0.5 * (1 + ci_level)]
         for grid in ([0.2], [0.05, 0.1, 0.3, 0.6, 0.95]):
             ts = make_thresholds(grid)
             curve = decision_curve(s, ts, n_boot=n_boot, ci_level=ci_level, method=method, seed=3)
@@ -411,6 +466,22 @@ class TestDecisionCurve:
             assert np.array_equal(curve.model_ci, qs[:, :, 0].T)
             assert np.array_equal(curve.all_ci, qs[:, :, 1].T)
         assert curve.degenerate.tolist() == [False] * 4 + [True]
+
+    @pytest.mark.parametrize("method", ["bayesian", "ordinary"])
+    def test_bands_are_exact_over_many_cuts(self, monkeypatch, method):
+        """With the window at its least, one block, 3,000 replicates are cut
+        to their tails a dozen times or more; the bands are still numpy's
+        percentiles of the draws, bit for bit."""
+        monkeypatch.setattr(resample, "BAND_WINDOW", BLOCK_REPS)
+        s = self._sample(n=200)
+        ts = make_thresholds([0.02, 0.1, 0.2, 0.5, 0.9])
+        for ci_level in (0.5, 0.95):
+            probs = [0.5 * (1 - ci_level), 0.5 * (1 + ci_level)]
+            curve = decision_curve(s, ts, n_boot=3000, ci_level=ci_level, method=method, seed=8)
+            draws = bootstrap_nb_draws_grid(s, ts, n_reps=3000, method=method, seed=8)
+            qs = np.quantile(draws, probs, axis=0)
+            assert np.array_equal(curve.model_ci, qs[:, :, 0].T)
+            assert np.array_equal(curve.all_ci, qs[:, :, 1].T)
 
     @pytest.mark.parametrize("n_boot", [0, 50])
     def test_rejects_an_unknown_method_even_without_bands(self, n_boot):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from nbvoi import (
@@ -28,6 +30,8 @@ from nbvoi.resample import (
     METHOD_IDS,
     _block_masses,
     _block_rows,
+    _lerp,
+    _quantile_ranks,
     bootstrap_nb_draws_grid,
     dirichlet_weights,
     dump_draws,
@@ -341,6 +345,40 @@ class TestCellBootstrap:
         finally:
             tracemalloc.stop()
         assert peak <= grid.nbytes + width * 6 * 8 * BLOCK_CELLS + 200 * n
+
+
+@st.composite
+def samples_and_probs(draw):
+    """Finite values of either sign, drawn from a pool of at most as many
+    (so ties are common), and probabilities: anywhere in [0, 1], the ends,
+    and those whose weight ``g`` falls at 0.5 or a float either side.
+    Signed zeros tie in a sort, so the values hold no -0.0, and nor does
+    an NB, ``(tp - c fp) / total`` with ``tp``, ``fp`` >= +0.0."""
+    n = draw(st.integers(1, 50))
+    pool = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: v + 0.0)
+                         | st.sampled_from([0.0, 5e-324, -5e-324, 1e300, -1e300]), min_size=1, max_size=n))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    half = st.integers(0, max(0, n - 2)).map(lambda k: (k + 0.5) / max(1, n - 1)).flatmap(
+        lambda p: st.sampled_from([p, np.nextafter(p, 0.0), min(1.0, np.nextafter(p, 1.0))]))
+    probs = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]) | half,
+                          min_size=1, max_size=5))
+    return np.array(values), probs
+
+
+@settings(max_examples=250, deadline=None)
+@given(samples_and_probs())
+@example((np.array([3.0]), [0.0, 0.5, 1.0]))
+@example((np.array([-1.0, 2.0]), [0.0, 0.25, 0.5, 0.75, 1.0]))
+@example((np.array([0.1, -0.3, 0.1, 0.7]), [0.5 / 3, 1.5 / 3, 2.5 / 3]))
+def test_quantile_ranks_and_lerp_are_numpys_quantile(case):
+    """``_lerp`` of the sorted values at ``_quantile_ranks`` is
+    ``np.quantile(values, probs)``, bit for bit; a numpy that reads other
+    order statistics or interpolates otherwise fails here."""
+    values, probs = case
+    lo, hi, g = _quantile_ranks(values.size, probs)
+    ordered = np.sort(values)
+    got = _lerp(ordered[lo], ordered[hi], g)
+    assert got.tobytes() == np.quantile(values, probs).tobytes(), (got, np.quantile(values, probs))
 
 
 class TestCovarianceAgainstMoments:
