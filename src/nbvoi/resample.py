@@ -14,18 +14,16 @@ Two resampling schemes weight the n observations of a validation sample:
 The grid bootstrap never draws a row weight.  Over a threshold grid, a
 replicate's net benefits depend on the rows only through the mass on each
 occupied cell of a ``netbenefit._CellTable``, which owns the cells and
-turns cell masses into per-threshold sums; ``_nb_blocks`` only draws the
-masses, on the one table of the analysis, and turns their sums into model
-NBs, block by block.  ``_draw_blocks`` adds the treat-all NBs, giving
-the rows of the ``(N, T, 2)`` draws ``[model, treat_all]`` block by block:
-``voi._evpi_grid`` reduces them as they come, and only
-``bootstrap_nb_draws_grid`` holds them (``bootstrap_nb_draws`` slices its
-array into an :class:`NbDrawMatrix` at one threshold).  ``_table_bands``,
-for decision curves, returns the percentiles of the same values, bit for
-bit, from each replicate's event and non-event masses (the treat-all
-column is two numbers per replicate, repeated at every threshold) and,
-of the model NBs, only the two tails per threshold that its quantiles
-read: its memory grows with (1 - level) N, not with N.
+turns cell masses into per-threshold sums.  ``_nb_blocks``, the one block
+loop, draws the masses on the one table of the analysis and turns their
+sums into the rows of the ``(N, T, 2)`` draws ``[model, treat_all]``,
+block by block, and every reader takes that stream: ``voi._evpi_grid``
+reduces the blocks as they come, only ``bootstrap_nb_draws_grid`` holds
+them (``bootstrap_nb_draws`` slices its array into an
+:class:`NbDrawMatrix` at one threshold), and ``_table_bands``, for
+decision curves, keeps of each threshold's model and treat-all NBs only
+the two tails that its percentiles read: its memory grows with
+(1 - level) N, not with N.
 Summed flat-Dirichlet weights are exactly Dirichlet(n_1, ..., n_K) over
 the K cells with n_k rows each (the aggregation property of Rubin's
 Bayesian bootstrap), drawn as ``standard_gamma(n_k)`` normalized per
@@ -43,14 +41,13 @@ longer one, the worker and BLAS thread counts play no part (cells are
 summed by ``cumsum`` in label order), and the table orders its cells by
 outcome and bin, so permuting the rows changes nothing.  Nor does the
 helper-thread count: ``_ordered_map`` works up to ``_threads(values)``
-ordinary blocks at once (the usable CPUs, at most 2; 1 for a request of
-fewer than ``BLOCK_CELLS`` masses, and in ``simulate``'s process workers)
-and hands them on in block order.  Bayesian blocks stay on the calling
-thread, since ``standard_gamma`` holds the GIL.  One replicate
-serves every threshold of the grid, keeping curves coherent.  The grid is
-strictly increasing, as ``make_thresholds`` requires, and the cells depend
-on it: adding a threshold that splits an occupied cell changes the draws at
-the other thresholds, though not their distribution.
+blocks at once (the usable CPUs, at most 2; 1 for a request of fewer than
+``BLOCK_CELLS`` masses, and in ``simulate``'s process workers) and hands
+them on in block order.  One replicate serves every threshold of the
+grid, keeping curves coherent.  The grid is strictly increasing, as
+``make_thresholds`` requires, and the cells depend on it: adding a
+threshold that splits an occupied cell changes the draws at the other
+thresholds, though not their distribution.
 """
 
 from __future__ import annotations
@@ -74,9 +71,8 @@ BLOCK_REPS = 256              # replicates per random block
 BLOCK_CELLS = 1 << 18         # most (replicate, cell) masses in one block: 2 MB of floats
 MAX_DRAW_BYTES = 1 << 31      # most bytes of the (N, T, 2) NBs one bootstrap computes, held
                               # or not: 64 times a default evpi method's 32 MB
-BAND_BLOCK = 1 << 16          # most treat-all NBs per block of _table_bands
-BAND_WINDOW = 2048            # model-NB replicates _table_bands takes between cuts to its
-                              # tails; at least BLOCK_REPS, so a block fits after a cut
+BAND_WINDOW = 512             # replicates _table_bands takes between cuts to its tails;
+                              # at least BLOCK_REPS, so a block fits after a cut
 _thread_cap = 2               # most items _ordered_map works at once (see _threads)
 
 
@@ -273,12 +269,11 @@ def _check_method(method) -> None:
 
 
 def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
-    """Check a request for ``n_reps`` replicates on ``table`` and return
-    ``(total, blocks)``: the NB denominator (1 for Bayesian masses, n for
-    ordinary counts) and an iterator, in replicate order, over the blocks
-    of :func:`_block_masses`, each ``(rows, model, events, non_events)``:
-    the slice of replicates, their ``(rows, T)`` model NBs and their event
-    and non-event masses.  The check refuses what ``bootstrap_nb_draws_grid``
+    """Check a request for ``n_reps`` replicates on ``table`` and return an
+    iterator, in replicate order, over the blocks of :func:`_block_masses`,
+    each ``(rows, model, treat_all)``: the slice of replicates and their
+    ``(rows, T)`` model and treat-all NBs.  The check runs on the call,
+    before anything is drawn, and refuses what ``bootstrap_nb_draws_grid``
     could not hold, so every reader computes the same NB values under the
     same bound."""
     if n_reps < 1:
@@ -289,29 +284,16 @@ def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
         raise InputError(f"bootstrap draws of shape {shape} take {8 * math.prod(shape)} "
                          f"bytes, over the {MAX_DRAW_BYTES}-byte limit")
     total = 1.0 if method == "bayesian" else int(table.cell_counts.sum())
-    counts = table.cell_counts
+    counts, c = table.cell_counts, table.harm_weight
 
     def block(start):
         masses = _block_masses(counts, n_reps, method, seed, start)
         tp, fp, events, non_events = table.sums(masses)
-        # Copies of the two (rows,) masses let the block's sums go at once.
-        return (slice(start, start + masses.shape[0]),
-                _net_benefit(tp, fp, table.harm_weight, total), events.copy(), non_events.copy())
+        return (slice(start, start + masses.shape[0]), _net_benefit(tp, fp, c, total),
+                _net_benefit(events[:, None], non_events[:, None], c, total))
 
-    # standard_gamma holds the GIL over an array of shapes: Bayesian blocks
-    # gain nothing from helper threads.
-    width = 1 if method == "bayesian" else _threads(n_reps * counts.size)
-    return total, _ordered_map(block, range(0, n_reps, _block_rows(counts.size)), width)
-
-
-def _draw_blocks(table: _CellTable, n_reps: int, method: str, seed):
-    """The blocks of :func:`_nb_blocks` as ``(rows, model, treat_all)``, the
-    ``(rows, T)`` model and treat-all NBs of a slice of replicates; the
-    request is checked on the call, before anything is drawn."""
-    total, blocks = _nb_blocks(table, n_reps, method, seed)
-    c = table.harm_weight
-    return ((rows, model, _net_benefit(events[:, None], non_events[:, None], c, total))
-            for rows, model, events, non_events in blocks)
+    return _ordered_map(block, range(0, n_reps, _block_rows(counts.size)),
+                        _threads(n_reps * counts.size))
 
 
 def _quantile_ranks(n: int, probs):
@@ -338,55 +320,47 @@ def _lerp(a, b, g):
 
 def _table_bands(table: _CellTable, n_reps: int, method: str, seed, probs):
     """The ``probs`` quantiles, each of shape ``(len(probs), T)``, of the
-    model and treat-all NBs of ``_draw_blocks(table, n_reps, method, seed)``,
+    model and treat-all NBs of ``_nb_blocks(table, n_reps, method, seed)``,
     bit for bit, without holding those draws.
 
     Each quantile reads two order statistics per threshold
     (:func:`_quantile_ranks`), each counted from the nearer end: the
-    ``below`` smallest and ``above`` largest model NBs of a threshold hold
-    them all.  A ``(T, below + above + BAND_WINDOW)`` buffer, or ``(T,
-    n_reps)`` if that is smaller, takes each block's model NBs in
-    replicate order.  When a block does not fit, one partition cuts the
-    filled columns back to each threshold's ``below`` smallest and
-    ``above`` largest values, which are still those of every replicate so
-    far.  At the end the ranks, counted from the same ends, read the kept
-    values, and :func:`_lerp` interpolates as numpy does.  Where the tails
-    cover every replicate (few replicates, or a narrow band) the buffer
-    holds them all and nothing is cut.  The ``(n_reps,)`` event and
-    non-event masses are held, and the treat-all NBs are rebuilt from them
-    by the same formula, a few thresholds (at most ``BAND_BLOCK`` values,
-    or one threshold) at a time."""
-    total, blocks = _nb_blocks(table, n_reps, method, seed)
-    c = table.harm_weight
+    ``below`` smallest and ``above`` largest NBs of a threshold hold them
+    all.  A ``(2 T, below + above + BAND_WINDOW)`` buffer, or ``(2 T,
+    n_reps)`` if that is smaller, takes each block's model NBs (rows ``:T``)
+    and treat-all NBs (rows ``T:``) in replicate order.  When a block does
+    not fit, one partition cuts the filled columns back to each row's
+    ``below`` smallest and ``above`` largest values, which are still those
+    of every replicate so far.  At the end the ranks, counted from the same
+    ends, read the kept values, and :func:`_lerp` interpolates as numpy
+    does; no NB is -0.0, as ``tp - c fp`` and ``e - c ne`` never are.
+    Where the tails cover every replicate (few replicates, or a narrow
+    band) the buffer holds them all and nothing is cut."""
+    blocks = _nb_blocks(table, n_reps, method, seed)
+    t = len(table.thresholds)
     lo, hi, g = _quantile_ranks(n_reps, probs)
     ranks = np.concatenate((lo, hi))
     lower = ranks + 1 <= n_reps - ranks  # as near the smallest value as the largest, or nearer
     below = int((ranks + 1)[lower].max(initial=1))
     above = int((n_reps - ranks)[~lower].max(initial=1))
-    kept = np.empty((c.size, min(n_reps, below + above + BAND_WINDOW)))
+    kept = np.empty((2 * t, min(n_reps, below + above + BAND_WINDOW)))
     filled = 0
-    events, non_events = np.empty(n_reps), np.empty(n_reps)
-    for rows, nb, ev, nev in blocks:
-        events[rows], non_events[rows] = ev, nev
-        if filled + nb.shape[0] > kept.shape[1]:
+    for _, model, treat_all in blocks:
+        rows = model.shape[0]
+        if filled + rows > kept.shape[1]:
             # filled > below + above, as a block is at most BAND_WINDOW
             # replicates: the two tails are apart.
             kept[:, :filled].partition([below - 1, filled - above], axis=-1)
             kept[:, below:below + above] = kept[:, filled - above:filled]
             filled = below + above
-        kept[:, filled:filled + nb.shape[0]] = nb.T
-        filled += nb.shape[0]
+        kept[:t, filled:filled + rows] = model.T
+        kept[t:, filled:filled + rows] = treat_all.T
+        filled += rows
     kept = kept[:, :filled]
     at = np.where(lower, ranks, ranks - (n_reps - filled))
     kept.partition(np.unique(at), axis=-1)
-    model_q = _lerp(kept[:, at[:lo.size]], kept[:, at[lo.size:]], g).T
-    del kept
-    all_q = np.empty_like(model_q)
-    step = max(1, BAND_BLOCK // n_reps)
-    for j in range(0, c.size, step):
-        nb = _net_benefit(events, non_events, c[j:j + step, None], total)
-        all_q[:, j:j + step] = np.quantile(nb, probs, axis=-1, overwrite_input=True)
-    return model_q, all_q
+    q = _lerp(kept[:, at[:lo.size]], kept[:, at[lo.size:]], g).T
+    return q[:, :t], q[:, t:]
 
 
 def bootstrap_nb_draws_grid(
@@ -405,7 +379,7 @@ def bootstrap_nb_draws_grid(
     pure function of ``(sample, thresholds, n_reps, method, seed)``.
     """
     table = _CellTable(sample.outcomes, sample.risks, thresholds)
-    blocks = _draw_blocks(table, n_reps, method, seed)
+    blocks = _nb_blocks(table, n_reps, method, seed)
     draws = np.empty((n_reps, len(table.thresholds), 2))
     for rows, model, treat_all in blocks:
         draws[rows, :, 0], draws[rows, :, 1] = model, treat_all

@@ -44,7 +44,7 @@ import numpy as np
 from .bvn import _check_params, _emax_pfirst, _max
 from .errors import InputError, NumericError, SmallEffectiveSampleWarning
 from .netbenefit import Threshold, ValidationSample, _CellTable, _net_benefit
-from .resample import DEFAULT_N_REPS, NbDrawMatrix, _draw_blocks
+from .resample import DEFAULT_N_REPS, NbDrawMatrix, _nb_blocks
 from .rng import _check_seed
 
 ALL_METHODS = ("bayesian", "ordinary", "asymptotic")
@@ -343,7 +343,7 @@ def _evpi_grid(table: _CellTable, methods, n_reps, seed) -> list[VoiResult]:
     ``table``; the caller checks ``methods`` and ``seed``."""
     ts = table.thresholds
     return [_asymptotic_columns(_moment_grid(table.counts, ts)) if m == "asymptotic" else
-            _bootstrap_columns(_draw_blocks(table, n_reps, m, seed), n_reps, len(ts), m, seed)
+            _bootstrap_columns(_nb_blocks(table, n_reps, m, seed), n_reps, len(ts), m, seed)
             for m in methods]
 
 

@@ -2,6 +2,7 @@
 changes no byte, a block's error surfaces at that block's turn, and no
 helper thread outlives its block generator."""
 
+import gc
 import json
 import os
 import subprocess
@@ -20,6 +21,20 @@ from nbvoi.netbenefit import _CellTable, default_grid
 from nbvoi.resample import BLOCK_CELLS, BLOCK_REPS, _nb_blocks
 
 N_REPS = 4 * BLOCK_REPS + 100  # five blocks: groups of 2 and 3 leave a short last group
+
+
+@pytest.fixture(autouse=True)
+def _collect_abandoned_blocks():
+    """Close the block generators that an earlier failed test left behind,
+    joining their helpers, so that this test counts only its own threads.
+    Such a generator is kept by the failure's traceback, which pytest holds
+    in ``sys.last_traceback`` until the next test's call (dropped here a
+    step earlier), and then by a reference cycle, which ``gc.collect``
+    frees."""
+    for name in ("last_type", "last_value", "last_traceback", "last_exc"):
+        if hasattr(sys, name):
+            delattr(sys, name)
+    gc.collect()
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +98,9 @@ def _patched_substream(monkeypatch, fail=None, pause=0.0):
     monkeypatch.setattr(resample, "substream", patched)
 
 
+@pytest.mark.parametrize("method", ["bayesian", "ordinary"])
 @pytest.mark.parametrize("width", [2, 3])
-def test_a_block_error_surfaces_at_its_turn_at_any_width(monkeypatch, sample, width):
+def test_a_block_error_surfaces_at_its_turn_at_any_width(monkeypatch, sample, width, method):
     """Block 3 of 5 raises the same error after the same three blocks as at
     width 1, and every helper thread has ended by then."""
     table = _CellTable(sample.outcomes, sample.risks, default_grid())
@@ -93,7 +109,7 @@ def test_a_block_error_surfaces_at_its_turn_at_any_width(monkeypatch, sample, wi
     seen = {}
     for w in (1, width):
         monkeypatch.setattr(resample, "_threads", lambda values, w=w: w)
-        _, blocks = _nb_blocks(table, N_REPS, "ordinary", 4)
+        blocks = _nb_blocks(table, N_REPS, method, 4)
         seen[w] = []
         with pytest.raises(RuntimeError, match="^block 3 failed$"):
             for rows, *_ in blocks:
@@ -102,27 +118,17 @@ def test_a_block_error_surfaces_at_its_turn_at_any_width(monkeypatch, sample, wi
     assert seen[1] == seen[width] == [0, BLOCK_REPS, 2 * BLOCK_REPS]
 
 
-def test_closing_the_blocks_early_joins_every_helper(monkeypatch, sample):
+@pytest.mark.parametrize("method", ["bayesian", "ordinary"])
+def test_closing_the_blocks_early_joins_every_helper(monkeypatch, sample, method):
     table = _CellTable(sample.outcomes, sample.risks, default_grid())
     _patched_substream(monkeypatch, pause=0.2)
     monkeypatch.setattr(resample, "_threads", lambda values: 3)
     threads = threading.active_count()
-    _, blocks = _nb_blocks(table, N_REPS, "ordinary", 4)
+    blocks = _nb_blocks(table, N_REPS, method, 4)
     rows, *_ = next(blocks)
     assert rows.start == 0 and threading.active_count() == threads + 2  # blocks 1 and 2
     blocks.close()
     assert threading.active_count() == threads
-
-
-def test_bayesian_blocks_run_on_the_calling_thread(monkeypatch, sample):
-    """standard_gamma holds the GIL, so Bayesian blocks start no helper."""
-    table = _CellTable(sample.outcomes, sample.risks, default_grid())
-    _patched_substream(monkeypatch, pause=0.05)
-    monkeypatch.setattr(resample, "_threads", lambda values: 3)
-    threads = threading.active_count()
-    _, blocks = _nb_blocks(table, N_REPS, "bayesian", 4)
-    for _ in blocks:
-        assert threading.active_count() == threads
 
 
 def test_the_width_is_the_usable_cpus_under_the_cap(monkeypatch):
@@ -136,7 +142,8 @@ def test_the_width_is_the_usable_cpus_under_the_cap(monkeypatch):
     assert resample._threads(BLOCK_CELLS) == 1
 
 
-def test_small_ordinary_requests_start_no_helper(monkeypatch):
+@pytest.mark.parametrize("method", ["bayesian", "ordinary"])
+def test_small_requests_start_no_helper(monkeypatch, method):
     """Four blocks of eight cells, as in an ``evpi`` at three thresholds,
     stay on the calling thread."""
     s = generate_synthetic(LogisticDgm(intercept=-1.55, slopes=(0.77,)), 2000, substream(3, 2))
@@ -144,7 +151,7 @@ def test_small_ordinary_requests_start_no_helper(monkeypatch):
     assert table.cell_counts.size <= 8
     _patched_substream(monkeypatch, pause=0.05)
     threads = threading.active_count()
-    _, blocks = _nb_blocks(table, 4 * BLOCK_REPS, "ordinary", 4)
+    blocks = _nb_blocks(table, 4 * BLOCK_REPS, method, 4)
     for _ in blocks:
         assert threading.active_count() == threads
 

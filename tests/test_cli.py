@@ -143,6 +143,7 @@ class TestEvpi:
         equal a direct grid call with the same arguments, and the EVPI
         output is the same bytes with or without the dump."""
         import nbvoi.resample as resample_mod
+        import nbvoi.voi as voi_mod
 
         path, sample = dataset
         calls = []
@@ -152,6 +153,7 @@ class TestEvpi:
             return _nb_blocks(table, n_reps, method, seed)
 
         monkeypatch.setattr(resample_mod, "_nb_blocks", counting)
+        monkeypatch.setattr(voi_mod, "_nb_blocks", counting)
         prefix = tmp_path / "draws"
         argv = ["evpi", "--data", str(path), "--outcome", "y", "--risk", "p",
                 "--thresholds", "0.1,0.2", "--n-reps", "50", "--seed", "5", "--method", "all"]

@@ -405,14 +405,13 @@ class TestDecisionCurve:
         assert np.array_equal(c1.nb_model, c2.nb_model)
 
     def test_bands_keep_the_tails_not_the_draws(self):
-        """The bands keep, per threshold, only the replicates' model NBs that
-        the quantiles can read, and rebuild the treat-all NBs a few
-        thresholds at a time.  On 20 thresholds, where the per-block
-        temporaries weigh most, the call peaks below the bytes of the
-        (N, T, 2) draws; on the default 200-threshold grid below 0.3 times
-        them, and at 2 x 10^4 replicates below 0.2 times, where the (T, N)
-        model NBs alone are 0.5 times.  The bands are still the
-        percentiles of the draws."""
+        """The bands keep, per threshold, only the replicates' model and
+        treat-all NBs that the quantiles can read, in one buffer.  On 20
+        thresholds, where the per-block temporaries weigh most, the call
+        peaks below the bytes of the (N, T, 2) draws; on the default
+        200-threshold grid below 0.3 times them, and at 2 x 10^4
+        replicates below 0.2 times, where the (T, N) model NBs alone are
+        0.5 times.  The bands are still the percentiles of the draws."""
         s = self._sample(n=500)
         probs = [0.5 * (1 - 0.95), 0.5 * (1 + 0.95)]
         for ts, n_boot, bound in ((make_thresholds(np.arange(1, 21) / 100), 10_000, 1.0),
