@@ -17,9 +17,9 @@ table: point estimates, moments and thin-side checks read its row-count
 sums, and the bootstrap (``resample._nb_blocks``) draws masses on the same
 table's cells and asks it for their sums.  EVPI reduces those draws block
 by block, and a decision curve's bands come from ``resample._table_bands``,
-which keeps, per threshold, only the smallest and largest model and
-treat-all NBs that its quantiles read: neither holds the ``(N, T, 2)``
-draws.
+which keeps, per threshold, only the smallest and largest model NBs that
+its quantiles read, and of each replicate the two masses that set its
+treat-all NBs: neither holds the ``(N, T, 2)`` draws.
 """
 
 from __future__ import annotations

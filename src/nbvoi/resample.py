@@ -16,14 +16,16 @@ replicate's net benefits depend on the rows only through the mass on each
 occupied cell of a ``netbenefit._CellTable``, which owns the cells and
 turns cell masses into per-threshold sums.  ``_nb_blocks``, the one block
 loop, draws the masses on the one table of the analysis and turns their
-sums into the rows of the ``(N, T, 2)`` draws ``[model, treat_all]``,
-block by block, and every reader takes that stream: ``voi._evpi_grid``
-reduces the blocks as they come, only ``bootstrap_nb_draws_grid`` holds
-them (``bootstrap_nb_draws`` slices its array into an
+sums into each replicate's model NBs and its total event and non-event
+masses, which give its treat-all NBs (``_treat_all``), block by block, and
+every reader takes that stream: ``voi._evpi_grid`` reduces the blocks as
+they come, only ``bootstrap_nb_draws_grid`` holds the ``(N, T, 2)`` draws
+``[model, treat_all]`` (``bootstrap_nb_draws`` slices its array into an
 :class:`NbDrawMatrix` at one threshold), and ``_table_bands``, for
-decision curves, keeps of each threshold's model and treat-all NBs only
-the two tails that its percentiles read: its memory grows with
-(1 - level) N, not with N.
+decision curves, keeps of each threshold's model NBs only the two tails
+that its percentiles read, and reads the treat-all band from the held
+masses (16 bytes a replicate): its memory grows with (1 - level) N T +
+16 N, not with N T.
 Summed flat-Dirichlet weights are exactly Dirichlet(n_1, ..., n_K) over
 the K cells with n_k rows each (the aggregation property of Rubin's
 Bayesian bootstrap), drawn as ``standard_gamma(n_k)`` normalized per
@@ -268,14 +270,30 @@ def _check_method(method) -> None:
         raise InputError(f"unknown bootstrap method {method!r}; expected 'bayesian' or 'ordinary'")
 
 
+def _mass_total(table: _CellTable, method: str):
+    """A replicate's total cell mass on ``table``: 1 for Bayesian masses,
+    the row count n for ordinary counts."""
+    return 1.0 if method == "bayesian" else int(table.cell_counts.sum())
+
+
+def _treat_all(table: _CellTable, method: str, events, non_events) -> np.ndarray:
+    """The ``(rows, T)`` treat-all NBs of replicates with total ``events``
+    and ``non_events`` masses: ``(e - c ne) / total``, elementwise, so a
+    replicate's NBs are the same floats in any selection of replicates."""
+    return _net_benefit(events[:, None], non_events[:, None], table.harm_weight,
+                        _mass_total(table, method))
+
+
 def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
     """Check a request for ``n_reps`` replicates on ``table`` and return an
     iterator, in replicate order, over the blocks of :func:`_block_masses`,
-    each ``(rows, model, treat_all)``: the slice of replicates and their
-    ``(rows, T)`` model and treat-all NBs.  The check runs on the call,
-    before anything is drawn, and refuses what ``bootstrap_nb_draws_grid``
-    could not hold, so every reader computes the same NB values under the
-    same bound."""
+    each ``(rows, model, events, non_events)``: the slice of replicates,
+    their ``(rows, T)`` model NBs and their ``(rows,)`` total event and
+    non-event masses, from which :func:`_treat_all` gives the treat-all
+    NBs.  The totals are copies, so a block does not keep its cumulative
+    sums alive.  The check runs on the call, before anything is drawn, and
+    refuses what ``bootstrap_nb_draws_grid`` could not hold, so every
+    reader computes the same NB values under the same bound."""
     if n_reps < 1:
         raise InputError("n_reps must be >= 1")
     _check_method(method)
@@ -283,14 +301,14 @@ def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
     if 8 * math.prod(shape) > MAX_DRAW_BYTES:
         raise InputError(f"bootstrap draws of shape {shape} take {8 * math.prod(shape)} "
                          f"bytes, over the {MAX_DRAW_BYTES}-byte limit")
-    total = 1.0 if method == "bayesian" else int(table.cell_counts.sum())
+    total = _mass_total(table, method)
     counts, c = table.cell_counts, table.harm_weight
 
     def block(start):
         masses = _block_masses(counts, n_reps, method, seed, start)
         tp, fp, events, non_events = table.sums(masses)
         return (slice(start, start + masses.shape[0]), _net_benefit(tp, fp, c, total),
-                _net_benefit(events[:, None], non_events[:, None], c, total))
+                events.copy(), non_events.copy())
 
     return _ordered_map(block, range(0, n_reps, _block_rows(counts.size)),
                         _threads(n_reps * counts.size))
@@ -321,21 +339,44 @@ def _lerp(a, b, g):
 def _table_bands(table: _CellTable, n_reps: int, method: str, seed, probs):
     """The ``probs`` quantiles, each of shape ``(len(probs), T)``, of the
     model and treat-all NBs of ``_nb_blocks(table, n_reps, method, seed)``,
-    bit for bit, without holding those draws.
+    bit for bit, without holding the model NBs.
 
     Each quantile reads two order statistics per threshold
     (:func:`_quantile_ranks`), each counted from the nearer end: the
-    ``below`` smallest and ``above`` largest NBs of a threshold hold them
-    all.  A ``(2 T, below + above + BAND_WINDOW)`` buffer, or ``(2 T,
-    n_reps)`` if that is smaller, takes each block's model NBs (rows ``:T``)
-    and treat-all NBs (rows ``T:``) in replicate order.  When a block does
-    not fit, one partition cuts the filled columns back to each row's
-    ``below`` smallest and ``above`` largest values, which are still those
-    of every replicate so far.  At the end the ranks, counted from the same
-    ends, read the kept values, and :func:`_lerp` interpolates as numpy
-    does; no NB is -0.0, as ``tp - c fp`` and ``e - c ne`` never are.
-    Where the tails cover every replicate (few replicates, or a narrow
-    band) the buffer holds them all and nothing is cut."""
+    ``below`` smallest and ``above`` largest model NBs of a threshold hold
+    them all.  A ``(T, below + above + BAND_WINDOW)`` buffer, or ``(T,
+    n_reps)`` if that is smaller, takes each block's model NBs in replicate
+    order.  When a block does not fit, one partition cuts the filled
+    columns back to each row's ``below`` smallest and ``above`` largest
+    values, which are still those of every replicate so far.  At the end
+    the ranks, counted from the same ends, read the kept values.  Where the
+    tails cover every replicate (few replicates, or a narrow band) the
+    buffer holds them all and nothing is cut.
+
+    A replicate's treat-all NBs depend on it only through its total event
+    and non-event masses e and ne, which are held (16 bytes a replicate).
+    With ``total`` the mass of a replicate and ``tol`` = 2 max |e + ne -
+    total| + 8 u total (u the unit roundoff), a replicate whose e exceeds
+    another's by more than ``tol`` has, as computed, an NB at least the
+    other's at every threshold: (1 + c) times the gap exceeds c times the
+    two replicates' departures from e + ne = total plus the rounding of
+    ``c ne``, and subtraction and division round monotonically.  So one
+    partition of e finds, for each rank r, the r-th smallest e; the
+    replicates within ``tol`` of it form a window, and the rank-r NB at
+    every threshold is the window's NB of rank r less the number of
+    replicates below the window.  Each of those has an NB no larger than
+    that one, as the window's replicates from the r-th e up outnumber its
+    NBs above it, and each replicate above the window, likewise, an NB no
+    smaller.  The window's NBs are computed in full, once for each distinct
+    (e, ne) pair, which counts as often as it occurs.  Ordinary masses are
+    integer counts with e + ne = n exactly, so the window is the replicates
+    that tie with the r-th, one pair (on a tiny sample, half the
+    replicates); Bayesian masses leave e + ne within a few roundoffs of 1,
+    and distinct replicates' e differ by far more, so the window is, in
+    practice, one replicate.
+
+    :func:`_lerp` interpolates as numpy does; no NB is -0.0, as ``tp - c
+    fp`` and ``e - c ne`` never are."""
     blocks = _nb_blocks(table, n_reps, method, seed)
     t = len(table.thresholds)
     lo, hi, g = _quantile_ranks(n_reps, probs)
@@ -343,24 +384,41 @@ def _table_bands(table: _CellTable, n_reps: int, method: str, seed, probs):
     lower = ranks + 1 <= n_reps - ranks  # as near the smallest value as the largest, or nearer
     below = int((ranks + 1)[lower].max(initial=1))
     above = int((n_reps - ranks)[~lower].max(initial=1))
-    kept = np.empty((2 * t, min(n_reps, below + above + BAND_WINDOW)))
+    kept = np.empty((t, min(n_reps, below + above + BAND_WINDOW)))
+    # e + i ne: numpy orders complex numbers by real part first, so one
+    # in-place partition sorts the event masses and keeps each one's pair.
+    held = np.empty(n_reps, dtype=complex)
+    total, spread = _mass_total(table, method), 0.0  # spread: the most |e + ne - total|
     filled = 0
-    for _, model, treat_all in blocks:
-        rows = model.shape[0]
-        if filled + rows > kept.shape[1]:
+    for rows, model, e, ne in blocks:
+        held.real[rows], held.imag[rows] = e, ne
+        spread = max(spread, np.abs(e + ne - total).max())
+        size = model.shape[0]
+        if filled + size > kept.shape[1]:
             # filled > below + above, as a block is at most BAND_WINDOW
             # replicates: the two tails are apart.
             kept[:, :filled].partition([below - 1, filled - above], axis=-1)
             kept[:, below:below + above] = kept[:, filled - above:filled]
             filled = below + above
-        kept[:t, filled:filled + rows] = model.T
-        kept[t:, filled:filled + rows] = treat_all.T
-        filled += rows
+        kept[:, filled:filled + size] = model.T
+        filled += size
     kept = kept[:, :filled]
     at = np.where(lower, ranks, ranks - (n_reps - filled))
     kept.partition(np.unique(at), axis=-1)
-    q = _lerp(kept[:, at[:lo.size]], kept[:, at[lo.size:]], g).T
-    return q[:, :t], q[:, t:]
+
+    tol = 2 * spread + 4 * np.finfo(float).eps * total
+    held.partition(np.unique(ranks))
+    events = held.real
+    treat_all, columns = np.empty((t, ranks.size)), np.arange(t)
+    for i, r in enumerate(ranks):
+        start, stop = events[r] - tol, events[r] + tol
+        k = r - np.count_nonzero(events < start)  # the rank within the window
+        pairs, counts = np.unique(held[(events >= start) & (events <= stop)], return_counts=True)
+        nb = _treat_all(table, method, pairs.real, pairs.imag)
+        order = nb.argsort(axis=0)
+        first = (counts[order].cumsum(axis=0) > k).argmax(axis=0)  # the pair at rank k
+        treat_all[:, i] = nb[order[first, columns], columns]
+    return tuple(_lerp(q[:, :lo.size], q[:, lo.size:], g).T for q in (kept[:, at], treat_all))
 
 
 def bootstrap_nb_draws_grid(
@@ -381,8 +439,8 @@ def bootstrap_nb_draws_grid(
     table = _CellTable(sample.outcomes, sample.risks, thresholds)
     blocks = _nb_blocks(table, n_reps, method, seed)
     draws = np.empty((n_reps, len(table.thresholds), 2))
-    for rows, model, treat_all in blocks:
-        draws[rows, :, 0], draws[rows, :, 1] = model, treat_all
+    for rows, model, events, non_events in blocks:
+        draws[rows, :, 0], draws[rows, :, 1] = model, _treat_all(table, method, events, non_events)
     return draws
 
 

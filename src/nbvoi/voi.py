@@ -44,7 +44,7 @@ import numpy as np
 from .bvn import _check_params, _emax_pfirst, _max
 from .errors import InputError, NumericError, SmallEffectiveSampleWarning
 from .netbenefit import Threshold, ValidationSample, _CellTable, _net_benefit
-from .resample import DEFAULT_N_REPS, NbDrawMatrix, _nb_blocks
+from .resample import DEFAULT_N_REPS, NbDrawMatrix, _nb_blocks, _treat_all
 from .rng import _check_seed
 
 ALL_METHODS = ("bayesian", "ordinary", "asymptotic")
@@ -342,9 +342,15 @@ def _evpi_grid(table: _CellTable, methods, n_reps, seed) -> list[VoiResult]:
     """The array-valued result of each of ``methods`` over the grid of
     ``table``; the caller checks ``methods`` and ``seed``."""
     ts = table.thresholds
-    return [_asymptotic_columns(_moment_grid(table.counts, ts)) if m == "asymptotic" else
-            _bootstrap_columns(_nb_blocks(table, n_reps, m, seed), n_reps, len(ts), m, seed)
-            for m in methods]
+    results = []
+    for m in methods:
+        if m == "asymptotic":
+            results.append(_asymptotic_columns(_moment_grid(table.counts, ts)))
+            continue
+        blocks = ((rows, model, _treat_all(table, m, events, non_events))
+                  for rows, model, events, non_events in _nb_blocks(table, n_reps, m, seed))
+        results.append(_bootstrap_columns(blocks, n_reps, len(ts), m, seed))
+    return results
 
 
 def _warn_thin(names: list[str], stacklevel: int, where: str = "threshold(s)",

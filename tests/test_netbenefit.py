@@ -21,7 +21,7 @@ from nbvoi import (
     true_nb_of_dgm,
     weighted_nb,
 )
-from nbvoi.netbenefit import default_grid
+from nbvoi.netbenefit import _CellTable, default_grid
 from nbvoi import resample
 from nbvoi.resample import BAND_WINDOW, BLOCK_REPS, _quantile_ranks, bootstrap_nb_draws_grid
 
@@ -405,17 +405,21 @@ class TestDecisionCurve:
         assert np.array_equal(c1.nb_model, c2.nb_model)
 
     def test_bands_keep_the_tails_not_the_draws(self):
-        """The bands keep, per threshold, only the replicates' model and
-        treat-all NBs that the quantiles can read, in one buffer.  On 20
-        thresholds, where the per-block temporaries weigh most, the call
-        peaks below the bytes of the (N, T, 2) draws; on the default
-        200-threshold grid below 0.3 times them, and at 2 x 10^4
-        replicates below 0.2 times, where the (T, N) model NBs alone are
-        0.5 times.  The bands are still the percentiles of the draws."""
+        """The bands keep, per threshold, only the replicates' model NBs
+        that the quantiles can read, and of each replicate its event and
+        non-event masses (16 bytes), from which the treat-all band is read.
+        On 20 thresholds, where the per-block temporaries weigh most, the
+        call peaks below the bytes of the (N, T, 2) draws; on the default
+        200-threshold grid below 0.22 times them, and at 2 x 10^4
+        replicates below 0.13 times, where the (T, N) model NBs alone are
+        0.5 times.  On one threshold at 10^5 replicates the held masses are
+        as many bytes as the draws, and the call peaks below 1.5 times
+        them.  The bands are still the percentiles of the draws."""
         s = self._sample(n=500)
         probs = [0.5 * (1 - 0.95), 0.5 * (1 + 0.95)]
         for ts, n_boot, bound in ((make_thresholds(np.arange(1, 21) / 100), 10_000, 1.0),
-                                  (default_grid(), 10_000, 0.3), (default_grid(), 20_000, 0.2)):
+                                  (default_grid(), 10_000, 0.22), (default_grid(), 20_000, 0.13),
+                                  (make_thresholds([0.2]), 100_000, 1.5)):
             tracemalloc.start()
             try:
                 curve = decision_curve(s, ts, n_boot=n_boot, method="bayesian", seed=6)
@@ -478,6 +482,63 @@ class TestDecisionCurve:
             probs = [0.5 * (1 - ci_level), 0.5 * (1 + ci_level)]
             curve = decision_curve(s, ts, n_boot=3000, ci_level=ci_level, method=method, seed=8)
             draws = bootstrap_nb_draws_grid(s, ts, n_reps=3000, method=method, seed=8)
+            qs = np.quantile(draws, probs, axis=0)
+            assert np.array_equal(curve.model_ci, qs[:, :, 0].T)
+            assert np.array_equal(curve.all_ci, qs[:, :, 1].T)
+
+    @pytest.mark.parametrize("method", ["bayesian", "ordinary"])
+    def test_treat_all_band_is_exact_across_near_tied_event_masses(self, monkeypatch, method):
+        """The treat-all band reads its order statistics from the event
+        masses; where two replicates' event masses are equal or a few ulp
+        apart, their non-event masses decide the order, and it reverses
+        across the grid.  Replicates drawn in near-tied pairs, some twice,
+        in shuffled order, still give numpy's percentiles of the draws, bit
+        for bit."""
+        s = ValidationSample([1] * 32 + [0] * 32, [0.6, 0.03] * 32)
+        ts = make_thresholds([0.01, 0.05, 0.2, 0.5, 0.8])
+        table = _CellTable(s.outcomes, s.risks, ts)
+        pairs = 300
+        e_a = 0.13 + 0.11 * np.arange(pairs) / pairs
+        ulps = np.arange(pairs) % 4  # event masses equal or 1-3 ulp apart
+        e_b = e_a.copy()
+        for i in range(3):
+            e_b = np.where(ulps > i, np.nextafter(e_b, 1.0), e_b)
+        ne_b = 1.0 - e_b
+        # about c = 0.15 times the event-mass gap, so that b leads a below
+        # z = 0.13 and trails it above; 3 ulp where the event masses tie
+        steps = np.where(ulps > 0, np.rint(np.spacing(e_a) * ulps / (0.15 * np.spacing(ne_b))), 3)
+        ne_a = ne_b.copy()
+        for i in range(int(steps.max())):
+            ne_a = np.where(steps > i, np.nextafter(ne_a, 0.0), ne_a)
+        copies = slice(0, pairs, 3)  # a second draw of every third a
+        events = np.concatenate((e_a, e_b, e_a[copies]))
+        non_events = np.concatenate((ne_a, ne_b, ne_a[copies]))
+        n_boot = events.size
+        order = np.random.default_rng(5).permutation(n_boot)
+        events, non_events = events[order], non_events[order]
+        # Two cells per outcome, split so that the cumulative sums are exact.
+        outcome, top = table.cell_labels // table.width, table.cell_labels % table.width
+        top = top == top.max()
+        masses = np.empty((n_boot, table.cell_counts.size))
+        for k in range(masses.shape[1]):
+            whole, head = (events, 0.125) if outcome[k] else (non_events, 0.5)
+            masses[:, k] = head if top[k] else whole - head
+        scale = 1.0 if method == "bayesian" else float(s.n)  # 64: exact
+        masses *= scale
+        _, _, got_e, got_ne = table.sums(masses)
+        assert np.array_equal(got_e, scale * events) and np.array_equal(got_ne, scale * non_events)
+
+        def block_masses(counts, n_reps, method, seed, start):
+            return masses[start:min(n_reps, start + resample._block_rows(counts.size))]
+
+        monkeypatch.setattr(resample, "_block_masses", block_masses)
+        draws = bootstrap_nb_draws_grid(s, ts, n_reps=n_boot, method=method, seed=0)
+        at = np.argsort(order)  # where each a, b and copy ended up
+        gap = draws[at[pairs:2 * pairs], :, 1] - draws[at[:pairs], :, 1]
+        assert (gap[:, 0] > 0).sum() > 200 and (gap[:, -1] < 0).all()  # b leads, then trails
+        for ci_level in (0.5, 0.9, 0.95, 0.99):
+            probs = [0.5 * (1 - ci_level), 0.5 * (1 + ci_level)]
+            curve = decision_curve(s, ts, n_boot=n_boot, ci_level=ci_level, method=method)
             qs = np.quantile(draws, probs, axis=0)
             assert np.array_equal(curve.model_ci, qs[:, :, 0].T)
             assert np.array_equal(curve.all_ci, qs[:, :, 1].T)
