@@ -7,9 +7,11 @@ bands, and the expected value of perfect information computed by Bayesian
 bootstrap, ordinary bootstrap, or a closed-form asymptotic method, plus a
 simulation lab for sample-size sweeps.
 
-The package namespace holds what the demos and the README call, their
-return types and the exception types; the rest is imported from its
-module (``nbvoi.voi``, ``nbvoi.resample``, ``nbvoi.io``, ...).
+The package namespace holds what the demos, the README and
+``tests/test_acceptance.py`` call (the tests alone need ``BvnParams``,
+``bvn_cdf``, ``std_normal_cdf``, ``e_max_zero_bvn``, ``bootstrap_nb_draws``
+and ``true_nb_of_dgm``), their return types and the exception types; the rest
+is imported from its module (``nbvoi.voi``, ``nbvoi.resample``, ...).
 """
 
 __version__ = "0.1.0"

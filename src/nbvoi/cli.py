@@ -32,7 +32,6 @@ from .netbenefit import (
     Threshold,
     _whole,
     decision_curve,
-    default_grid,
     make_thresholds,
 )
 from .resample import DEFAULT_N_REPS, bootstrap_nb_draws_grid, dump_draws
@@ -43,17 +42,15 @@ from .simlab import (
     subsample_sweep,
     synthetic_sweep,
 )
-from .voi import ALL_METHODS, evpi_threshold_sweep
+from .voi import ALL_METHODS, _check_population, evpi_threshold_sweep
 
 _CLI_METHODS = {"bayes": "bayesian", "ordinary": "ordinary", "asymptotic": "asymptotic"}
 MAX_RANGE_THRESHOLDS = 100_000  # most thresholds in a 'start:stop:step' range: 500 default grids
 
 
-def _parse_thresholds(spec: str | None, max_z: float) -> tuple[Threshold, ...]:
+def _parse_thresholds(spec: str, max_z: float) -> tuple[Threshold, ...]:
     """Parse '--thresholds': a comma list '0.01,0.02' or a range
     'start:stop:step' (inclusive)."""
-    if spec is None:
-        return default_grid()
     try:
         if ":" in spec:
             start, stop, step = (float(v) for v in spec.split(":"))
@@ -125,6 +122,8 @@ def cmd_evpi(args) -> int:
     methods = ALL_METHODS if args.method == "all" else (_CLI_METHODS[args.method],)
     if args.dump_draws and methods == ("asymptotic",):
         raise InputError("--dump-draws needs a bootstrap method: bayes, ordinary or all")
+    if args.population is not None:
+        _check_population(args.population)
     sample = _load_sample(args.data, args.outcome, args.risk, args.model, args.delimiter)
     ts = _parse_thresholds(args.thresholds, args.max_threshold)
     rows = evpi_threshold_sweep(sample, ts, methods, args.n_reps, args.seed)
@@ -249,7 +248,8 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 def _add_analysis_args(p: argparse.ArgumentParser, methods: list[str], default: str,
                        outs: list[str]) -> None:
-    p.add_argument("--thresholds", help="'a,b,c' or 'start:stop:step' (default 0.001:0.2:0.001)")
+    p.add_argument("--thresholds", default="0.001:0.2:0.001",
+                   help="'a,b,c' or 'start:stop:step' (default %(default)s)")
     p.add_argument("--max-threshold", type=float, default=DEFAULT_MAX_THRESHOLD,
                    help="reject thresholds at or above this value (default 0.99)")
     p.add_argument("--n-reps", type=int, default=DEFAULT_N_REPS,

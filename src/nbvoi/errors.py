@@ -18,8 +18,8 @@ class InputError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Numerical failure that is not the user's fault (e.g. a covariance
-    matrix that cannot be repaired to positive semidefinite).
+    """Numerical failure that is not the user's fault: a computed EVPI below
+    zero or a P(useful) outside [0, 1], as ``voi.VoiResult`` checks them.
 
     Maps to CLI exit code 3.
     """

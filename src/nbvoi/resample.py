@@ -44,8 +44,8 @@ summed by ``cumsum`` in label order), and the table orders its cells by
 outcome and bin, so permuting the rows changes nothing.  Nor does the
 helper-thread count: ``_ordered_map`` works up to ``_threads(values)``
 blocks at once (the usable CPUs, at most 2; 1 for a request of fewer than
-``BLOCK_CELLS`` masses, and in ``simulate``'s process workers) and hands
-them on in block order.  One replicate serves every threshold of the
+``BLOCK_CELLS`` masses, and in a ``multiprocessing`` child such as a
+``simulate`` worker) and hands them on in block order.  One replicate serves every threshold of the
 grid, keeping curves coherent.  The grid is strictly increasing, as
 ``make_thresholds`` requires, and the cells depend on it: adding a
 threshold that splits an occupied cell changes the draws at the other
@@ -55,6 +55,8 @@ thresholds, though not their distribution.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +77,6 @@ MAX_DRAW_BYTES = 1 << 31      # most bytes of the (N, T, 2) NBs one bootstrap co
                               # or not: 64 times a default evpi method's 32 MB
 BAND_WINDOW = 512             # replicates _table_bands takes between cuts to its tails;
                               # at least BLOCK_REPS, so a block fits after a cut
-_thread_cap = 2               # most items _ordered_map works at once (see _threads)
 
 
 @dataclass(frozen=True)
@@ -88,15 +89,12 @@ class WeightVector:
     """
 
     weights: np.ndarray
-    kind: str
     counts: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        if self.kind not in ("dirichlet", "multinomial"):
-            raise InputError(f"unknown weight kind {self.kind!r}")
         if w.ndim != 1 or w.shape[0] < 1:
             raise InputError("weights must be a non-empty vector")
         if w.min() < 0.0:
@@ -120,7 +118,7 @@ def dirichlet_weights(n: int, rng: np.random.Generator) -> WeightVector:
     if n < 1:
         raise InputError("dirichlet_weights requires n >= 1")
     e = rng.standard_exponential(n)
-    return WeightVector(weights=e / e.sum(), kind="dirichlet")
+    return WeightVector(weights=e / e.sum())
 
 
 def multinomial_weights(n: int, rng: np.random.Generator) -> WeightVector:
@@ -128,7 +126,7 @@ def multinomial_weights(n: int, rng: np.random.Generator) -> WeightVector:
     if n < 1:
         raise InputError("multinomial_weights requires n >= 1")
     counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-    return WeightVector(weights=counts / n, kind="multinomial", counts=counts)
+    return WeightVector(weights=counts / n, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -153,8 +151,7 @@ class NbDrawMatrix:
             raise InputError(f"draw matrix must be N x 2 with N >= 1, got shape {d.shape}")
         if not np.isfinite(d).all():
             raise InputError("draw matrix entries must be finite")
-        if self.method not in METHOD_IDS:
-            raise InputError(f"unknown bootstrap method {self.method!r}")
+        _check_method(self.method)
 
 
 def _block_rows(n_cells: int) -> int:
@@ -184,20 +181,13 @@ def _block_masses(counts: np.ndarray, n_reps: int, method: str, seed, start: int
 def _threads(values: int) -> int:
     """How many items :func:`_ordered_map` works at once in a pass over
     ``values`` numbers: 1 below ``BLOCK_CELLS`` values, where starting a
-    thread saves nothing, else the usable CPUs, at most ``_thread_cap``."""
-    import os
-
-    if values < BLOCK_CELLS:
+    thread saves nothing, and in a ``multiprocessing`` child (a pool
+    worker runs on one CPU), else the usable CPUs, at most 2."""
+    mp = sys.modules.get("multiprocessing")
+    if values < BLOCK_CELLS or mp is not None and mp.parent_process() is not None:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(_thread_cap, cpus or 1))
-
-
-def _single_thread() -> None:
-    """Work one item at a time in this process (the initializer of
-    ``simulate``'s process workers, which each run on one CPU)."""
-    global _thread_cap
-    _thread_cap = 1
+    return max(1, min(2, cpus or 1))
 
 
 def _ordered_map(fn, items, width: int):

@@ -27,7 +27,7 @@ from .errors import InputError
 from .io import _expit
 from .netbenefit import (Threshold, ValidationSample, _CellTable, _Grid, _real, _whole,
                          make_thresholds)
-from .resample import DATA_STREAM_ID, SWEEP_N_REPS, _single_thread
+from .resample import DATA_STREAM_ID, SWEEP_N_REPS
 from .rng import _check_seed, substream
 from .voi import (_METHOD_LABELS, ALL_METHODS, _asymptotic_columns, _check_methods, _evpi_grid,
                   _moment_grid, _thin_mask, _warn_thin)
@@ -116,15 +116,13 @@ def true_nb_of_dgm(
     raise InputError(f"unknown strategy {strategy!r}")
 
 
-def doubling_sizes(max_size: int, start: int = 250) -> tuple[int, ...]:
-    """Default sweep ladder: ``start`` doubling each step, ending at
-    ``max_size`` itself."""
-    if max_size < 1 or start < 1:
+def doubling_sizes(max_size: int) -> tuple[int, ...]:
+    """Default sweep ladder: 250 doubling each step, ending at ``max_size``
+    itself."""
+    if max_size < 1:
         raise InputError("sizes must be positive")
-    if start >= max_size:
-        return (max_size,)
     sizes = []
-    s = start
+    s = 250
     while s < max_size:
         sizes.append(s)
         s *= 2
@@ -236,9 +234,8 @@ def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
     thin = np.zeros((n_sizes, n_t), dtype=bool)
     if cfg.n_workers > 1:  # multiprocessing loads only for a pool
         from concurrent.futures import ProcessPoolExecutor
-    # A process worker works its bootstrap blocks one at a time.
-    with (ProcessPoolExecutor(cfg.n_workers, initializer=_single_thread)
-          if cfg.n_workers > 1 else nullcontext()) as pool:
+    # A process worker works its bootstrap blocks one at a time (resample._threads).
+    with ProcessPoolExecutor(cfg.n_workers) if cfg.n_workers > 1 else nullcontext() as pool:
         batch = max(1, len(chunks) // (4 * cfg.n_workers))
         results = pool.map(worker, chunks, chunksize=batch) if pool else map(worker, chunks)
         for chunk, (evpi, mask) in zip(chunks, results):

@@ -56,7 +56,6 @@ _METHOD_LABELS = {
 }
 
 _PSD_TOL = 1e-10
-_COLUMN_BLOCK = 1 << 18  # most (threshold, replicate) entries per bootstrap temporary: 2 MB
 MIN_SIDE_ROWS = 20  # fewer rows than this on one side of a threshold is "thin"
 
 
@@ -224,8 +223,8 @@ def _bootstrap_columns(blocks, n_reps: int, n_t: int, method: str, seed) -> VoiR
     depend only on its own draws.  The running column sum is concatenated
     onto each block, so the replicates are added in order, as by one mean
     over the ``(N, T, 2)`` draws; the row maxima are held replicate-last, so
-    their mean and SD use numpy's pairwise sum exactly as over one
-    threshold's vector, ``_COLUMN_BLOCK`` entries at a time.
+    their mean and SD are numpy's ``mean`` and ``std(ddof=1)`` over one
+    threshold's vector, the SD taken step by step in place as numpy does.
     """
     if n_reps < 2:
         raise InputError("EVPI from draws requires at least 2 replicates")
@@ -236,13 +235,12 @@ def _bootstrap_columns(blocks, n_reps: int, n_t: int, method: str, seed) -> VoiR
         useful = useful + _p_useful(model, treat_all)
         row_max[:, rows] = np.maximum(np.maximum(model, treat_all), 0.0).T
     mean_model, mean_all = sums[0] / n_reps
-    enb_perfect, mc_se = np.empty(n_t), np.empty(n_t)
-    step = max(1, _COLUMN_BLOCK // n_reps)
-    for j in range(0, n_t, step):
-        block = slice(j, j + step)
-        enb_perfect[block] = row_max[block].mean(axis=1)
-        mc_se[block] = row_max[block].std(axis=1, ddof=1) / math.sqrt(n_reps)
-    return _columns(mean_model, mean_all, enb_perfect, useful / n_reps, mc_se,
+    enb_perfect = row_max.sum(axis=1, keepdims=True)
+    enb_perfect /= n_reps
+    row_max -= enb_perfect
+    row_max *= row_max
+    mc_se = np.sqrt(row_max.sum(axis=1) / (n_reps - 1)) / math.sqrt(n_reps)
+    return _columns(mean_model, mean_all, enb_perfect[:, 0], useful / n_reps, mc_se,
                     _METHOD_LABELS[method], seed, n_reps)
 
 
@@ -324,7 +322,7 @@ def _thin_mask(counts) -> np.ndarray:
 def _check_methods(methods) -> tuple[str, ...]:
     """``methods`` as a tuple, refused unless it is a list or a tuple (a
     set or a dict would fix no order) that names at least one method and
-    each of them is a string in ``ALL_METHODS``."""
+    each of them is a string in ``ALL_METHODS``, named once."""
     if not isinstance(methods, (list, tuple)):
         raise InputError(f"'methods' must be a list of method names, not {methods!r}")
     methods = tuple(methods)
@@ -335,6 +333,8 @@ def _check_methods(methods) -> tuple[str, ...]:
             raise InputError(f"'methods' must hold method names, not {m!r}")
         if m not in ALL_METHODS:
             raise InputError(f"unknown EVPI method {m!r}")
+        if methods.count(m) > 1:
+            raise InputError(f"EVPI method {m!r} is named twice")
     return methods
 
 
@@ -393,6 +393,12 @@ def evpi_threshold_sweep(
     return [(t, rows[i]) for i, t in enumerate(ts) for rows in per_method]
 
 
+def _check_population(multiplier) -> None:
+    """Refuse a population multiplier that is not positive and finite."""
+    if not (math.isfinite(multiplier) and multiplier > 0):
+        raise InputError(f"population multiplier must be positive and finite, got {multiplier}")
+
+
 def population_scaled(evpi: float, multiplier: float, t: Threshold) -> tuple[float, float]:
     """Scale a per-decision EVPI to a population of decisions.
 
@@ -401,8 +407,7 @@ def population_scaled(evpi: float, multiplier: float, t: Threshold) -> tuple[flo
     false positives (true positives times the inverse harm weight
     (1-z)/z).
     """
-    if not (math.isfinite(multiplier) and multiplier > 0):
-        raise InputError(f"population multiplier must be positive and finite, got {multiplier}")
+    _check_population(multiplier)
     tp = evpi * multiplier
     fp = tp * ((1.0 - t.z) / t.z)
     return tp, fp

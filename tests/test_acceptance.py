@@ -318,7 +318,7 @@ def test_criterion_7_resample_weight_equivalence(announce):
         s = ValidationSample(y, p)
         for counts in _all_compositions(n, n):
             counts = np.array(counts)
-            wv = WeightVector(weights=counts / n, kind="multinomial", counts=counts)
+            wv = WeightVector(weights=counts / n, counts=counts)
             got_m, got_a = weighted_nb(s, wv, t)
             rep = np.repeat(np.arange(n), counts)
             resampled = ValidationSample(y[rep], p[rep])

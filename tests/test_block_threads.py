@@ -133,12 +133,17 @@ def test_closing_the_blocks_early_joins_every_helper(monkeypatch, sample, method
 
 def test_the_width_is_the_usable_cpus_under_the_cap(monkeypatch):
     """Two threads at most, one for a pass of fewer than ``BLOCK_CELLS``
-    values, and one in a process set to a single thread."""
+    values, and one in a ``multiprocessing`` child, such as a worker of
+    ``simulate``'s process pool."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     assert resample._threads(BLOCK_CELLS - 1) == 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert resample._threads(BLOCK_CELLS) == min(2, cpus)
-    monkeypatch.setattr(resample, "_thread_cap", resample._thread_cap)
-    resample._single_thread()
+    with ProcessPoolExecutor(1) as pool:
+        assert pool.submit(resample._threads, BLOCK_CELLS).result() == 1
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
     assert resample._threads(BLOCK_CELLS) == 1
 
 

@@ -164,7 +164,7 @@ def test_sums_equal_label_bincount_reference(s, ts, seed):
 @given(samples(), grids, st.data())
 def test_table_nb_equals_row_reference_for_counts(s, ts, data):
     counts = data.draw(resample_counts(s.n))
-    wv = WeightVector(weights=counts / s.n, kind="multinomial", counts=counts)
+    wv = WeightVector(weights=counts / s.n, counts=counts)
     table = _CellTable(s.outcomes, s.risks, ts)
     tp, fp, events, non_events = table.sums(
         np.bincount(row_cells(table, s), weights=counts, minlength=table.cell_counts.size))
@@ -182,8 +182,7 @@ def test_table_nb_equals_row_reference_for_counts(s, ts, data):
 @given(samples(min_n=2), grids)
 def test_moments_equal_row_reference(s, ts):
     n = s.n
-    unit = WeightVector(weights=np.full(n, 1.0 / n), kind="multinomial",
-                        counts=np.ones(n, dtype=int))
+    unit = WeightVector(weights=np.full(n, 1.0 / n), counts=np.ones(n, dtype=int))
     table = _CellTable(s.outcomes, s.risks, ts)
     grid = _moment_grid(table.counts, table.thresholds)
     for j, t in enumerate(ts):

@@ -508,6 +508,8 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     pytest.param(["simulate", {"seed": -1}], "seed", id="simulate_negative_seed"),
     pytest.param(["simulate", {"seed": "7"}], "'seed'", id="simulate_string_seed"),
     pytest.param(["simulate", {"methods": []}], "no EVPI method", id="simulate_no_methods"),
+    pytest.param(["simulate", {"methods": ["bayes", "bayes"]}], "'bayesian' is named twice",
+                 id="simulate_repeated_method"),
     pytest.param(["simulate", {"n_reps": 1}], "'n_reps'", id="simulate_one_bootstrap_replicate"),
     pytest.param(["simulate", {"methods": "asymptotic"}], "'methods'",
                  id="simulate_string_methods"),
@@ -534,6 +536,8 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
                  id="inf_population_csv"),
     pytest.param(["evpi", "--max-threshold", "nan"], "max_z", id="evpi_nan_max_threshold"),
     pytest.param(["dca", "--max-threshold", "nan"], "max_z", id="dca_nan_max_threshold"),
+    pytest.param(["dca", "--max-threshold", "0.1"], "threshold 0.1 >= 0.1",
+                 id="dca_max_threshold_inside_the_default_grid"),
     pytest.param(["evpi", "--output", "{tmp}/absent/out.txt"], "{tmp}/absent/out.txt",
                  id="unwritable_output"),
     pytest.param(["evpi", "--method", "bayes", "--dump-draws", "{tmp}/absent/d"],
@@ -566,7 +570,8 @@ def test_malformed_flag_or_config_exits_2_with_one_json_line(tmp_path, dataset, 
     """In a fresh interpreter: exit 2, no traceback, and one JSON line on
     stderr whose message names the bad value or file.  ``{tmp}`` stands for
     a fresh directory, ``{data}`` for a good data file, and a list for a
-    model file with those ``terms``."""
+    model file with those ``terms``.  An ``evpi`` or ``dca`` row runs on two
+    thresholds, or on the default grid if it sets ``--max-threshold``."""
     path, _ = dataset
     if argv[0] == "simulate" and isinstance(argv[1], dict):
         cfg = tmp_path / "cfg.json"
@@ -577,8 +582,9 @@ def test_malformed_flag_or_config_exits_2_with_one_json_line(tmp_path, dataset, 
         }), encoding="utf-8")
         argv = ["simulate", "--config", str(cfg)]
     elif argv[0] in ("evpi", "dca"):
-        argv = [argv[0], "--data", str(path), "--outcome", "y", "--risk", "p",
-                "--thresholds", "0.1,0.2", "--n-reps", "50", *argv[1:]]
+        grid = [] if "--max-threshold" in argv else ["--thresholds", "0.1,0.2"]
+        argv = [argv[0], "--data", str(path), "--outcome", "y", "--risk", "p", *grid,
+                "--n-reps", "50", *argv[1:]]
     elif isinstance(argv[-1], list):
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"intercept": 0.0, "terms": argv[-1]}), encoding="utf-8")
@@ -594,6 +600,18 @@ def test_malformed_flag_or_config_exits_2_with_one_json_line(tmp_path, dataset, 
     (line,) = err.splitlines()
     rec = json.loads(line)
     assert rec["error"] == "input" and named in rec["message"]
+
+
+def test_a_bad_population_is_refused_before_any_draw_is_dumped(capsys, dataset, tmp_path):
+    path, _ = dataset
+    code, out, err = run(capsys, [
+        "evpi", "--data", str(path), "--outcome", "y", "--risk", "p", "--thresholds", "0.1,0.2",
+        "--n-reps", "50", "--population", "-1", "--dump-draws", str(tmp_path / "d"),
+    ])
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert rec["error"] == "input" and "population multiplier" in rec["message"]
+    assert not list(tmp_path.glob("d_*"))
 
 
 @pytest.mark.parametrize("command", ["evpi", "dca"])

@@ -7,21 +7,20 @@ Every operation is elementwise in the threshold, so each entry must equal,
 bit for bit, the one-threshold call on that threshold's draws or moments,
 and the per-threshold reference below, which reduces one threshold's
 ``(N, S)`` draws the way EVPI was computed before the columnar core,
-however many replicates each block and thresholds each pass over the row
-maxima take.  The draws are those ``bootstrap_nb_draws_grid`` holds.
+however many replicates each block takes.  The draws are those
+``bootstrap_nb_draws_grid`` holds.
 """
 
 import dataclasses
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbvoi import InputError, NumericError, Threshold, ValidationSample, moments, voi
+from nbvoi import InputError, NumericError, Threshold, ValidationSample, moments
 from nbvoi.netbenefit import _CellTable, make_thresholds
 from nbvoi.resample import NbDrawMatrix, _block_rows, bootstrap_nb_draws_grid
 from nbvoi.rng import substream
@@ -87,11 +86,8 @@ def reference_row(d: np.ndarray) -> dict:
        st.sampled_from((2, 9, 130, 256, 257, 300, 513)), st.data())
 def test_bootstrap_columns_equal_one_threshold_calls(s, ts, method, n_reps, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
-    # Also with one or two thresholds per pass of the per-replicate arrays.
-    block = data.draw(st.sampled_from((voi._COLUMN_BLOCK, 1, 2 * n_reps)))
     table = _CellTable(s.outcomes, s.risks, ts)
-    with mock.patch.object(voi, "_COLUMN_BLOCK", block):
-        (cols,) = _evpi_grid(table, (method,), n_reps, seed)
+    (cols,) = _evpi_grid(table, (method,), n_reps, seed)
     draws = bootstrap_nb_draws_grid(s, ts, n_reps, method, seed)
     assert draws.shape == (n_reps, len(ts), 2)
     for i, (t, row) in enumerate(zip(table.thresholds, cols.rows())):

@@ -283,7 +283,7 @@ class TestWeightedNb:
     def test_uniform_counts_equal_plain_exactly(self):
         s = ValidationSample(HAND_Y, HAND_P)
         t = Threshold(0.2)
-        wv = WeightVector(weights=np.full(5, 0.2), kind="multinomial", counts=np.ones(5, int))
+        wv = WeightVector(weights=np.full(5, 0.2), counts=np.ones(5, int))
         m, a = weighted_nb(s, wv, t)
         assert m == nb_model(s, t)
         assert a == nb_all(s, t)
@@ -326,7 +326,7 @@ class TestWeightedNb:
         s = ValidationSample(HAND_Y, HAND_P)
         w = np.full(5, 0.2) * (1.0 + excess)
         outcomes = []
-        for check in (lambda: WeightVector(weights=w, kind="dirichlet"),
+        for check in (lambda: WeightVector(weights=w),
                       lambda: weighted_nb(s, w, Threshold(0.2))):
             try:
                 check()
@@ -358,7 +358,7 @@ class TestResampleWeightEquivalence:
         t = Threshold(0.37)
         for counts in _all_compositions(n, n):
             counts = np.array(counts)
-            wv = WeightVector(weights=counts / n, kind="multinomial", counts=counts)
+            wv = WeightVector(weights=counts / n, counts=counts)
             got_m, got_a = weighted_nb(s, wv, t)
             rep = np.repeat(np.arange(n), counts)
             if rep.size == 0:

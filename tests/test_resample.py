@@ -13,6 +13,7 @@ from nbvoi import (
     LogisticDgm,
     Threshold,
     ValidationSample,
+    WeightVector,
     bootstrap_nb_draws,
     generate_synthetic,
     make_thresholds,
@@ -28,6 +29,7 @@ from nbvoi.resample import (
     BLOCK_CELLS,
     BLOCK_REPS,
     METHOD_IDS,
+    NbDrawMatrix,
     _block_masses,
     _block_rows,
     _lerp,
@@ -56,7 +58,6 @@ class TestDirichletWeights:
             wv = dirichlet_weights(17, rng)
             assert abs(wv.weights.sum() - 1.0) <= 1e-12
             assert wv.weights.min() >= 0.0
-            assert wv.kind == "dirichlet"
             assert wv.counts is None
 
     def test_flat_dirichlet_moments(self):
@@ -99,6 +100,28 @@ class TestMultinomialWeights:
     def test_rejects_zero_n(self):
         with pytest.raises(InputError):
             multinomial_weights(0, substream(0, 9))
+
+
+@pytest.mark.parametrize("make, match", [
+    pytest.param(lambda: WeightVector(weights=np.full((2, 2), 0.25)), "non-empty vector",
+                 id="weights_2d"),
+    pytest.param(lambda: WeightVector(weights=np.empty(0)), "non-empty vector",
+                 id="weights_empty"),
+    pytest.param(lambda: WeightVector(weights=[1.5, -0.5]), "nonnegative", id="weight_negative"),
+    pytest.param(lambda: WeightVector(weights=[0.5, 0.5], counts=[1, 2]), "sum to the sample",
+                 id="counts_not_n"),
+    pytest.param(lambda: NbDrawMatrix([[0.1, 0.2], [np.nan, 0.2]], method="ordinary", seed=0),
+                 "finite", id="draw_nan"),
+    pytest.param(lambda: NbDrawMatrix([[0.1, 0.2], [0.3, np.inf]], method="ordinary", seed=0),
+                 "finite", id="draw_inf"),
+    pytest.param(lambda: NbDrawMatrix([[0.1, 0.2]], method="jackknife", seed=0),
+                 "unknown bootstrap method 'jackknife'", id="method_unknown"),
+    pytest.param(lambda: NbDrawMatrix([[0.1, 0.2]], method=["bayesian"], seed=0),
+                 r"unknown bootstrap method \['bayesian'\]", id="method_list"),
+])
+def test_weight_vectors_and_draw_matrices_refuse_bad_values(make, match):
+    with pytest.raises(InputError, match=match):
+        make()
 
 
 def _toy_sample():

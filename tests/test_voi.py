@@ -333,6 +333,9 @@ class TestEvpiThresholdSweep:
             evpi_threshold_sweep(s, (T02,), methods=("jackknife",), seed=0)
         with pytest.raises(InputError, match="no EVPI method"):
             evpi_threshold_sweep(s, (T02,), methods=(), seed=0)
+        with pytest.raises(InputError, match="'ordinary' is named twice"):
+            evpi_threshold_sweep(s, (T02,), methods=["ordinary", "asymptotic", "ordinary"],
+                                 seed=0)
 
     def test_rejects_a_string_of_methods(self):
         """Not read as the methods 'a', 's', 'y', ..."""
