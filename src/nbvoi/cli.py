@@ -159,7 +159,9 @@ def cmd_evpi(args) -> int:
 
 
 def _config_hash(raw: dict) -> str:
-    canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    """The hash of every key but ``workers``, a run setting."""
+    canon = json.dumps({k: v for k, v in raw.items() if k != "workers"},
+                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -171,6 +173,10 @@ def _sweep_setup(raw: dict, workers: int | None):
     kind = raw.get("kind")
     if kind not in ("synthetic", "subsample"):
         raise InputError("config 'kind' must be 'synthetic' or 'subsample'")
+    own = ("dgm",) if kind == "synthetic" else ("data", "outcome", "risk", "model")
+    for key in sorted(raw.keys() - {"kind", "sizes", "thresholds", "max_threshold", "n_sims",
+                                    "n_reps", "methods", "seed", "workers", *own}):
+        raise InputError(f"config key {key!r} is not read by a {kind} config")
     # Keys the config leaves out take SweepConfig's defaults.
     common = {k: raw[k] for k in ("n_sims", "n_reps", "seed") if k in raw}
     common["thresholds"] = make_thresholds(
@@ -184,24 +190,25 @@ def _sweep_setup(raw: dict, workers: int | None):
     if workers is not None or "workers" in raw:
         common["n_workers"] = _whole(raw["workers"] if workers is None else workers,
                                      "config field 'workers'")
-    sizes = raw.get("sizes")
 
     if kind == "synthetic":
         dgm_raw = raw.get("dgm")
         if not isinstance(dgm_raw, dict):
             raise InputError("synthetic config requires a 'dgm' object")
+        for key in sorted(dgm_raw.keys() - {"intercept", "slopes"}):
+            raise InputError(f"dgm key {key!r} is not 'intercept' or 'slopes'")
         dgm = LogisticDgm(intercept=dgm_raw.get("intercept", 0.0),
                           slopes=dgm_raw.get("slopes", ()))
-        if sizes is None:
-            raise InputError("synthetic config requires 'sizes'")
-        return SweepConfig(sizes=sizes, **common), dgm, None
+        return SweepConfig(sizes=raw.get("sizes"), **common), dgm, None
 
-    if "data" not in raw or "outcome" not in raw:
-        raise InputError("subsample config requires 'data' and 'outcome'")
-    dataset = _load_sample(raw["data"], raw["outcome"], raw.get("risk"), raw.get("model"))
-    if sizes is None:
-        sizes = doubling_sizes(dataset.n)
-    return SweepConfig(sizes=sizes, **common), None, dataset
+    paths = [raw.get(k) for k in own]  # a null risk or model is left out, like a missing one
+    for key, value in zip(own, paths):
+        if not isinstance(value, str) and (value is not None or key in ("data", "outcome")):
+            raise InputError(f"subsample config needs {key!r} as a string, got {value!r}")
+    dataset = _load_sample(*paths)
+    sizes = raw.get("sizes")
+    return SweepConfig(sizes=doubling_sizes(dataset.n) if sizes is None else sizes,
+                       **common), None, dataset
 
 
 def cmd_simulate(args) -> int:
@@ -211,12 +218,7 @@ def cmd_simulate(args) -> int:
     except json.JSONDecodeError as exc:
         raise InputError(f"config file is not valid JSON: {exc}") from None
 
-    try:
-        cfg, dgm, dataset = _sweep_setup(raw, args.workers)
-    except InputError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid config value: {exc}") from None
+    cfg, dgm, dataset = _sweep_setup(raw, args.workers)
     result = synthetic_sweep(dgm, cfg) if dgm is not None else subsample_sweep(dataset, cfg)
 
     comments = [
@@ -229,6 +231,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if args.outcome == "risk":
+        raise InputError("score writes a 'risk' column; the outcome column needs another name")
     sample = _load_sample(args.data, args.outcome, None, args.model, args.delimiter)
     records = [
         {args.outcome: int(y), "risk": float(r)}
@@ -251,9 +255,9 @@ def _add_analysis_args(p: argparse.ArgumentParser, methods: list[str], default: 
     p.add_argument("--thresholds", default="0.001:0.2:0.001",
                    help="'a,b,c' or 'start:stop:step' (default %(default)s)")
     p.add_argument("--max-threshold", type=float, default=DEFAULT_MAX_THRESHOLD,
-                   help="reject thresholds at or above this value (default 0.99)")
+                   help="reject thresholds at or above this value (default %(default)s)")
     p.add_argument("--n-reps", type=int, default=DEFAULT_N_REPS,
-                   help="bootstrap replicates (default 10000)")
+                   help="bootstrap replicates (default %(default)s)")
     p.add_argument("--method", choices=methods, default=default)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", choices=outs, default=outs[0])

@@ -25,22 +25,22 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError
-from .netbenefit import DecisionCurve, Threshold, ValidationSample
+from .netbenefit import DecisionCurve, Threshold, ValidationSample, _real
 from .voi import population_scaled
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Logistic model coefficients: intercept plus ordered (column, coefficient)
-    terms."""
+    """Logistic model coefficients: intercept plus ordered (column,
+    coefficient) terms; each coefficient is an int or a float, not a bool."""
 
     intercept: float
     terms: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "terms", tuple((str(c), float(v)) for c, v in self.terms)
-        )
+        object.__setattr__(self, "intercept", _real(self.intercept, "model 'intercept'"))
+        object.__setattr__(self, "terms", tuple(
+            (str(c), _real(v, f"model coefficient of {c!r}")) for c, v in self.terms))
         names = [c for c, _ in self.terms]
         if len(set(names)) != len(names):
             raise InputError("model term column names must be unique")
@@ -67,10 +67,7 @@ def load_model_spec(path) -> ModelSpec:
     if not (isinstance(pairs, list)
             and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)):
         raise InputError("'terms' must be an object or a list of [name, coefficient] pairs")
-    try:
-        return ModelSpec(intercept=float(raw["intercept"]), terms=tuple(pairs))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid model coefficients: {exc}") from None
+    return ModelSpec(intercept=raw["intercept"], terms=tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def load_dataset(
                 header = [h.strip() for h in next(csv.reader([first], delimiter=delim))]
             except csv.Error as exc:
                 raise InputError(str(exc), row=1) from None
-            wanted = [outcome_col] + ([risk_col] if risk_col else list(feature_cols))
+            wanted = [outcome_col] + ([risk_col] if risk_col is not None else list(feature_cols))
             for col in wanted:
                 if col not in header:
                     raise InputError(

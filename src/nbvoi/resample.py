@@ -108,10 +108,6 @@ class WeightVector:
             if int(k.sum()) != w.shape[0]:
                 raise InputError("multinomial counts must sum to the sample size")
 
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
 
 def dirichlet_weights(n: int, rng: np.random.Generator) -> WeightVector:
     """Draw flat-Dirichlet weights (n unit exponentials, normalized)."""

@@ -144,6 +144,8 @@ class SweepConfig:
     n_workers: int = 1
 
     def __post_init__(self):
+        if isinstance(self.sizes, str) or not hasattr(self.sizes, "__iter__"):
+            raise InputError(f"config field 'sizes' must be a sequence, got {self.sizes!r}")
         object.__setattr__(self, "sizes",
                            tuple(_whole(s, "config field 'sizes'") for s in self.sizes))
         for name in ("n_sims", "n_reps", "seed", "n_workers"):

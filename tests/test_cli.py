@@ -113,6 +113,18 @@ class TestEvpi:
         assert row["method"] == "bayesian_bootstrap"
         assert isinstance(row["evpi"], float)
 
+    def test_table_output_with_population(self, capsys, dataset):
+        path, _ = dataset
+        code, out, _ = run(capsys, [
+            "evpi", "--data", str(path), "--outcome", "y", "--risk", "p",
+            "--thresholds", "0.1,0.2", "--method", "asymptotic", "--population", "1000",
+        ])
+        assert code == 0
+        header, rule, *rows = out.splitlines()
+        assert header.split()[-2:] == ["pop", "FP"] and "pop TP" in header
+        assert set(rule) == {"-", " "} and len(rows) == 2
+        assert all(len(row.split()) == 9 for row in rows)
+
     def test_population_scaling_columns(self, capsys, dataset):
         path, _ = dataset
         code, out, _ = run(capsys, [
@@ -230,6 +242,20 @@ class TestScore:
         got = float(lines[1].split(",")[1])
         assert got == pytest.approx(1 / (1 + np.exp(-2.0)), rel=1e-12)
 
+    def test_outcome_named_risk_is_refused(self, capsys, tmp_path):
+        """Its column would be overwritten by the scores it is written beside."""
+        data = tmp_path / "d.csv"
+        data.write_text("risk,age\n1,2.0\n0,-1.0\n", encoding="utf-8")
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"intercept": 0.0, "terms": {"age": 1.0}}),
+                         encoding="utf-8")
+        code, out, err = run(capsys, [
+            "score", "--data", str(data), "--outcome", "risk", "--model", str(model),
+        ])
+        assert code == 2 and out == ""
+        rec = json.loads(err)
+        assert rec["error"] == "input" and "'risk'" in rec["message"]
+
 
 class TestSimulate:
     def _config(self, tmp_path, workers=1):
@@ -264,6 +290,35 @@ class TestSimulate:
         _, out1, _ = run(capsys, ["simulate", "--config", str(cfg1)])
         _, out8, _ = run(capsys, ["simulate", "--config", str(cfg1), "--workers", "8"])
         assert out1.splitlines()[3:] == out8.splitlines()[3:]
+
+    def test_config_hash_leaves_out_workers(self, capsys, tmp_path):
+        """Configs that differ only in ``workers``, a run setting, give the
+        same bytes, header included, as does a config without it."""
+        outs = [run(capsys, ["simulate", "--config", str(self._config(tmp_path, w))])[1]
+                for w in (1, 2)]
+        raw = json.loads(self._config(tmp_path).read_text(encoding="utf-8"))
+        del raw["workers"]
+        p = tmp_path / "no_workers.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        outs.append(run(capsys, ["simulate", "--config", str(p)])[1])
+        assert outs[0].startswith("# nbvoi ") and outs[0] == outs[1] == outs[2]
+
+    def test_subsample_default_ladder_and_null_paths(self, capsys, tmp_path, dataset):
+        """Without ``sizes`` (or with a null one) a subsample sweep doubles
+        from 250 up to the dataset's size; a null ``model`` beside ``risk``
+        is left out, like a missing one."""
+        path, _ = dataset
+        cfg = {"kind": "subsample", "data": str(path), "outcome": "y", "risk": "p",
+               "thresholds": [0.2], "n_sims": 2, "methods": ["asymptotic"], "seed": 3}
+        outs = []
+        for edit in ({}, {"sizes": None, "model": None}):
+            p = tmp_path / "ladder.json"
+            p.write_text(json.dumps(dict(cfg, **edit)), encoding="utf-8")
+            code, out, _ = run(capsys, ["simulate", "--config", str(p)])
+            assert code == 0
+            outs.append(out.splitlines()[3:])
+        assert [row.split(",")[0] for row in outs[0][1:]] == ["250", "400"]
+        assert outs[0] == outs[1]
 
     def test_subsample_kind(self, capsys, tmp_path, dataset):
         path, _ = dataset
@@ -565,21 +620,70 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
                  id="model_term_not_a_pair"),
     pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", [["p", 1, 2]]],
                  "'terms'", id="model_term_with_extra_item"),
+    pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", [["p", "0.078"]]],
+                 "coefficient of 'p' must be a number, got '0.078'",
+                 id="model_string_coefficient"),
+    pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", [["p", True]]],
+                 "coefficient of 'p' must be a number, got True", id="model_bool_coefficient"),
+    pytest.param(["score", "--data", "{data}", "--outcome", "risk", "--model", [["p", 1.0]]],
+                 "'risk'", id="score_outcome_named_risk"),
+    pytest.param(["evpi", "--thresholds", "0.1:0.2:0"], "cannot parse thresholds",
+                 id="threshold_range_zero_step"),
+    pytest.param(["evpi", "--thresholds", "0.1:0.2:-0.01"], "cannot parse thresholds",
+                 id="threshold_range_negative_step"),
+    pytest.param(["dca", "--thresholds", "0.2:0.1:0.01"], "cannot parse thresholds",
+                 id="threshold_range_stop_below_start"),
+    pytest.param(["simulate", "--config", "{data}"], "not valid JSON", id="config_not_json"),
+    pytest.param(["simulate", {"kind": "bootstrap"}], "'kind'", id="simulate_bad_kind"),
+    pytest.param(["simulate", {"kind": ...}], "'kind'", id="simulate_no_kind"),
+    pytest.param(["simulate", {"dgm": [-1.55, 0.77]}], "'dgm' object",
+                 id="simulate_dgm_not_an_object"),
+    pytest.param(["simulate", {"sizes": 5}], "'sizes' must be a sequence, got 5",
+                 id="simulate_number_sizes"),
+    pytest.param(["simulate", {"sizes": ...}], "'sizes' must be a sequence, got None",
+                 id="simulate_no_sizes"),
+    pytest.param(["simulate", {"n_sim": 2, "method": ["asymptotic"]}], "'method'",
+                 id="simulate_unknown_keys"),
+    pytest.param(["simulate", {"data": "data.csv"}], "'data' is not read by a synthetic",
+                 id="synthetic_with_data"),
+    pytest.param(["simulate", {"dgm": {"intercpt": -1.55, "slopes": [0.77]}}], "'intercpt'",
+                 id="simulate_misspelt_dgm_key"),
+    pytest.param(["simulate", {"kind": "subsample", "dgm": {"slopes": [1]}}],
+                 "'dgm' is not read by a subsample", id="subsample_with_dgm"),
+    pytest.param(["simulate", {"kind": "subsample", "data": 0}], "'data' as a string, got 0",
+                 id="subsample_data_descriptor"),
+    pytest.param(["simulate", {"kind": "subsample", "data": True}],
+                 "'data' as a string, got True", id="subsample_bool_data"),
+    pytest.param(["simulate", {"kind": "subsample", "data": ...}],
+                 "'data' as a string, got None", id="subsample_without_data"),
+    pytest.param(["simulate", {"kind": "subsample", "outcome": ...}],
+                 "'outcome' as a string, got None", id="subsample_without_outcome"),
+    pytest.param(["simulate", {"kind": "subsample", "risk": ""}], "column '' not found",
+                 id="subsample_empty_risk"),
+    pytest.param(["simulate", {"kind": "subsample", "risk": []}], "'risk' as a string, got []",
+                 id="subsample_list_risk"),
+    pytest.param(["simulate", {"kind": "subsample", "model": 5}], "'model' as a string, got 5",
+                 id="subsample_number_model"),
 ])
 def test_malformed_flag_or_config_exits_2_with_one_json_line(tmp_path, dataset, argv, named):
     """In a fresh interpreter: exit 2, no traceback, and one JSON line on
     stderr whose message names the bad value or file.  ``{tmp}`` stands for
     a fresh directory, ``{data}`` for a good data file, and a list for a
     model file with those ``terms``.  An ``evpi`` or ``dca`` row runs on two
-    thresholds, or on the default grid if it sets ``--max-threshold``."""
+    thresholds, or on the default grid if it sets ``--max-threshold``.  A
+    ``simulate`` row's dict edits a synthetic config, or a subsample one of
+    the good data file if it sets ``"kind": "subsample"``; ``...`` drops a
+    key."""
     path, _ = dataset
     if argv[0] == "simulate" and isinstance(argv[1], dict):
+        own = ({"kind": "subsample", "data": str(path), "outcome": "y", "risk": "p"}
+               if argv[1].get("kind") == "subsample"
+               else {"kind": "synthetic", "dgm": {"intercept": -1.55, "slopes": [0.77]}})
+        raw = {**own, "sizes": [80], "thresholds": [0.2], "n_sims": 1, "n_reps": 20,
+               "methods": ["bayes"], "seed": 0, **argv[1]}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "kind": "synthetic", "dgm": {"intercept": -1.55, "slopes": [0.77]},
-            "sizes": [80], "thresholds": [0.2], "n_sims": 1, "n_reps": 20,
-            "methods": ["bayes"], "seed": 0, **argv[1],
-        }), encoding="utf-8")
+        cfg.write_text(json.dumps({k: v for k, v in raw.items() if v is not ...}),
+                       encoding="utf-8")
         argv = ["simulate", "--config", str(cfg)]
     elif argv[0] in ("evpi", "dca"):
         grid = [] if "--max-threshold" in argv else ["--thresholds", "0.1,0.2"]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,35 @@ class TestLoadDataset:
             load_dataset(p, outcome_col="y", feature_cols=["age"])
         assert exc.value.row == 3
 
+    def test_float_spelled_outcomes_are_read_as_binary(self, tmp_path):
+        p = write(tmp_path, "d.csv", "y,p\n1.0,0.9\n0.0,0.1\n 1 ,0.5\n")
+        s = load_dataset(p, outcome_col="y", risk_col="p")
+        assert s.outcomes.tolist() == [1, 0, 1]
+
+    def test_non_numeric_outcome_names_row(self, tmp_path):
+        p = write(tmp_path, "d.csv", "y,p\n1,0.9\nyes,0.5\n")
+        with pytest.raises(InputError, match="'yes' is not binary") as exc:
+            load_dataset(p, outcome_col="y", risk_col="p")
+        assert exc.value.row == 3
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = write(tmp_path, "d.csv", "y,p\n1,0.9\n\n   \n0,0.1\n")
+        s = load_dataset(p, outcome_col="y", risk_col="p")
+        assert s.outcomes.tolist() == [1, 0]
+
+    def test_short_record_names_its_line(self, tmp_path):
+        p = write(tmp_path, "d.csv", "y,p,age\n1,0.9,40\n\n0,0.1\n")
+        with pytest.raises(InputError, match="expected 3 fields, found 2") as exc:
+            load_dataset(p, outcome_col="y", risk_col="p")
+        assert exc.value.row == 4
+
+    def test_empty_risk_column_name_is_a_column_name(self, tmp_path):
+        """An empty name is looked up like any other, not taken for a
+        missing ``risk_col``."""
+        p = write(tmp_path, "d.csv", "y,p\n1,0.9\n")
+        with pytest.raises(InputError, match="column '' not found"):
+            load_dataset(p, outcome_col="y", risk_col="")
+
     def test_missing_column(self, tmp_path):
         p = write(tmp_path, "d.csv", "y,p\n1,0.9\n")
         with pytest.raises(InputError, match="'risk'"):
@@ -127,6 +157,32 @@ class TestModelSpec:
                   json.dumps({"intercept": 0.5, "terms": [["a", 1.0], ["b", -2.0]]}))
         spec = load_model_spec(p)
         assert spec.columns == ("a", "b")
+
+    @pytest.mark.parametrize("model, named", [
+        pytest.param([1.0], "JSON object", id="not_an_object"),
+        pytest.param("m", "JSON object", id="a_string"),
+        pytest.param({"terms": {"age": 1.0}}, "'intercept' key", id="no_intercept"),
+        pytest.param({"intercept": "0.5", "terms": {}}, "model 'intercept' must be a number",
+                     id="string_intercept"),
+        pytest.param({"intercept": None, "terms": {}}, "model 'intercept' must be a number",
+                     id="null_intercept"),
+        pytest.param({"intercept": 0.0, "terms": {"age": "0.078"}},
+                     "coefficient of 'age' must be a number, got '0.078'", id="string_coefficient"),
+        pytest.param({"intercept": 0.0, "terms": [["age", True]]},
+                     "coefficient of 'age' must be a number, got True", id="bool_coefficient"),
+        pytest.param({"intercept": 0.0, "terms": {"age": [1.0]}},
+                     "coefficient of 'age' must be a number", id="list_coefficient"),
+    ])
+    def test_bad_model_file_names_the_value(self, tmp_path, model, named):
+        p = write(tmp_path, "m.json", json.dumps(model))
+        with pytest.raises(InputError, match=re.escape(named)):
+            load_model_spec(p)
+
+    def test_integer_coefficients_are_read_as_floats(self, tmp_path):
+        p = write(tmp_path, "m.json", json.dumps({"intercept": -2, "terms": {"age": 1}}))
+        spec = load_model_spec(p)
+        assert (spec.intercept, spec.terms) == (-2.0, (("age", 1.0),))
+        assert type(spec.intercept) is float and type(spec.terms[0][1]) is float
 
     def test_bad_json_rejected(self, tmp_path):
         p = write(tmp_path, "m.json", "{not json")

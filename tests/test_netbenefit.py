@@ -1,5 +1,6 @@
 """Net benefit estimators, thresholds, and decision curves."""
 
+import dataclasses
 import pickle
 import tracemalloc
 
@@ -103,6 +104,14 @@ class TestValidationSample:
     def test_rejects_nonbinary_outcomes(self):
         with pytest.raises(InputError):
             ValidationSample([1, 2], [0.5, 0.5])
+
+    @pytest.mark.parametrize("outcomes, risks", [
+        pytest.param([[1, 0]], [0.5, 0.5], id="outcomes"),
+        pytest.param([1, 0], [[0.5, 0.5]], id="risks"),
+    ])
+    def test_rejects_two_dimensional_input(self, outcomes, risks):
+        with pytest.raises(InputError, match="one-dimensional"):
+            ValidationSample(outcomes, risks)
 
     @pytest.mark.parametrize("outcomes", [
         pytest.param([0, 1, 1], id="int"),
@@ -557,6 +566,23 @@ class TestDecisionCurve:
     def test_rejects_a_string_none_or_bool_ci_level(self, ci_level):
         with pytest.raises(InputError, match=f"ci_level must be a number, got {ci_level!r}"):
             decision_curve(self._sample(50), [0.1], n_boot=0, ci_level=ci_level)
+
+    @pytest.mark.parametrize("ci_level", [0.0, 1.0, -0.5, 1.5])
+    def test_rejects_a_ci_level_outside_the_unit_interval(self, ci_level):
+        with pytest.raises(InputError, match=r"ci_level must lie in \(0, 1\)"):
+            decision_curve(self._sample(50), [0.1], n_boot=0, ci_level=ci_level)
+
+    def test_rejects_a_negative_n_boot(self):
+        with pytest.raises(InputError, match="n_boot must be >= 0"):
+            decision_curve(self._sample(50), [0.1], n_boot=-1)
+
+    def test_a_curve_refuses_a_band_with_lower_above_upper(self):
+        curve = decision_curve(self._sample(50), [0.1, 0.2], n_boot=40, seed=1)
+        for band in ("model_ci", "all_ci"):
+            flipped = getattr(curve, band)[:, ::-1].copy()
+            flipped[0] = [1.0, 0.0]
+            with pytest.raises(InputError, match="lower <= upper"):
+                dataclasses.replace(curve, **{band: flipped})
 
     def test_takes_an_integral_float_n_boot(self):
         s, ts = self._sample(50), [0.1, 0.2]

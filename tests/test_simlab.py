@@ -334,6 +334,7 @@ class TestSweepConfig:
         ("n_workers", 1.5),
         ("sizes", ("50",)), ("sizes", (True,)), ("n_sims", True), ("n_reps", "20"),
         ("seed", "7"), ("seed", False), ("n_workers", "1"), ("n_workers", None),
+        ("sizes", 5), ("sizes", None), ("sizes", "250"),
     ])
     def test_fractional_integer_field_is_an_input_error_naming_it(self, field, value):
         """Neither truncated nor passed on to fail inside the sweep.  Nor is a
@@ -342,6 +343,11 @@ class TestSweepConfig:
         kw = {"sizes": (250,), "thresholds": (Threshold(0.2),), field: value}
         with pytest.raises(InputError, match=repr(field)):
             SweepConfig(**kw)
+
+    @pytest.mark.parametrize("n_workers", [0, -2])
+    def test_fewer_than_one_worker_is_refused(self, n_workers):
+        with pytest.raises(InputError, match="n_workers must be >= 1"):
+            SweepConfig(sizes=(250,), thresholds=(Threshold(0.2),), n_workers=n_workers)
 
     def test_whole_numbers_spelled_as_floats_become_ints(self):
         cfg = SweepConfig(sizes=(250.0,), thresholds=(Threshold(0.2),), n_sims=3.0,

@@ -164,6 +164,11 @@ class TestMoments:
         with pytest.raises(InputError):
             moments(ValidationSample([1], [0.5]), T02)
 
+    @pytest.mark.parametrize("var_model, var_all", [(-1e-6, 1e-4), (1e-4, -1e-6)])
+    def test_negative_variance_refused(self, var_model, var_all):
+        with pytest.raises(InputError, match="variances must be nonnegative"):
+            MomentSet(mean_model=0.1, mean_all=0.1, var_model=var_model, var_all=var_all, cov=0.0)
+
     def test_cauchy_schwarz_enforced(self):
         with pytest.raises(InputError):
             MomentSet(mean_model=0.1, mean_all=0.1, var_model=1e-4, var_all=1e-4, cov=2e-4)
