@@ -32,7 +32,7 @@ from .voi import population_scaled
 @dataclass(frozen=True)
 class ModelSpec:
     """Logistic model coefficients: intercept plus ordered (column,
-    coefficient) terms; each coefficient is an int or a float, not a bool."""
+    coefficient) terms; each coefficient is a finite int or float, not a bool."""
 
     intercept: float
     terms: tuple[tuple[str, float], ...]
@@ -44,8 +44,6 @@ class ModelSpec:
         names = [c for c, _ in self.terms]
         if len(set(names)) != len(names):
             raise InputError("model term column names must be unique")
-        if not all(math.isfinite(v) for v in [self.intercept, *(v for _, v in self.terms)]):
-            raise InputError("model coefficients must be finite")
 
     @property
     def columns(self) -> tuple[str, ...]:

@@ -38,11 +38,18 @@ _BIN_SCALES = tuple(2 ** k for k in range(10, 17))  # the bin lookup's M, smalle
 
 
 def _real(value, what: str) -> float:
-    """A number as a Python float: an int or a float, numpy's included, not
-    a bool or a string; ``what`` names the value in the error."""
+    """A finite number as a Python float: an int or a float, numpy's
+    included, not a bool or a string, nor NaN, an infinity or an int past
+    the float range; ``what`` names the value in the error."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InputError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise InputError(f"{what} is past the range of a float") from None
+    if not math.isfinite(number):
+        raise InputError(f"{what} must be finite, got {number}")
+    return number
 
 
 def _whole(value, what: str) -> int:
@@ -59,7 +66,7 @@ def _whole(value, what: str) -> int:
 @dataclass(frozen=True)
 class Threshold:
     """A decision threshold ``z`` strictly inside (0, 1), kept as a Python
-    float, like ``max_z``; both must be ints or floats, not bools.
+    float, like ``max_z``; both must be finite ints or floats, not bools.
 
     Thresholds at or above ``max_z`` (default 0.99) are rejected because the
     false-positive weight z/(1-z) blows up; pass a larger ``max_z`` to
@@ -72,8 +79,6 @@ class Threshold:
     def __post_init__(self):
         object.__setattr__(self, "z", _real(self.z, "threshold"))
         object.__setattr__(self, "max_z", _real(self.max_z, "the threshold cap max_z"))
-        if math.isnan(self.max_z):
-            raise InputError("the threshold cap max_z must be a number, got nan")
         if not 0.0 < self.z < 1.0:
             raise InputError(f"threshold must lie strictly inside (0, 1), got {self.z}")
         if self.z >= self.max_z:

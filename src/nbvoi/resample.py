@@ -270,6 +270,18 @@ def _treat_all(table: _CellTable, method: str, events, non_events) -> np.ndarray
                         _mass_total(table, method))
 
 
+def _check_draws(count: int, shape: tuple, what: str, noun: str = "bootstrap draws") -> None:
+    """Refuse a request whose count ``what`` (replicates, or a sweep's
+    simulations) is under 1, or whose array of ``shape`` floats would take
+    more than ``MAX_DRAW_BYTES``; ``what`` names the count in the error and
+    ``noun`` the array.  It runs before anything is drawn."""
+    if count < 1:
+        raise InputError(f"{what} must be >= 1")
+    if 8 * math.prod(shape) > MAX_DRAW_BYTES:
+        raise InputError(f"{what}: {noun} of shape {shape} take {8 * math.prod(shape)} "
+                         f"bytes, over the {MAX_DRAW_BYTES}-byte limit")
+
+
 def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
     """Check a request for ``n_reps`` replicates on ``table`` and return an
     iterator, in replicate order, over the blocks of :func:`_block_masses`,
@@ -280,13 +292,8 @@ def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
     sums alive.  The check runs on the call, before anything is drawn, and
     refuses what ``bootstrap_nb_draws_grid`` could not hold, so every
     reader computes the same NB values under the same bound."""
-    if n_reps < 1:
-        raise InputError("n_reps must be >= 1")
+    _check_draws(n_reps, (n_reps, len(table.thresholds), 2), "n_reps")
     _check_method(method)
-    shape = (n_reps, len(table.thresholds), 2)
-    if 8 * math.prod(shape) > MAX_DRAW_BYTES:
-        raise InputError(f"bootstrap draws of shape {shape} take {8 * math.prod(shape)} "
-                         f"bytes, over the {MAX_DRAW_BYTES}-byte limit")
     total = _mass_total(table, method)
     counts, c = table.cell_counts, table.harm_weight
 

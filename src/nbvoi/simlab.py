@@ -7,12 +7,12 @@ computes EVPI per method and threshold, and the sweep reports the mean and
 Monte Carlo standard error over simulations.  The random substream of
 cell ``(size_index, sim_index)`` depends only on the sweep seed and those
 indices.  Cells run in fixed chunks of ``max(1, _PASS_ENTRIES // T)``,
-sized from the grid alone; a chunk builds its grid once, and each cell
-builds its table on it, runs the bootstrap methods and keeps its counts,
-and the asymptotic method and the thin masks are one pass over the chunk's
-stacked counts.  Chunks are embarrassingly parallel, and that pass is
-elementwise, so neither the worker count nor the chunking changes results;
-only a pool of workers loads multiprocessing.
+sized from the grid alone; a chunk builds its grid once, each cell builds
+its table on it, and the chunk hands its tables to ``voi._evpi_grid``,
+which alone knows how each method runs.  Chunks are embarrassingly
+parallel, and ``_evpi_grid`` is elementwise over a chunk's entries, so
+neither the worker count nor the chunking changes results.  A pool has at
+most one process per chunk, and only a pool loads multiprocessing.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from .errors import InputError
 from .io import _expit
 from .netbenefit import (Threshold, ValidationSample, _CellTable, _Grid, _real, _whole,
                          make_thresholds)
-from .resample import DATA_STREAM_ID, SWEEP_N_REPS
+from .resample import DATA_STREAM_ID, SWEEP_N_REPS, _check_draws
 from .rng import _check_seed, substream
-from .voi import (_METHOD_LABELS, ALL_METHODS, _asymptotic_columns, _check_methods, _evpi_grid,
-                  _moment_grid, _thin_mask, _warn_thin)
+from .voi import _METHOD_LABELS, ALL_METHODS, _check_methods, _evpi_grid, _warn_thin
 
 _PASS_ENTRIES = 512  # (cell, threshold) entries per asymptotic kernel pass: ~0.5 MB of temporaries
 
@@ -39,7 +38,7 @@ _PASS_ENTRIES = 512  # (cell, threshold) entries per asymptotic kernel pass: ~0.
 class LogisticDgm:
     """Logistic outcome model over i.i.d. standard normal covariates:
     logit P(Y=1 | X) = intercept + slopes . X.  ``slopes`` is a list, tuple
-    or 1-D array; each coefficient is an int or a float, not a bool."""
+    or 1-D array; each coefficient is a finite int or float, not a bool."""
 
     intercept: float
     slopes: tuple[float, ...]
@@ -53,8 +52,6 @@ class LogisticDgm:
                                                  for s in self.slopes))
         if len(self.slopes) == 0:
             raise InputError("at least one slope is required")
-        if not np.isfinite((self.intercept, *self.slopes)).all():
-            raise InputError("coefficients must be finite")
 
     def risks(self, x: np.ndarray) -> np.ndarray:
         return _expit(self.intercept + x @ np.asarray(self.slopes))
@@ -157,10 +154,15 @@ class SweepConfig:
             raise InputError("sizes must be a non-empty strictly increasing sequence")
         if self.sizes[0] < 1:
             raise InputError("sizes must be positive")
-        if self.n_sims < 1 or self.n_reps < 1:
-            raise InputError("n_sims and n_reps must be >= 1")
-        if self.n_reps < 2 and set(self.methods) != {"asymptotic"}:
-            raise InputError("config field 'n_reps' must be >= 2 for a bootstrap method")
+        n_t = len(self.thresholds)
+        _check_draws(self.n_sims, (len(self.sizes), len(self.methods), n_t, self.n_sims),
+                     "config field 'n_sims'", "sweep results")
+        if self.n_reps < 1:
+            raise InputError("config field 'n_reps' must be >= 1")
+        if set(self.methods) != {"asymptotic"}:
+            if self.n_reps < 2:
+                raise InputError("config field 'n_reps' must be >= 2 for a bootstrap method")
+            _check_draws(self.n_reps, (self.n_reps, n_t, 2), "config field 'n_reps'")
         if self.n_workers < 1:
             raise InputError("n_workers must be >= 1")
 
@@ -194,30 +196,19 @@ class SweepResult:
 
 def _sweep_chunk(cells, dgm, dataset, cfg: SweepConfig):
     """The (cells, methods, T) EVPI and (cells, T) thin masks of a chunk of
-    cells, on one grid.  Each cell draws its sample from its data
-    substream, builds its one table and runs the bootstrap methods on it;
-    the asymptotic column and the thin masks come from one pass over the
-    cells' stacked counts."""
-    boot = [k for k, m in enumerate(cfg.methods) if m != "asymptotic"]
-    asym = [k for k, m in enumerate(cfg.methods) if m == "asymptotic"]
-    evpi = np.empty((len(cells), len(cfg.methods), len(cfg.thresholds)))
+    cells, on one grid: each cell draws its sample from its data substream
+    and builds its one table, and one ``_evpi_grid`` call takes them all."""
     grid = _Grid(cfg.thresholds)
-    counts = []
-    for c, (si, sim) in enumerate(cells):
+    tables = []
+    for si, sim in cells:
         size = cfg.sizes[si]
         data_rng = substream((cfg.seed, si, sim), DATA_STREAM_ID)
         sample = generate_synthetic(dgm, size, data_rng) if dgm is not None else dataset
         rows = slice(None) if size == sample.n else data_rng.choice(sample.n, size, replace=False)
-        table = _CellTable(sample.outcomes[rows], sample.risks[rows], grid)
-        results = _evpi_grid(table, [cfg.methods[k] for k in boot], cfg.n_reps, (cfg.seed, si, sim))
-        for k, result in zip(boot, results):
-            evpi[c, k] = result.evpi
-        counts.append(table.counts)
-    counts = [np.array(a) for a in zip(*counts)]
-    if asym:
-        grid = _moment_grid(counts, cfg.thresholds)
-        evpi[:, asym] = _asymptotic_columns(grid).evpi.reshape(len(cells), 1, -1)
-    return evpi, _thin_mask(counts)
+        tables.append(_CellTable(sample.outcomes[rows], sample.risks[rows], grid))
+    results, thin = _evpi_grid(tables, cfg.methods, cfg.n_reps,
+                               [(cfg.seed, si, sim) for si, sim in cells])
+    return np.stack([r.evpi.reshape(len(cells), -1) for r in results], axis=1), thin
 
 
 def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
@@ -234,11 +225,12 @@ def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
     # pairwise sum over its simulations in order.
     by_sim = np.empty((n_sizes, len(cfg.methods), n_t, n_sims))
     thin = np.zeros((n_sizes, n_t), dtype=bool)
-    if cfg.n_workers > 1:  # multiprocessing loads only for a pool
+    workers = min(cfg.n_workers, len(chunks))  # a pool no wider than the work
+    if workers > 1:  # multiprocessing loads only for a pool
         from concurrent.futures import ProcessPoolExecutor
     # A process worker works its bootstrap blocks one at a time (resample._threads).
-    with ProcessPoolExecutor(cfg.n_workers) if cfg.n_workers > 1 else nullcontext() as pool:
-        batch = max(1, len(chunks) // (4 * cfg.n_workers))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        batch = max(1, len(chunks) // (4 * workers))
         results = pool.map(worker, chunks, chunksize=batch) if pool else map(worker, chunks)
         for chunk, (evpi, mask) in zip(chunks, results):
             for (si, sim), e, m in zip(chunk, evpi, mask):

@@ -19,14 +19,13 @@ routes are implemented:
   plug-in moments, and the perfect-information term becomes a closed-form
   zero-floored bivariate normal expectation.
 
-Table in, columns out: ``_evpi_grid`` takes the cell table its caller
-built and returns one array-valued :class:`VoiResult` per method, from one
-reduction over the blocks of bootstrap draws as they are drawn (no route
-holds the ``(N, T, 2)`` draws) or one array pass over the moments;
-``_columns`` defines EVPI for both routes.  Every operation is elementwise
-in the threshold.  The moments and thin masks read only a table's counts,
-which may carry a leading cell axis: a sweep stacks a chunk's counts and runs
-``_moment_grid``, ``_asymptotic_columns`` and ``_thin_mask`` once over them.
+Tables in, columns out: ``_evpi_grid`` takes the cell tables its caller
+built on one grid (an ``evpi`` run's one, or a sweep chunk's, one per cell)
+and returns one array-valued :class:`VoiResult` per method over their
+(cell, threshold) entries, from one reduction per table over the blocks of
+bootstrap draws as they are drawn (no route holds the ``(N, T, 2)`` draws)
+or one array pass over the tables' stacked counts; ``_columns`` defines
+EVPI for both routes.  Every operation is elementwise in the entry.
 :meth:`VoiResult.rows` splits a grid's result into one-threshold results:
 :func:`evpi_threshold_sweep` returns one ``(threshold, VoiResult)`` row per
 threshold and method, methods in the order requested, and the
@@ -214,10 +213,11 @@ def _p_useful(model: np.ndarray, treat_all: np.ndarray) -> np.ndarray:
     return np.count_nonzero(model > np.maximum(treat_all, 0.0), axis=0)
 
 
-def _bootstrap_columns(blocks, n_reps: int, n_t: int, method: str, seed) -> VoiResult:
-    """:func:`evpi_bootstrap` at each of ``n_t`` thresholds, from blocks
-    ``(rows, model, treat_all)`` of ``(rows, n_t)`` NBs that cover ``n_reps``
-    replicates in order; ``n_reps`` is checked before the first block.
+def _bootstrap_columns(blocks, n_reps: int, n_t: int):
+    """:func:`_columns`' five (n_t,) arrays (the two mean NBs, ``enb_perfect``,
+    ``p_useful``, ``mc_se``) from blocks ``(rows, model, treat_all)`` of
+    ``(rows, n_t)`` NBs covering ``n_reps`` replicates in order; ``n_reps``
+    is checked before the first block.
 
     Every reduction runs along the replicate axis, so a threshold's entries
     depend only on its own draws.  The running column sum is concatenated
@@ -240,8 +240,7 @@ def _bootstrap_columns(blocks, n_reps: int, n_t: int, method: str, seed) -> VoiR
     row_max -= enb_perfect
     row_max *= row_max
     mc_se = np.sqrt(row_max.sum(axis=1) / (n_reps - 1)) / math.sqrt(n_reps)
-    return _columns(mean_model, mean_all, enb_perfect[:, 0], useful / n_reps, mc_se,
-                    _METHOD_LABELS[method], seed, n_reps)
+    return mean_model, mean_all, enb_perfect[:, 0], useful / n_reps, mc_se
 
 
 def evpi_bootstrap(draws: NbDrawMatrix) -> VoiResult:
@@ -252,8 +251,8 @@ def evpi_bootstrap(draws: NbDrawMatrix) -> VoiResult:
     replicates.
     """
     d = draws.draws
-    return _bootstrap_columns([(slice(None), d[:, :1], d[:, 1:])], d.shape[0], 1,
-                              draws.method, draws.seed).rows()[0]
+    columns = _bootstrap_columns([(slice(None), d[:, :1], d[:, 1:])], d.shape[0], 1)
+    return _columns(*columns, _METHOD_LABELS[draws.method], draws.seed, d.shape[0]).rows()[0]
 
 
 def _repair_psd(var_model, var_all, cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -338,19 +337,28 @@ def _check_methods(methods) -> tuple[str, ...]:
     return methods
 
 
-def _evpi_grid(table: _CellTable, methods, n_reps, seed) -> list[VoiResult]:
-    """The array-valued result of each of ``methods`` over the grid of
-    ``table``; the caller checks ``methods`` and ``seed``."""
-    ts = table.thresholds
+def _evpi_grid(tables, methods, n_reps, seeds) -> tuple[list[VoiResult], np.ndarray]:
+    """The array-valued result of each of ``methods`` over the (cell,
+    threshold) entries of ``tables``, cell tables on one grid with one seed
+    each, cell by cell; and the entries' thin masks.  The asymptotic method
+    and the masks read one stack of the tables' counts, and a bootstrap
+    method runs table by table.  A result keeps its seed only for one
+    table.  The caller checks ``methods`` and ``seeds``."""
+    ts = tables[0].thresholds
+    counts = [np.array(a) for a in zip(*(table.counts for table in tables))]
     results = []
     for m in methods:
         if m == "asymptotic":
-            results.append(_asymptotic_columns(_moment_grid(table.counts, ts)))
+            results.append(_asymptotic_columns(_moment_grid(counts, ts)))
             continue
-        blocks = ((rows, model, _treat_all(table, m, events, non_events))
-                  for rows, model, events, non_events in _nb_blocks(table, n_reps, m, seed))
-        results.append(_bootstrap_columns(blocks, n_reps, len(ts), m, seed))
-    return results
+        cells = []
+        for table, seed in zip(tables, seeds):
+            blocks = ((rows, model, _treat_all(table, m, events, non_events))
+                      for rows, model, events, non_events in _nb_blocks(table, n_reps, m, seed))
+            cells.append(_bootstrap_columns(blocks, n_reps, len(ts)))
+        results.append(_columns(*map(np.concatenate, zip(*cells)), _METHOD_LABELS[m],
+                                seeds[0] if len(seeds) == 1 else None, n_reps))
+    return results, _thin_mask(counts)
 
 
 def _warn_thin(names: list[str], stacklevel: int, where: str = "threshold(s)",
@@ -387,9 +395,10 @@ def evpi_threshold_sweep(
     _check_seed(seed)
     methods = _check_methods(methods)
     table = _CellTable(sample.outcomes, sample.risks, thresholds)
-    per_method = [c.rows() for c in _evpi_grid(table, methods, n_reps, seed)]
+    results, (thin,) = _evpi_grid([table], methods, n_reps, [seed])
+    per_method = [c.rows() for c in results]
     ts = table.thresholds
-    _warn_thin([f"{t.z:g}" for t, thin in zip(ts, _thin_mask(table.counts)) if thin], stacklevel=2)
+    _warn_thin([f"{t.z:g}" for t, m in zip(ts, thin) if m], stacklevel=2)
     return [(t, rows[i]) for i, t in enumerate(ts) for rows in per_method]
 
 

@@ -291,6 +291,20 @@ class TestSimulate:
         _, out8, _ = run(capsys, ["simulate", "--config", str(cfg1), "--workers", "8"])
         assert out1.splitlines()[3:] == out8.splitlines()[3:]
 
+    def test_huge_worker_count_on_one_chunk_builds_no_pool(self, capsys, tmp_path, monkeypatch):
+        """A pool is no wider than the sweep's chunks of cells, and this
+        config's 6 cells on one threshold are one chunk: ``"workers":
+        1e308`` runs in process and writes the bytes of one worker."""
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk sweep built a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        _, one, _ = run(capsys, ["simulate", "--config", str(self._config(tmp_path))])
+        code, out, err = run(capsys, ["simulate", "--config", str(self._config(tmp_path, 1e308))])
+        assert (code, err) == (0, "") and out == one
+
     def test_config_hash_leaves_out_workers(self, capsys, tmp_path):
         """Configs that differ only in ``workers``, a run setting, give the
         same bytes, header included, as does a config without it."""
@@ -566,6 +580,8 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     pytest.param(["simulate", {"methods": ["bayes", "bayes"]}], "'bayesian' is named twice",
                  id="simulate_repeated_method"),
     pytest.param(["simulate", {"n_reps": 1}], "'n_reps'", id="simulate_one_bootstrap_replicate"),
+    pytest.param(["simulate", {"n_reps": 1e308}], "'n_reps'", id="simulate_huge_n_reps"),
+    pytest.param(["simulate", {"n_sims": 1e308}], "'n_sims'", id="simulate_huge_n_sims"),
     pytest.param(["simulate", {"methods": "asymptotic"}], "'methods'",
                  id="simulate_string_methods"),
     pytest.param(["simulate", {"methods": 5}], "'methods'", id="simulate_number_methods"),
@@ -590,6 +606,7 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     pytest.param(["evpi", "--population", "inf", "--out", "csv"], "population",
                  id="inf_population_csv"),
     pytest.param(["evpi", "--max-threshold", "nan"], "max_z", id="evpi_nan_max_threshold"),
+    pytest.param(["evpi", "--max-threshold", "inf"], "max_z", id="evpi_inf_max_threshold"),
     pytest.param(["dca", "--max-threshold", "nan"], "max_z", id="dca_nan_max_threshold"),
     pytest.param(["dca", "--max-threshold", "0.1"], "threshold 0.1 >= 0.1",
                  id="dca_max_threshold_inside_the_default_grid"),
@@ -610,6 +627,8 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
                  id="simulate_number_slopes"),
     pytest.param(["simulate", {"dgm": {"intercept": None, "slopes": [0.77]}}], "'intercept'",
                  id="simulate_null_intercept"),
+    pytest.param(["simulate", {"dgm": {"intercept": 10**400, "slopes": [0.77]}}], "'intercept'",
+                 id="simulate_400_digit_intercept"),
     pytest.param(["simulate", {"dgm": {"intercept": -1.55, "slopes": {"a": 1}}}], "'slopes'",
                  id="simulate_object_slopes"),
     pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", "{tmp}"], "{tmp}",
@@ -625,6 +644,9 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
                  id="model_string_coefficient"),
     pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model", [["p", True]]],
                  "coefficient of 'p' must be a number, got True", id="model_bool_coefficient"),
+    pytest.param(["score", "--data", "{data}", "--outcome", "y", "--model",
+                  {"intercept": 10**400, "terms": {"p": 1.0}}], "'intercept'",
+                 id="model_400_digit_intercept"),
     pytest.param(["score", "--data", "{data}", "--outcome", "risk", "--model", [["p", 1.0]]],
                  "'risk'", id="score_outcome_named_risk"),
     pytest.param(["evpi", "--thresholds", "0.1:0.2:0"], "cannot parse thresholds",
@@ -673,7 +695,7 @@ def test_malformed_flag_or_config_exits_2_with_one_json_line(tmp_path, dataset, 
     thresholds, or on the default grid if it sets ``--max-threshold``.  A
     ``simulate`` row's dict edits a synthetic config, or a subsample one of
     the good data file if it sets ``"kind": "subsample"``; ``...`` drops a
-    key."""
+    key.  A dict after ``--model`` is the whole model file."""
     path, _ = dataset
     if argv[0] == "simulate" and isinstance(argv[1], dict):
         own = ({"kind": "subsample", "data": str(path), "outcome": "y", "risk": "p"}
@@ -689,9 +711,10 @@ def test_malformed_flag_or_config_exits_2_with_one_json_line(tmp_path, dataset, 
         grid = [] if "--max-threshold" in argv else ["--thresholds", "0.1,0.2"]
         argv = [argv[0], "--data", str(path), "--outcome", "y", "--risk", "p", *grid,
                 "--n-reps", "50", *argv[1:]]
-    elif isinstance(argv[-1], list):
+    elif isinstance(argv[-1], (list, dict)):
         model = tmp_path / "model.json"
-        model.write_text(json.dumps({"intercept": 0.0, "terms": argv[-1]}), encoding="utf-8")
+        spec = argv[-1] if isinstance(argv[-1], dict) else {"intercept": 0.0, "terms": argv[-1]}
+        model.write_text(json.dumps(spec), encoding="utf-8")
         argv = [*argv[:-1], str(model)]
     tmp = tmp_path / "tmp"
     tmp.mkdir()

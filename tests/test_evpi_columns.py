@@ -87,7 +87,7 @@ def reference_row(d: np.ndarray) -> dict:
 def test_bootstrap_columns_equal_one_threshold_calls(s, ts, method, n_reps, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     table = _CellTable(s.outcomes, s.risks, ts)
-    (cols,) = _evpi_grid(table, (method,), n_reps, seed)
+    (cols,), _ = _evpi_grid([table], (method,), n_reps, [seed])
     draws = bootstrap_nb_draws_grid(s, ts, n_reps, method, seed)
     assert draws.shape == (n_reps, len(ts), 2)
     for i, (t, row) in enumerate(zip(table.thresholds, cols.rows())):
@@ -106,7 +106,7 @@ def test_bootstrap_columns_equal_one_threshold_calls(s, ts, method, n_reps, data
 @SETTINGS
 @given(samples(), grids)
 def test_asymptotic_columns_equal_one_threshold_calls(s, ts):
-    (cols,) = _evpi_grid(_CellTable(s.outcomes, s.risks, ts), ("asymptotic",), 1, 0)
+    (cols,), _ = _evpi_grid([_CellTable(s.outcomes, s.risks, ts)], ("asymptotic",), 1, [0])
     assert np.isnan(cols.mc_se).all()
     for i, t in enumerate(ts):
         one = evpi_asymptotic(moments(s, t))
@@ -154,7 +154,7 @@ def test_each_method_releases_its_draws_before_the_next_draws():
     one_method = n_reps * len(ts) * 2 * 8
     tracemalloc.start()
     try:
-        _evpi_grid(_CellTable(s.outcomes, s.risks, ts), ("bayesian", "ordinary"), n_reps, 0)
+        _evpi_grid([_CellTable(s.outcomes, s.risks, ts)], ("bayesian", "ordinary"), n_reps, [0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -172,7 +172,7 @@ def test_blocks_smaller_than_block_reps_stream_the_same_columns(method):
     ts = make_thresholds(np.arange(1, 1980) / 2000)
     table = _CellTable(s.outcomes, s.risks, ts)
     assert _block_rows(table.cell_counts.size) == 103
-    (cols,) = _evpi_grid(table, (method,), 300, 4)
+    (cols,), _ = _evpi_grid([table], (method,), 300, [4])
     draws = bootstrap_nb_draws_grid(s, ts, 300, method, 4)
     for i in range(len(ts)):
         ref = reference_row(draws[:, i])
@@ -188,5 +188,5 @@ def test_one_replicate_is_refused_before_anything_is_drawn(monkeypatch):
     s = ValidationSample([0, 1, 1, 0], [0.1, 0.5, 0.9, 0.3])
     table = _CellTable(s.outcomes, s.risks, (Threshold(0.2),))
     with pytest.raises(InputError, match="at least 2 replicates"):
-        _evpi_grid(table, ("asymptotic", "bayesian"), 1, 0)
+        _evpi_grid([table], ("asymptotic", "bayesian"), 1, [0])
     assert drawn == []

@@ -59,6 +59,17 @@ class TestThreshold:
         with pytest.raises(InputError, match=f"{named} must be a number"):
             Threshold(z, max_z=max_z)
 
+    @pytest.mark.parametrize("z, max_z, named", [
+        (np.nan, 0.99, "threshold"), (np.inf, 0.99, "threshold"), (10**400, 0.99, "threshold"),
+        (0.2, np.nan, "max_z"), (0.2, np.inf, "max_z"), (0.2, -10**400, "max_z"),
+    ], ids=["nan_z", "inf_z", "huge_int_z", "nan_cap", "inf_cap", "huge_negative_int_cap"])
+    def test_non_finite_number_is_an_input_error_naming_it(self, z, max_z, named):
+        """NaN, an infinity and an int past the float range are refused by
+        the rule that takes the number, not by a later range check or as an
+        ``OverflowError``."""
+        with pytest.raises(InputError, match=f"{named} (must be finite|is past the range)"):
+            Threshold(z, max_z=max_z)
+
     def test_numbers_are_kept_as_python_floats(self):
         t = Threshold(np.float32(0.25), max_z=np.int64(1))
         assert type(t.z) is float and type(t.max_z) is float

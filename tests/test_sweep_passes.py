@@ -56,7 +56,7 @@ def _per_cell_rows(dgm, dataset, cfg):
     """The sweep's rows from one ``_evpi_grid`` call per cell."""
     evpi = np.empty((len(cfg.sizes), cfg.n_sims, len(cfg.methods), len(cfg.thresholds)))
     for si, sim, table in _cell_tables(dgm, dataset, cfg):
-        columns = _evpi_grid(table, cfg.methods, cfg.n_reps, (cfg.seed, si, sim))
+        columns, _ = _evpi_grid([table], cfg.methods, cfg.n_reps, [(cfg.seed, si, sim)])
         evpi[si, sim] = [c.evpi for c in columns]
     by_sim = np.ascontiguousarray(np.moveaxis(evpi, 1, -1))
     means = by_sim.mean(axis=-1)
@@ -120,6 +120,17 @@ def test_worker_count_changes_no_byte(methods):
 
 
 @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
+def test_two_subsample_workers_give_the_bytes_of_one():
+    """18 cells on 30 thresholds are two chunks, so two workers are a real
+    pool: each receives the dataset by pickle."""
+    grid, _ = GRIDS[30]
+    out = [render_csv(sweep_records(subsample_sweep(DATASET, SweepConfig(
+        sizes=SIZES, thresholds=make_thresholds(grid), n_sims=6, n_reps=30,
+        methods=ALL_METHODS, seed=12, n_workers=w)))) for w in (1, 2)]
+    assert out[0] == out[1]
+
+
+@pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
 def test_a_chunk_builds_its_grid_once(monkeypatch):
     """40 cells on 30 thresholds are three chunks, and each builds one grid
     for all its cells' tables; the output is the same at 1 and 2 workers."""
@@ -137,6 +148,37 @@ def test_a_chunk_builds_its_grid_once(monkeypatch):
     assert len(builds) == 3
     two = render_csv(sweep_records(synthetic_sweep(DGM, dataclasses.replace(cfg, n_workers=2))))
     assert one == two
+
+
+@pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
+def test_a_pool_is_no_wider_than_the_chunks(monkeypatch):
+    """40 cells on 30 thresholds are three chunks, so a worker count of
+    1e308 asks for a pool of three.  A stand-in pool records its width and
+    runs the chunks in this process, so no process starts."""
+    import concurrent.futures
+
+    widths = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg = SweepConfig(sizes=(100, 200), thresholds=make_thresholds(GRIDS[30][0]), n_sims=20,
+                      n_reps=30, methods=ALL_METHODS, seed=12)
+    one = render_csv(sweep_records(synthetic_sweep(DGM, cfg)))
+    wide = dataclasses.replace(cfg, n_workers=1e308)
+    assert render_csv(sweep_records(synthetic_sweep(DGM, wide))) == one
+    assert widths == [3]
 
 
 @pytest.mark.parametrize("methods", [("asymptotic",), ("bayesian", "asymptotic")],
