@@ -293,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a sample-size sweep from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (overrides config; results are identical)")
+                   help="most worker processes, used up to the sweep's chunks and the "
+                        "usable CPUs (overrides config; results are identical)")
     p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_simulate)
 

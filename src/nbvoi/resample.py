@@ -62,7 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .netbenefit import WEIGHT_SUM_TOL, Threshold, ValidationSample, _CellTable, _net_benefit
+from .netbenefit import (WEIGHT_SUM_TOL, Threshold, ValidationSample, _CellTable, _net_benefit,
+                         _whole)
 from .rng import substream
 
 METHOD_IDS = {"bayesian": 0, "ordinary": 1}
@@ -174,6 +175,13 @@ def _block_masses(counts: np.ndarray, n_reps: int, method: str, seed, start: int
     return rng.multinomial(n, counts / n, size=size[0])
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity set, where the
+    platform has one), at least 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
 def _threads(values: int) -> int:
     """How many items :func:`_ordered_map` works at once in a pass over
     ``values`` numbers: 1 below ``BLOCK_CELLS`` values, where starting a
@@ -182,8 +190,7 @@ def _threads(values: int) -> int:
     mp = sys.modules.get("multiprocessing")
     if values < BLOCK_CELLS or mp is not None and mp.parent_process() is not None:
         return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(2, cpus or 1))
+    return min(2, _usable_cpus())
 
 
 def _ordered_map(fn, items, width: int):
@@ -270,16 +277,19 @@ def _treat_all(table: _CellTable, method: str, events, non_events) -> np.ndarray
                         _mass_total(table, method))
 
 
-def _check_draws(count: int, shape: tuple, what: str, noun: str = "bootstrap draws") -> None:
-    """Refuse a request whose count ``what`` (replicates, or a sweep's
-    simulations) is under 1, or whose array of ``shape`` floats would take
-    more than ``MAX_DRAW_BYTES``; ``what`` names the count in the error and
-    ``noun`` the array.  It runs before anything is drawn."""
+def _check_draws(count, shape: tuple, what: str, noun: str = "bootstrap draws") -> int:
+    """``count`` (replicates, or a sweep's simulations) as an int, refused
+    unless it is a whole number (``netbenefit._whole``) of at least 1 whose
+    array of ``shape`` floats would take at most ``MAX_DRAW_BYTES``;
+    ``what`` names the count in the error and ``noun`` the array.  It runs
+    before anything is drawn."""
+    count = _whole(count, what)
     if count < 1:
         raise InputError(f"{what} must be >= 1")
     if 8 * math.prod(shape) > MAX_DRAW_BYTES:
         raise InputError(f"{what}: {noun} of shape {shape} take {8 * math.prod(shape)} "
                          f"bytes, over the {MAX_DRAW_BYTES}-byte limit")
+    return count
 
 
 def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
@@ -292,7 +302,7 @@ def _nb_blocks(table: _CellTable, n_reps: int, method: str, seed):
     sums alive.  The check runs on the call, before anything is drawn, and
     refuses what ``bootstrap_nb_draws_grid`` could not hold, so every
     reader computes the same NB values under the same bound."""
-    _check_draws(n_reps, (n_reps, len(table.thresholds), 2), "n_reps")
+    n_reps = _check_draws(n_reps, (n_reps, len(table.thresholds), 2), "n_reps")
     _check_method(method)
     total = _mass_total(table, method)
     counts, c = table.cell_counts, table.harm_weight
@@ -429,6 +439,7 @@ def bootstrap_nb_draws_grid(
     the occupied cells in blocks (see the module docstring).  Output is a
     pure function of ``(sample, thresholds, n_reps, method, seed)``.
     """
+    n_reps = _whole(n_reps, "n_reps")
     table = _CellTable(sample.outcomes, sample.risks, thresholds)
     blocks = _nb_blocks(table, n_reps, method, seed)
     draws = np.empty((n_reps, len(table.thresholds), 2))

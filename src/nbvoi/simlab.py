@@ -6,13 +6,14 @@ Each simulation builds a validation sample (synthetic draw or subsample),
 computes EVPI per method and threshold, and the sweep reports the mean and
 Monte Carlo standard error over simulations.  The random substream of
 cell ``(size_index, sim_index)`` depends only on the sweep seed and those
-indices.  Cells run in fixed chunks of ``max(1, _PASS_ENTRIES // T)``,
-sized from the grid alone; a chunk builds its grid once, each cell builds
-its table on it, and the chunk hands its tables to ``voi._evpi_grid``,
-which alone knows how each method runs.  Chunks are embarrassingly
-parallel, and ``_evpi_grid`` is elementwise over a chunk's entries, so
-neither the worker count nor the chunking changes results.  A pool has at
-most one process per chunk, and only a pool loads multiprocessing.
+indices.  Each size's simulations run in fixed chunks of at most ``max(1,
+_PASS_ENTRIES // T)``, sized from the grid alone, so no chunk spans two
+sizes; a chunk builds its grid once, each cell builds its table on it, and
+the chunk hands its tables to ``voi._evpi_grid``, which alone knows how
+each method runs.  Chunks are embarrassingly parallel, and ``_evpi_grid``
+is elementwise over a chunk's entries, so neither the worker count nor the
+chunking changes results.  A pool has at most one process per chunk and
+per usable CPU, and only a pool loads multiprocessing.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import InputError
 from .io import _expit
 from .netbenefit import (Threshold, ValidationSample, _CellTable, _Grid, _real, _whole,
                          make_thresholds)
-from .resample import DATA_STREAM_ID, SWEEP_N_REPS, _check_draws
+from .resample import DATA_STREAM_ID, SWEEP_N_REPS, _check_draws, _usable_cpus
 from .rng import _check_seed, substream
 from .voi import _METHOD_LABELS, ALL_METHODS, _check_methods, _evpi_grid, _warn_thin
 
@@ -60,8 +61,9 @@ class LogisticDgm:
 def generate_synthetic(dgm: LogisticDgm, n: int, rng: np.random.Generator) -> ValidationSample:
     """Simulate a validation sample whose predicted risks are the true
     conditional probabilities (the model under validation is correct)."""
+    n = _whole(n, "n")
     if n < 1:
-        raise InputError("sample size must be >= 1")
+        raise InputError("n must be >= 1")
     x = rng.standard_normal((n, len(dgm.slopes)))
     risks = dgm.risks(x)
     y = (rng.random(n) < risks).astype(np.int64)
@@ -98,6 +100,7 @@ def true_nb_of_dgm(
     The outcome is integrated out analytically given the covariates, so the
     only Monte Carlo error comes from the covariate draw.
     """
+    n_mc = _whole(n_mc, "n_mc")
     if n_mc < 1:
         raise InputError("n_mc must be >= 1")
     if strategy == "none":
@@ -194,48 +197,46 @@ class SweepResult:
         raise KeyError((size, threshold, method))
 
 
-def _sweep_chunk(cells, dgm, dataset, cfg: SweepConfig):
-    """The (cells, methods, T) EVPI and (cells, T) thin masks of a chunk of
-    cells, on one grid: each cell draws its sample from its data substream
-    and builds its one table, and one ``_evpi_grid`` call takes them all."""
-    grid = _Grid(cfg.thresholds)
+def _sweep_chunk(chunk, dgm, dataset, cfg: SweepConfig):
+    """The (methods, T, sims) EVPI and (T,) thin mask of a chunk ``(si, sims)``,
+    a range of simulations at size index ``si``, on one grid: each draws its
+    sample and builds its table, and one ``_evpi_grid`` call takes them all."""
+    si, sims = chunk
+    size, grid = cfg.sizes[si], _Grid(cfg.thresholds)
     tables = []
-    for si, sim in cells:
-        size = cfg.sizes[si]
+    for sim in sims:
         data_rng = substream((cfg.seed, si, sim), DATA_STREAM_ID)
         sample = generate_synthetic(dgm, size, data_rng) if dgm is not None else dataset
         rows = slice(None) if size == sample.n else data_rng.choice(sample.n, size, replace=False)
         tables.append(_CellTable(sample.outcomes[rows], sample.risks[rows], grid))
     results, thin = _evpi_grid(tables, cfg.methods, cfg.n_reps,
-                               [(cfg.seed, si, sim) for si, sim in cells])
-    return np.stack([r.evpi.reshape(len(cells), -1) for r in results], axis=1), thin
+                               [(cfg.seed, si, sim) for sim in sims])
+    return np.stack([r.evpi.reshape(len(sims), -1).T for r in results]), thin.any(axis=0)
 
 
 def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
-    # Fixed chunks of cells, sized from the grid alone: each is one kernel
-    # pass of about _PASS_ENTRIES (cell, threshold) entries, and neither the
-    # worker count nor the batching of chunks to processes changes which
-    # cells share a pass.
-    cells = [(si, sim) for si in range(len(cfg.sizes)) for sim in range(cfg.n_sims)]
-    step = max(1, _PASS_ENTRIES // len(cfg.thresholds))
-    chunks = [cells[i:i + step] for i in range(0, len(cells), step)]
-    worker = partial(_sweep_chunk, dgm=dgm, dataset=dataset, cfg=cfg)
+    # Each size's simulations run in chunks sized from the grid alone, each one
+    # kernel pass of about _PASS_ENTRIES (cell, threshold) entries, so neither
+    # the worker count nor the batching of chunks changes which cells share a pass.
     n_sizes, n_sims, n_t = len(cfg.sizes), cfg.n_sims, len(cfg.thresholds)
+    step = max(1, _PASS_ENTRIES // n_t)
+    chunks = [(si, range(start, min(start + step, n_sims)))
+              for si in range(n_sizes) for start in range(0, n_sims, step)]
+    worker = partial(_sweep_chunk, dgm=dgm, dataset=dataset, cfg=cfg)
     # Simulations last and contiguous: each cell's mean and SD take numpy's
     # pairwise sum over its simulations in order.
     by_sim = np.empty((n_sizes, len(cfg.methods), n_t, n_sims))
     thin = np.zeros((n_sizes, n_t), dtype=bool)
-    workers = min(cfg.n_workers, len(chunks))  # a pool no wider than the work
+    workers = min(cfg.n_workers, len(chunks), _usable_cpus())  # a pool no wider than its use
     if workers > 1:  # multiprocessing loads only for a pool
         from concurrent.futures import ProcessPoolExecutor
     # A process worker works its bootstrap blocks one at a time (resample._threads).
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         batch = max(1, len(chunks) // (4 * workers))
         results = pool.map(worker, chunks, chunksize=batch) if pool else map(worker, chunks)
-        for chunk, (evpi, mask) in zip(chunks, results):
-            for (si, sim), e, m in zip(chunk, evpi, mask):
-                by_sim[si, ..., sim] = e
-                thin[si] |= m
+        for (si, sims), (evpi, mask) in zip(chunks, results):
+            by_sim[si, ..., sims.start:sims.stop] = evpi
+            thin[si] |= mask
     means = by_sim.mean(axis=-1).tolist()
     ses = (by_sim.std(axis=-1, ddof=1) / np.sqrt(n_sims) if n_sims > 1
            else np.zeros(by_sim.shape[:-1])).tolist()
@@ -247,9 +248,9 @@ def _run_sweep(dgm, dataset, cfg: SweepConfig) -> SweepResult:
         for j, t in enumerate(cfg.thresholds)
         for k, label in enumerate(labels)
     )
-    thin_cells = sorted({(size, t.z) for si, size in enumerate(cfg.sizes)
-                         for t, m in zip(cfg.thresholds, thin[si].tolist()) if m})
-    _warn_thin([f"({size}, {z:g})" for size, z in thin_cells], stacklevel=3,
+    # Sizes and thresholds increase, so the thin cells come out in order.
+    _warn_thin([f"({size}, {t.z:g})" for si, size in enumerate(cfg.sizes)
+                for t, m in zip(cfg.thresholds, thin[si].tolist()) if m], stacklevel=3,
                where="the threshold in at least one simulation, at (size, threshold)", note="")
     return SweepResult(rows=rows)
 

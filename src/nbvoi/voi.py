@@ -42,7 +42,7 @@ import numpy as np
 
 from .bvn import _check_params, _emax_pfirst, _max
 from .errors import InputError, NumericError, SmallEffectiveSampleWarning
-from .netbenefit import Threshold, ValidationSample, _CellTable, _net_benefit
+from .netbenefit import Threshold, ValidationSample, _CellTable, _net_benefit, _whole
 from .resample import DEFAULT_N_REPS, NbDrawMatrix, _nb_blocks, _treat_all
 from .rng import _check_seed
 
@@ -393,7 +393,7 @@ def evpi_threshold_sweep(
     one side.
     """
     _check_seed(seed)
-    methods = _check_methods(methods)
+    methods, n_reps = _check_methods(methods), _whole(n_reps, "n_reps")
     table = _CellTable(sample.outcomes, sample.risks, thresholds)
     results, (thin,) = _evpi_grid([table], methods, n_reps, [seed])
     per_method = [c.rows() for c in results]

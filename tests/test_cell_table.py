@@ -282,7 +282,7 @@ SWEEP_CFG = SweepConfig(sizes=(120,), thresholds=make_thresholds([0.1, 0.2]), n_
 @pytest.mark.parametrize("analysis", [
     lambda s, ts: evpi_threshold_sweep(s, ts, ALL_METHODS, 50, 3),
     lambda s, ts: decision_curve(s, ts, n_boot=50, method="bayesian", seed=3),
-    lambda s, ts: _sweep_chunk([(0, 0)], DGM, None, SWEEP_CFG),
+    lambda s, ts: _sweep_chunk((0, range(1)), DGM, None, SWEEP_CFG),
 ], ids=["evpi_all_methods", "decision_curve", "sweep_cell"])
 @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
 def test_each_analysis_builds_one_cell_table(monkeypatch, analysis):

@@ -258,11 +258,11 @@ class TestScore:
 
 
 class TestSimulate:
-    def _config(self, tmp_path, workers=1):
+    def _config(self, tmp_path, workers=1, sizes=(80, 160)):
         cfg = {
             "kind": "synthetic",
             "dgm": {"intercept": -1.55, "slopes": [0.77]},
-            "sizes": [80, 160],
+            "sizes": list(sizes),
             "thresholds": [0.2],
             "n_sims": 3,
             "n_reps": 120,
@@ -285,7 +285,10 @@ class TestSimulate:
         assert lines[3] == "size,threshold,method,mean_evpi,mc_se,n_sims"
         assert len(lines) == 4 + 2 * 1 * 2
 
-    def test_workers_do_not_change_output(self, capsys, tmp_path):
+    def test_workers_do_not_change_output(self, capsys, tmp_path, monkeypatch):
+        """Two sizes are two chunks, and two CPUs on any machine make eight
+        workers a pool of two."""
+        monkeypatch.setattr(nbvoi.simlab, "_usable_cpus", lambda: 2)
         cfg1 = self._config(tmp_path, workers=1)
         _, out1, _ = run(capsys, ["simulate", "--config", str(cfg1)])
         _, out8, _ = run(capsys, ["simulate", "--config", str(cfg1), "--workers", "8"])
@@ -293,16 +296,18 @@ class TestSimulate:
 
     def test_huge_worker_count_on_one_chunk_builds_no_pool(self, capsys, tmp_path, monkeypatch):
         """A pool is no wider than the sweep's chunks of cells, and this
-        config's 6 cells on one threshold are one chunk: ``"workers":
-        1e308`` runs in process and writes the bytes of one worker."""
+        config's one size of 3 cells on one threshold is one chunk:
+        ``"workers": 1e308`` runs in process and writes the bytes of one
+        worker."""
         import concurrent.futures
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-chunk sweep built a process pool")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        _, one, _ = run(capsys, ["simulate", "--config", str(self._config(tmp_path))])
-        code, out, err = run(capsys, ["simulate", "--config", str(self._config(tmp_path, 1e308))])
+        _, one, _ = run(capsys, ["simulate", "--config", str(self._config(tmp_path, sizes=[80]))])
+        code, out, err = run(capsys, ["simulate", "--config",
+                                      str(self._config(tmp_path, 1e308, sizes=[80]))])
         assert (code, err) == (0, "") and out == one
 
     def test_config_hash_leaves_out_workers(self, capsys, tmp_path):

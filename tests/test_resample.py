@@ -1,5 +1,6 @@
 """Bootstrap weight generators and NB draw matrices."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,12 +16,14 @@ from nbvoi import (
     ValidationSample,
     WeightVector,
     bootstrap_nb_draws,
+    evpi_threshold_sweep,
     generate_synthetic,
     make_thresholds,
     moments,
     nb_all,
     nb_model,
     substream,
+    true_nb_of_dgm,
     weighted_nb,
 )
 from nbvoi.netbenefit import _CellTable, default_grid
@@ -138,6 +141,32 @@ class TestDrawSizeBound:
         assert bootstrap_nb_draws_grid(s, ts, n_reps=10).shape == (10, 2, 2)
         with pytest.raises(InputError, match=r"shape \(11, 2, 2\) take 352 bytes"):
             bootstrap_nb_draws_grid(s, ts, n_reps=11)
+
+
+_DGM = LogisticDgm(intercept=-1.55, slopes=(0.77,))
+_SAMPLE = generate_synthetic(_DGM, 300, substream(6, 2))
+_COUNTS = {  # entry -> (the count's name, a call with that count)
+    "evpi_threshold_sweep": ("n_reps", lambda n: evpi_threshold_sweep(_SAMPLE, [0.2], n_reps=n)),
+    "bootstrap_nb_draws_grid": ("n_reps", lambda n: bootstrap_nb_draws_grid(_SAMPLE, [0.2], n)),
+    "bootstrap_nb_draws": ("n_reps", lambda n: bootstrap_nb_draws(_SAMPLE, Threshold(0.2), n)),
+    "generate_synthetic": ("n", lambda n: generate_synthetic(_DGM, n, substream(6, 3))),
+    "true_nb_of_dgm": ("n_mc", lambda n: true_nb_of_dgm(_DGM, Threshold(0.2), n,
+                                                        rng=substream(6, 4))),
+}
+
+
+@pytest.mark.parametrize("value", [100.5, "7", True, None])
+@pytest.mark.parametrize("entry", sorted(_COUNTS))
+def test_a_count_is_a_whole_number(entry, value):
+    """A count is an int or an integral float, which runs as that int (its
+    repr, counts included, is the int's); a fraction, a string, a bool or
+    None is an InputError naming the count, never a TypeError or a run of
+    one."""
+    name, call = _COUNTS[entry]
+    assert repr(call(100.0)) == repr(call(100))
+    with pytest.raises(InputError, match=re.escape(f"{name} must be a whole number, "
+                                                   f"got {value!r}")):
+        call(value)
 
 
 class TestBootstrapNbDraws:

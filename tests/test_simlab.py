@@ -394,7 +394,10 @@ class TestSyntheticSweep:
         big = res.row(1600, 0.2, "bayesian_bootstrap")
         assert big.mean_evpi < small.mean_evpi - np.hypot(small.mc_se, big.mc_se)
 
-    def test_parallel_workers_identical(self):
+    def test_parallel_workers_identical(self, monkeypatch):
+        """Two sizes are two chunks, and two CPUs on any machine make four
+        workers a pool of two."""
+        monkeypatch.setattr(nbvoi.simlab, "_usable_cpus", lambda: 2)
         cfg1 = _small_cfg(n_workers=1)
         cfg4 = _small_cfg(n_workers=4)
         assert synthetic_sweep(DGM, cfg1).rows == synthetic_sweep(DGM, cfg4).rows
@@ -427,8 +430,11 @@ class TestSubsampleSweep:
         assert res.rows[0].mc_se == 0.0
 
     @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
-    def test_parallel_workers_identical(self):
-        """Two workers receive the dataset by pickle and give the bytes of one."""
+    def test_parallel_workers_identical(self, monkeypatch):
+        """Two workers receive the dataset by pickle and give the bytes of one;
+        three sizes are three chunks, and the process sees two CPUs on any
+        machine."""
+        monkeypatch.setattr(nbvoi.simlab, "_usable_cpus", lambda: 2)
         data = self._dataset(600)
         runs = [subsample_sweep(data, SweepConfig(
             sizes=(150, 300, 600), thresholds=make_thresholds([0.1, 0.2]), n_sims=3,

@@ -1,11 +1,12 @@
 """A sweep's asymptotic column comes from bounded kernel passes over fixed
-chunks of cells.
+chunks of each size's simulations.
 
 The chunked sweep must give the rows of the per-cell path bit for bit: one
 ``_evpi_grid`` per cell's table, from the same substreams, with the mean
 and SE taken along the simulation axis.  The chunks are sized from the grid
 alone, so the worker count changes no byte, and a pass is bounded, so a
-sweep's memory does not grow with the kernel entries of all its cells.
+sweep's memory does not grow with the kernel entries of all its cells; nor
+does ``_run_sweep`` hold anything per cell but the EVPI it keeps.
 """
 
 import dataclasses
@@ -30,14 +31,15 @@ from nbvoi.cli import main
 from nbvoi.io import render_csv, sweep_records
 from nbvoi.netbenefit import _CellTable, _Grid, default_grid
 from nbvoi.resample import DATA_STREAM_ID
+from nbvoi import simlab
 from nbvoi.simlab import _PASS_ENTRIES, subsample_sweep
 from nbvoi.voi import _METHOD_LABELS, ALL_METHODS, _evpi_grid, _thin_mask
 
 DGM = LogisticDgm(intercept=-1.55, slopes=(0.77,))
 DATASET = generate_synthetic(DGM, 400, substream(41, 2))
 SIZES = (60, 120, 240)
-# Grid length -> n_sims: with three sizes, each leaves a ragged last chunk
-# (525 = 512 + 13 cells, 21 = 17 + 4, 15 = 7 * 2 + 1).
+# Grid length -> n_sims: each size's simulations end in a ragged chunk
+# (175 of up to 512 cells, 7 of up to 17, 5 = 2 * 2 + 1).
 GRIDS = {1: ([0.2], 175), 30: (np.round(np.arange(1, 31) / 100, 2).tolist(), 7),
          200: (default_grid(), 5)}
 
@@ -76,7 +78,7 @@ def test_chunked_sweep_equals_per_cell_path(kind, n_t, methods):
     grid, n_sims = GRIDS[n_t]
     cfg = SweepConfig(sizes=SIZES, thresholds=make_thresholds(grid), n_sims=n_sims, n_reps=20,
                       methods=methods, seed=9)
-    assert len(SIZES) * n_sims % max(1, _PASS_ENTRIES // n_t) != 0  # ragged last chunk
+    assert n_sims % max(1, _PASS_ENTRIES // n_t) != 0  # each size ends in a ragged chunk
     dgm, dataset = (DGM, None) if kind == "synthetic" else (None, DATASET)
     result = synthetic_sweep(DGM, cfg) if kind == "synthetic" else subsample_sweep(DATASET, cfg)
     got = [(r.size, r.threshold, r.method, r.mean_evpi, r.mc_se) for r in result.rows]
@@ -109,9 +111,11 @@ def test_kernel_memory_does_not_grow_with_cells():
 
 @pytest.mark.parametrize("methods", [("asymptotic",), ALL_METHODS], ids=["asymptotic", "all"])
 @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
-def test_worker_count_changes_no_byte(methods):
-    """30 thresholds make chunks of 17 cells: 40 cells leave a last chunk
-    of 6."""
+def test_worker_count_changes_no_byte(methods, monkeypatch):
+    """30 thresholds make chunks of 17 cells: each size's 20 simulations
+    leave a last chunk of 3.  The process sees two CPUs on any machine, so
+    two workers are a pool."""
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
     grid, _ = GRIDS[30]
     out = [render_csv(sweep_records(synthetic_sweep(DGM, SweepConfig(
         sizes=(100, 200), thresholds=make_thresholds(grid), n_sims=20, n_reps=30,
@@ -120,9 +124,11 @@ def test_worker_count_changes_no_byte(methods):
 
 
 @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
-def test_two_subsample_workers_give_the_bytes_of_one():
-    """18 cells on 30 thresholds are two chunks, so two workers are a real
-    pool: each receives the dataset by pickle."""
+def test_two_subsample_workers_give_the_bytes_of_one(monkeypatch):
+    """Three sizes of 6 cells on 30 thresholds are three chunks, and the
+    process sees two CPUs on any machine, so two workers are a real pool:
+    each receives the dataset by pickle."""
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
     grid, _ = GRIDS[30]
     out = [render_csv(sweep_records(subsample_sweep(DATASET, SweepConfig(
         sizes=SIZES, thresholds=make_thresholds(grid), n_sims=6, n_reps=30,
@@ -132,8 +138,9 @@ def test_two_subsample_workers_give_the_bytes_of_one():
 
 @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
 def test_a_chunk_builds_its_grid_once(monkeypatch):
-    """40 cells on 30 thresholds are three chunks, and each builds one grid
-    for all its cells' tables; the output is the same at 1 and 2 workers."""
+    """Two sizes of 20 cells on 30 thresholds are four chunks (17 + 3 cells
+    each), and each builds one grid for all its cells' tables; the output
+    is the same at 1 and 2 workers."""
     builds = []
     init = _Grid.__init__
 
@@ -145,16 +152,17 @@ def test_a_chunk_builds_its_grid_once(monkeypatch):
     cfg = SweepConfig(sizes=(100, 200), thresholds=make_thresholds(GRIDS[30][0]), n_sims=20,
                       n_reps=30, methods=ALL_METHODS, seed=12)
     one = render_csv(sweep_records(synthetic_sweep(DGM, cfg)))
-    assert len(builds) == 3
+    assert len(builds) == 4
     two = render_csv(sweep_records(synthetic_sweep(DGM, dataclasses.replace(cfg, n_workers=2))))
     assert one == two
 
 
 @pytest.mark.filterwarnings("ignore::nbvoi.SmallEffectiveSampleWarning")
 def test_a_pool_is_no_wider_than_the_chunks(monkeypatch):
-    """40 cells on 30 thresholds are three chunks, so a worker count of
-    1e308 asks for a pool of three.  A stand-in pool records its width and
-    runs the chunks in this process, so no process starts."""
+    """Two sizes of 20 cells on 30 thresholds are four chunks, so a worker
+    count of 1e308 asks for a pool of min(4, CPUs): none on one CPU, two on
+    two and four on eight.  A stand-in pool records its width and runs the
+    chunks in this process, so no process starts."""
     import concurrent.futures
 
     widths = []
@@ -177,8 +185,29 @@ def test_a_pool_is_no_wider_than_the_chunks(monkeypatch):
                       n_reps=30, methods=ALL_METHODS, seed=12)
     one = render_csv(sweep_records(synthetic_sweep(DGM, cfg)))
     wide = dataclasses.replace(cfg, n_workers=1e308)
-    assert render_csv(sweep_records(synthetic_sweep(DGM, wide))) == one
-    assert widths == [3]
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(simlab, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert render_csv(sweep_records(synthetic_sweep(DGM, wide))) == one
+    assert widths == [2, 4]
+
+
+def test_run_sweep_holds_nothing_per_cell(monkeypatch):
+    """A 10^6-cell asymptotic sweep (one size, one threshold) with its chunk
+    work stubbed out: the traced peak is the 8 MB of EVPI ``_run_sweep`` keeps
+    and one temporary of that size for the SD, not a Python object per
+    cell."""
+    cfg = SweepConfig(sizes=(250,), thresholds=make_thresholds([0.2]), n_sims=10**6,
+                      methods=("asymptotic",), seed=3)
+    monkeypatch.setattr(simlab, "_sweep_chunk", lambda chunk, dgm, dataset, cfg: (
+        np.zeros((1, 1, len(chunk[1]))), np.zeros(1, dtype=bool)))
+    tracemalloc.start()
+    try:
+        result = synthetic_sweep(DGM, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.mean_evpi, r.mc_se, r.n_sims) for r in result.rows] == [(0.0, 0.0, 10**6)]
+    assert peak < 20e6
 
 
 @pytest.mark.parametrize("methods", [("asymptotic",), ("bayesian", "asymptotic")],
